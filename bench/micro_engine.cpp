@@ -79,6 +79,7 @@ BENCHMARK(BM_RedEnqueueDequeue);
 static void BM_DumbbellTcpSecond(benchmark::State& state) {
   // Cost of simulating one second of a loaded dumbbell (10 TCP flows at
   // 10 Mb/s): the workhorse configuration of every experiment.
+  std::int64_t events = 0;
   for (auto _ : state) {
     sim::Simulator sim;
     scenario::DumbbellConfig cfg;
@@ -88,12 +89,15 @@ static void BM_DumbbellTcpSecond(benchmark::State& state) {
     net.start_flows();
     net.finalize();
     sim.run_until(sim::Time::seconds(1.0));
+    events += static_cast<std::int64_t>(sim.events_executed());
     benchmark::DoNotOptimize(sim.events_executed());
   }
+  state.SetItemsProcessed(events);
 }
 BENCHMARK(BM_DumbbellTcpSecond)->Unit(benchmark::kMillisecond);
 
 static void BM_DumbbellTfrcSecond(benchmark::State& state) {
+  std::int64_t events = 0;
   for (auto _ : state) {
     sim::Simulator sim;
     scenario::DumbbellConfig cfg;
@@ -103,8 +107,10 @@ static void BM_DumbbellTfrcSecond(benchmark::State& state) {
     net.start_flows();
     net.finalize();
     sim.run_until(sim::Time::seconds(1.0));
+    events += static_cast<std::int64_t>(sim.events_executed());
     benchmark::DoNotOptimize(sim.events_executed());
   }
+  state.SetItemsProcessed(events);
 }
 BENCHMARK(BM_DumbbellTfrcSecond)->Unit(benchmark::kMillisecond);
 

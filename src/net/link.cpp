@@ -42,8 +42,8 @@ Link::Link(sim::Simulator& sim, Node& from, Node& to, double bandwidth_bps,
 }
 
 Link::~Link() {
-  if (chain_armed_) sim_.disarm_chain(&chain_);
-  if (wire_armed_) sim_.disarm_chain(&wire_chain_);
+  sim_.disarm_chain(&chain_);
+  sim_.disarm_chain(&wire_chain_);
   if (in_flight_h_.valid()) pool_.release(in_flight_h_);
   while (wire_count_ != 0) pool_.release(wire_pop().h);
 }
@@ -145,12 +145,7 @@ void Link::start_transmission() {
     // The drain chain stands in for the transmit-complete event the
     // scalar path would schedule here; minting its seq from the same
     // engine counter keeps the executed (at, seq) stream identical.
-    chain_.at = tx_ends_;
-    chain_.seq = sim_.mint_event_seq();
-    if (!chain_armed_) {
-      sim_.arm_chain(&chain_);
-      chain_armed_ = true;
-    }
+    key_chain(chain_, tx_ends_, sim_.mint_event_seq(), 1);
     return;
   }
   auto head = queue_->dequeue();
@@ -205,15 +200,21 @@ void Link::schedule_delivery(PacketHandle h, sim::Time at) {
   // The seq is minted here — the point where the scalar path would
   // have scheduled the delivery event — so the executed (at, seq)
   // stream is bit-identical whichever path carries the delivery.
-  const WireEntry entry{at, sim_.mint_event_seq(), h};
-  wire_push(entry);
-  if (!wire_armed_) {
-    wire_chain_.at = entry.at;
-    wire_chain_.seq = entry.seq;
-    sim_.arm_chain(&wire_chain_);
-    wire_armed_ = true;
+  wire_push(WireEntry{at, sim_.mint_event_seq(), h});
+  const WireEntry& head = wire_ring_[wire_head_];
+  key_chain(wire_chain_, head.at, head.seq, wire_count_);
+}
+
+void Link::key_chain(sim::ChainedEvent& chain, sim::Time at,
+                     std::uint64_t seq, std::uint64_t pending) {
+  if (chain.armed()) {
+    sim_.retime_chain(&chain, at, seq, pending);
+    return;
   }
-  wire_chain_.pending = wire_count_;
+  chain.at = at;
+  chain.seq = seq;
+  chain.pending = pending;
+  sim_.arm_chain(&chain);
 }
 
 void Link::wire_push(const WireEntry& entry) {
@@ -246,13 +247,10 @@ void Link::wire_step() {
   const WireEntry entry = wire_pop();
   if (wire_count_ != 0) {
     const WireEntry& head = wire_ring_[wire_head_];
-    wire_chain_.at = head.at;
-    wire_chain_.seq = head.seq;
+    sim_.retime_chain(&wire_chain_, head.at, head.seq, wire_count_);
   } else {
     sim_.disarm_chain(&wire_chain_);
-    wire_armed_ = false;
   }
-  wire_chain_.pending = wire_count_;
   deliver_pooled(entry.h);
 }
 
@@ -271,10 +269,9 @@ void Link::drain_step() {
   // have restarted transmission. Only continue the burst when the
   // transmitter is genuinely free.
   if (up_ && !transmitting() && !queue_->empty()) {
-    start_transmission();  // re-arms / re-times the chain in place
-  } else if (chain_armed_ && !transmitting()) {
+    start_transmission();  // re-keys the chain in place
+  } else if (!transmitting()) {
     sim_.disarm_chain(&chain_);
-    chain_armed_ = false;
   }
 }
 
@@ -328,10 +325,9 @@ void Link::set_bandwidth(double bandwidth_bps) {
     const sim::Time rem = sim::Time::seconds(remaining_bits / bandwidth_bps);
     tx_ends_ = sim_.now() + rem;
     if (path_ == PacketPath::kPooled) {
-      // Re-time the chain in place. The seq is re-minted because the
+      // Re-key the chain in place. The seq is re-minted because the
       // scalar path cancels + reschedules here — same counter draw.
-      chain_.at = tx_ends_;
-      chain_.seq = sim_.mint_event_seq();
+      sim_.retime_chain(&chain_, tx_ends_, sim_.mint_event_seq(), 1);
     } else {
       sim_.cancel(tx_event_);
       tx_event_ = sim_.schedule_in(rem, [this] { on_transmit_complete(); });
@@ -357,7 +353,6 @@ void Link::set_down() {
   if (transmitting()) {
     if (path_ == PacketPath::kPooled) {
       sim_.disarm_chain(&chain_);
-      chain_armed_ = false;
       const PacketHandle h = in_flight_h_;
       in_flight_h_ = PacketHandle{};
       drop_packet(pool_.get(h), DropReason::kLinkDown);

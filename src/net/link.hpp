@@ -214,6 +214,9 @@ class Link {
   }
   void depart(PacketHandle h);  // wire verdict + delivery scheduling
   void schedule_delivery(PacketHandle h, sim::Time at);
+  // Arm `chain` at (at, seq), or re-key it in place when already armed.
+  void key_chain(sim::ChainedEvent& chain, sim::Time at, std::uint64_t seq,
+                 std::uint64_t pending);
   void wire_push(const WireEntry& entry);
   [[nodiscard]] WireEntry wire_pop();
   void deliver_pooled(PacketHandle h);
@@ -243,7 +246,6 @@ class Link {
   PacketHandle in_flight_h_;
   sim::EventId tx_event_;
   sim::ChainedEvent chain_;
-  bool chain_armed_ = false;
   sim::Time tx_ends_;
 
   // Propagation pipeline (pooled path): a circular FIFO of in-flight
@@ -255,7 +257,6 @@ class Link {
   std::size_t wire_head_ = 0;
   std::size_t wire_count_ = 0;
   sim::ChainedEvent wire_chain_;
-  bool wire_armed_ = false;
 };
 
 }  // namespace slowcc::net

@@ -1,7 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
@@ -27,7 +28,10 @@ class PacketHandler {
 
 /// A network node: hosts local handlers (keyed by port) and forwards
 /// transit packets via a static forwarding table (keyed by destination
-/// node).
+/// node). Both tables are flat vectors indexed by the id: ports come
+/// from `allocate_port` and node ids from `Topology`, so both are dense
+/// and small, and a hop costs two bounds-checked loads instead of two
+/// hash lookups.
 ///
 /// Routing is static and computed once by `Topology::compute_routes`;
 /// the paper's scenarios never change topology mid-run (bandwidth
@@ -44,13 +48,16 @@ class Node {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Bind `handler` to a local port. Packets addressed to this node and
-  /// port are handed to it. Throws if the port is taken.
+  /// port are handed to it. Throws SimError (kBadTopology) if the port
+  /// is taken or negative.
   void attach(PortId port, PacketHandler& handler);
 
-  /// Release a port binding (used when short flows finish).
-  void detach(PortId port);
+  /// Release a port binding (used when short flows finish); no-op when
+  /// the port is not bound.
+  void detach(PortId port) noexcept;
 
   /// Install/replace the outgoing link for packets destined to `dst`.
+  /// Throws SimError (kBadTopology) if `dst` is negative.
   void set_route(NodeId dst, Link& out);
 
   /// Accept a packet arriving at this node: dispatch locally if it is
@@ -73,10 +80,19 @@ class Node {
   }
 
  private:
+  // Table entry for `key`, or nullptr when it is negative, past the end
+  // or unset.
+  template <typename T>
+  [[nodiscard]] static T* lookup(const std::vector<T*>& table,
+                                 std::int32_t key) noexcept {
+    const auto idx = static_cast<std::size_t>(key);
+    return key >= 0 && idx < table.size() ? table[idx] : nullptr;
+  }
+
   NodeId id_;
   std::string name_;
-  std::unordered_map<PortId, PacketHandler*> handlers_;
-  std::unordered_map<NodeId, Link*> routes_;
+  std::vector<PacketHandler*> handlers_;  // by PortId; nullptr = unbound
+  std::vector<Link*> routes_;             // by NodeId; nullptr = no route
   PortId next_port_ = 1;
   std::uint64_t undeliverable_ = 0;
 };

@@ -144,7 +144,15 @@ class PacketPool {
   [[nodiscard]] const Slot& slot_at(std::uint32_t idx) const noexcept {
     return chunks_[idx >> kChunkShift][idx & (kChunkSlots - 1)];
   }
-  [[nodiscard]] Slot& live_slot(PacketHandle h, const char* op);
+  // Every get/take/release goes through here: capacity, live flag and
+  // generation are all checked. Inline because it runs several times
+  // per packet hop; the throw stays out of line.
+  [[nodiscard]] Slot& live_slot(PacketHandle h, const char* op) {
+    if (h.slot >= capacity()) throw_stale(h, op);
+    Slot& s = slot_at(h.slot);
+    if (!s.live || s.gen != h.gen) throw_stale(h, op);
+    return s;
+  }
   void add_chunk();
   [[noreturn]] void throw_stale(PacketHandle h, const char* op) const;
 

@@ -14,6 +14,12 @@ namespace {
 thread_local Simulator::ConstructObserver t_construct_observer;
 thread_local std::uint64_t t_events_executed = 0;
 
+// Strict (at, seq) order of the chain heap. Seqs come from one counter,
+// so no two armed chains ever compare equal.
+bool chain_before(const ChainedEvent* a, const ChainedEvent* b) noexcept {
+  return a->at < b->at || (a->at == b->at && a->seq < b->seq);
+}
+
 }  // namespace
 
 Simulator::Simulator(EngineKind engine) : queue_(engine) {
@@ -87,26 +93,81 @@ void Simulator::arm_chain(ChainedEvent* chain) {
                    "arm_chain: time in the past (" + chain->at.to_string() +
                        " < " + now_.to_string() + ")");
   }
-  for (const ChainedEvent* c : chains_) {
-    if (c == chain) {
-      throw SimError(SimErrc::kBadSchedule, "Simulator",
-                     "arm_chain: chain already armed (re-arm in place by "
-                     "updating at/seq instead)");
-    }
+  if (chain->armed()) {
+    throw SimError(SimErrc::kBadSchedule, "Simulator",
+                   "arm_chain: chain already armed (re-key it with "
+                   "retime_chain instead)");
   }
-  // One chain per link, armed when its transmitter goes busy: the
-  // vector tops out at the topology's link count, not packet count.
+  // At most two chains per link (transmit + wire FIFO): the heap tops
+  // out at twice the topology's link count, not at the packet count.
   chains_.push_back(chain);  // slowcc-lint: allow(no-hot-path-alloc) bounded by link count, not packet count
+  chain_pending_ += chain->pending;
+  sift_up(chains_.size() - 1);
 }
 
-void Simulator::disarm_chain(const ChainedEvent* chain) noexcept {
-  for (std::size_t i = 0; i < chains_.size(); ++i) {
-    if (chains_[i] == chain) {
-      chains_.erase(chains_.begin() +
-                    static_cast<std::ptrdiff_t>(i));
-      return;
-    }
+void Simulator::disarm_chain(ChainedEvent* chain) noexcept {
+  if (!chain->armed()) return;
+  const std::size_t slot = chain->heap_slot;
+  assert(slot < chains_.size() && chains_[slot] == chain);
+  chain->heap_slot = ChainedEvent::kNotArmed;
+  chain_pending_ -= chain->pending;
+  ChainedEvent* last = chains_.back();
+  chains_.pop_back();
+  if (last == chain) return;
+  // Refill the hole with the last leaf and restore the heap around it.
+  chains_[slot] = last;
+  sift_up(slot);
+  sift_down(last->heap_slot);
+}
+
+void Simulator::retime_chain(ChainedEvent* chain, Time at, std::uint64_t seq,
+                             std::uint64_t pending) {
+  if (!chain->armed()) {
+    throw SimError(SimErrc::kBadSchedule, "Simulator",
+                   "retime_chain: chain not armed (arm_chain first)");
   }
+  if (at < now_) {
+    throw SimError(SimErrc::kBadSchedule, "Simulator",
+                   "retime_chain: time in the past (" + at.to_string() +
+                       " < " + now_.to_string() + ")");
+  }
+  chain_pending_ = chain_pending_ - chain->pending + pending;
+  chain->pending = pending;
+  chain->at = at;
+  chain->seq = seq;
+  sift_up(chain->heap_slot);
+  sift_down(chain->heap_slot);
+}
+
+void Simulator::sift_up(std::size_t slot) noexcept {
+  ChainedEvent* const c = chains_[slot];
+  while (slot > 0) {
+    const std::size_t parent = (slot - 1) / 2;
+    if (!chain_before(c, chains_[parent])) break;
+    chains_[slot] = chains_[parent];
+    chains_[slot]->heap_slot = slot;
+    slot = parent;
+  }
+  chains_[slot] = c;
+  c->heap_slot = slot;
+}
+
+void Simulator::sift_down(std::size_t slot) noexcept {
+  ChainedEvent* const c = chains_[slot];
+  const std::size_t n = chains_.size();
+  for (;;) {
+    std::size_t child = 2 * slot + 1;
+    if (child >= n) break;
+    if (child + 1 < n && chain_before(chains_[child + 1], chains_[child])) {
+      ++child;
+    }
+    if (!chain_before(chains_[child], c)) break;
+    chains_[slot] = chains_[child];
+    chains_[slot]->heap_slot = slot;
+    slot = child;
+  }
+  chains_[slot] = c;
+  c->heap_slot = slot;
 }
 
 std::vector<Time> Simulator::pending_event_times(
@@ -125,17 +186,11 @@ void Simulator::run() { run_until(Time::max()); }
 void Simulator::run_until(Time deadline) {
   for (;;) {
     // Pick the global minimum by (at, seq) between the engine head and
-    // any armed drain chains. Seqs are minted from one per-queue
+    // the chain heap's top. Seqs are minted from one per-queue
     // counter, so the pair is a strict total order and the executed
     // stream — what trace_digest() folds — is independent of whether a
     // departure runs as an engine event or a chained sub-event.
-    ChainedEvent* chain = nullptr;
-    for (ChainedEvent* c : chains_) {
-      if (chain == nullptr || c->at < chain->at ||
-          (c->at == chain->at && c->seq < chain->seq)) {
-        chain = c;
-      }
-    }
+    ChainedEvent* const chain = chains_.empty() ? nullptr : chains_.front();
     const bool engine_live = !queue_.empty();
     if (!engine_live && chain == nullptr) break;
     bool use_chain;
@@ -167,7 +222,7 @@ void Simulator::run_until(Time deadline) {
           fnv1a_u64(fnv1a_u64(trace_digest_,
                               static_cast<std::uint64_t>(chain->at.as_nanos())),
                     chain->seq);
-      // fire() may re-arm the chain in place (next packet of the burst)
+      // fire() may re-key the chain in place (next packet of the burst)
       // or disarm it (queue drained / link down).
       chain->fire(chain->ctx);
     } else {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -22,16 +23,20 @@ namespace slowcc::sim {
 /// chain into the engine's (at, seq) total order: when the chain is the
 /// global minimum it advances the clock, counts the event, folds the
 /// digest, and calls `fire(ctx)` directly — no engine storage, no
-/// std::function, no heap pop. Invariants the source must keep:
+/// std::function, no engine pop. Invariants the source must keep:
 ///   - `seq` comes from Simulator::mint_event_seq() at exactly the point
 ///     the unbatched path would have called schedule_*() — this is what
 ///     makes trace_digest() bit-identical across the two paths
-///   - `at >= now()` whenever the chain is armed; re-timing (e.g.
-///     set_bandwidth on an in-flight packet) re-mints the seq, exactly
-///     as a cancel+reschedule would
+///   - while armed, `at`/`seq`/`pending` change only through
+///     Simulator::retime_chain (they are the chain's heap key and its
+///     share of pending_events()); re-timing (e.g. set_bandwidth on an
+///     in-flight packet) re-mints the seq, exactly as a
+///     cancel+reschedule would
 ///   - the chain is disarmed before `ctx` dies (Links disarm in ~Link;
 ///     components always die before the Simulator they reference)
 struct ChainedEvent {
+  static constexpr std::size_t kNotArmed = static_cast<std::size_t>(-1);
+
   Time at;
   std::uint64_t seq = 0;
   void (*fire)(void* ctx) = nullptr;
@@ -43,6 +48,11 @@ struct ChainedEvent {
   /// ResourceGovernor's event footprint and budget-abort points — stay
   /// identical to the scalar schedule.
   std::uint64_t pending = 1;
+  /// Index in the Simulator's chain heap; kNotArmed while disarmed.
+  /// Owned by the Simulator.
+  std::size_t heap_slot = kNotArmed;
+
+  [[nodiscard]] bool armed() const noexcept { return heap_slot != kNotArmed; }
 };
 
 /// Discrete-event simulation driver.
@@ -85,13 +95,21 @@ class Simulator {
     return queue_.mint_seq();
   }
 
-  /// Register / remove a drain chain. The pointed-to event must stay
-  /// valid (and its `at`/`seq`/`fire` fields are re-read every loop
-  /// iteration, so the source may re-arm in place from inside fire()).
-  /// Arming validates at >= now(); double-arming throws SimError
-  /// (kBadSchedule). disarm_chain is a no-op when not armed.
+  /// Register / remove a drain chain, O(log armed chains). The
+  /// pointed-to event must stay valid while armed. Arming reads its
+  /// `at`/`seq`/`pending` and validates at >= now(); double-arming
+  /// throws SimError (kBadSchedule). disarm_chain is a no-op when not
+  /// armed. Both may be called from inside any fire().
   void arm_chain(ChainedEvent* chain);
-  void disarm_chain(const ChainedEvent* chain) noexcept;
+  void disarm_chain(ChainedEvent* chain) noexcept;
+
+  /// Re-key an armed chain in place — the only way its `at`, `seq` or
+  /// `pending` may change while armed (a source re-arming for its next
+  /// packet from inside fire(), re-timing an in-flight packet, or
+  /// growing its FIFO). Throws SimError (kBadSchedule) when the chain
+  /// is not armed or `at` < now().
+  void retime_chain(ChainedEvent* chain, Time at, std::uint64_t seq,
+                    std::uint64_t pending);
 
   /// Run until the queue drains.
   void run();
@@ -147,12 +165,14 @@ class Simulator {
   /// (and the governor's event footprint) matches the unbatched
   /// schedule one-for-one — each chain reports how many pending events
   /// it stands in for via ChainedEvent::pending.
+  /// O(1): the chains' share is kept as a running sum.
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    std::size_t n = queue_.size();
-    for (const ChainedEvent* c : chains_) {
-      n += static_cast<std::size_t>(c->pending);
-    }
-    return n;
+    return queue_.size() + static_cast<std::size_t>(chain_pending_);
+  }
+
+  /// Drain chains armed right now (diagnostics and tests).
+  [[nodiscard]] std::size_t armed_chains() const noexcept {
+    return chains_.size();
   }
 
   /// Timestamps of the earliest pending events (diagnostics), merged
@@ -215,6 +235,9 @@ class Simulator {
   }
 
  private:
+  void sift_up(std::size_t slot) noexcept;
+  void sift_down(std::size_t slot) noexcept;
+
   EventQueue queue_;
   Time now_;
   std::uint64_t events_executed_ = 0;
@@ -224,10 +247,16 @@ class Simulator {
   std::uint64_t event_budget_base_ = 0;
   std::uint64_t hook_every_ = 0;
   std::function<void()> hook_;
-  // Armed drain chains — one per link mid-burst, so a handful at most;
-  // the run loop's linear min-scan is cheaper than any indexed
-  // structure at that count.
+  // Armed drain chains as a binary min-heap on (at, seq); each chain
+  // records its own slot, so arm, disarm and re-key are O(log n) and
+  // the run loop reads the minimum at front(). A saturated link keeps
+  // its transmit chain and its wire-FIFO chain armed, so a dumbbell
+  // with many busy access links holds dozens at once (80 at peak with
+  // 64 TCP flows at 100 Mb/s).
   std::vector<ChainedEvent*> chains_;
+  // Sum of the armed chains' `pending`, so pending_events() — polled
+  // after every event in governed trials — needs no scan.
+  std::uint64_t chain_pending_ = 0;
   ResourceGovernor governor_;
   // Declared last: guards (e.g. a Watchdog holding our hook slot) are
   // destroyed first, while the members they release are still alive.

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "packet_path_diff.hpp"
+#include "scenario/dumbbell.hpp"
 #include "sim/rng.hpp"
 
 namespace slowcc::test {
@@ -168,6 +169,54 @@ TEST(PacketPathDiff, HarnessIsDeterministicPerPath) {
     const std::string second = run_path_script(path, script);
     EXPECT_EQ(first, second);
   }
+}
+
+// ====================================================================
+// Scenario-level differential: the one-link rig above never has more
+// than two chains armed. A 64-flow dumbbell keeps many access links
+// busy at once, so the pooled path's chain heap works at depth while
+// the scalar path arms no chain at all; equal digests and event counts
+// prove the heap fires in exact (at, seq) order under load.
+
+struct DumbbellRun {
+  std::uint64_t digest = 0;
+  std::uint64_t events = 0;
+  std::size_t max_armed_chains = 0;
+};
+
+DumbbellRun run_many_flow_dumbbell(net::PacketPath path) {
+  net::set_thread_packet_path(path);
+  DumbbellRun out;
+  {
+    sim::Simulator sim;
+    scenario::DumbbellConfig cfg;
+    cfg.bottleneck_bps = 100e6;
+    cfg.seed = 3;
+    scenario::Dumbbell bed(sim, cfg);
+    for (int i = 0; i < 64; ++i) bed.add_flow(scenario::FlowSpec::tcp(2.0));
+    bed.add_reverse_traffic();
+    bed.start_flows();
+    bed.finalize();
+    // The hook runs outside the event stream, so it cannot move the
+    // digest it helps to check.
+    sim.set_event_hook(8, [&] {
+      out.max_armed_chains = std::max(out.max_armed_chains, sim.armed_chains());
+    });
+    sim.run_until(sim::Time::seconds(1.5));
+    out.digest = sim.trace_digest();
+    out.events = sim.events_executed();
+  }
+  net::clear_thread_packet_path();
+  return out;
+}
+
+TEST(PacketPathDiff, ManyFlowDumbbellAgreesAcrossPaths) {
+  const DumbbellRun scalar = run_many_flow_dumbbell(net::PacketPath::kScalar);
+  const DumbbellRun pooled = run_many_flow_dumbbell(net::PacketPath::kPooled);
+  EXPECT_EQ(pooled.digest, scalar.digest);
+  EXPECT_EQ(pooled.events, scalar.events);
+  EXPECT_EQ(scalar.max_armed_chains, 0u);
+  EXPECT_GE(pooled.max_armed_chains, 64u) << "the chain heap never got deep";
 }
 
 }  // namespace

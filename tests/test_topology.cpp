@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
+
+#include "net/packet_pool.hpp"
 #include "net/topology.hpp"
+#include "sim/error.hpp"
 #include "sim/simulator.hpp"
 
 namespace slowcc::net {
@@ -135,6 +140,96 @@ TEST(Topology, UnreachableNodesSimplyDropTraffic) {
   a.deliver(std::move(p));
   sim.run();
   EXPECT_EQ(a.undeliverable_count(), 1u);
+}
+
+sim::SimErrc error_code(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const sim::SimError& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "expected SimError";
+  return sim::SimErrc::kInvariantViolation;
+}
+
+TEST(Node, NegativeOrBoundPortAttachThrowsBadTopology) {
+  Node n(0);
+  Capture h;
+  EXPECT_EQ(error_code([&] { n.attach(-1, h); }), sim::SimErrc::kBadTopology);
+  n.attach(0, h);
+  n.attach(300, h);  // far past the last bound port: the table grows
+  EXPECT_EQ(error_code([&] { n.attach(0, h); }), sim::SimErrc::kBadTopology);
+  EXPECT_EQ(error_code([&] { n.attach(300, h); }), sim::SimErrc::kBadTopology);
+  n.detach(-1);    // never bound: no-op
+  n.detach(5000);  // past the table: no-op
+  n.attach(7, h);  // the gap between bound ports is free
+}
+
+TEST(Node, NegativeRouteDestinationThrowsBadTopology) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  Node& a = topo.add_node();
+  Node& b = topo.add_node();
+  auto [ab, ba] = topo.add_duplex(a, b, 10e6, sim::Time::millis(1), 10);
+  (void)ba;
+  EXPECT_EQ(error_code([&] { a.set_route(-2, *ab); }),
+            sim::SimErrc::kBadTopology);
+}
+
+TEST(Node, DeliveryAfterDetachIsUndeliverable) {
+  sim::Simulator sim;
+  PacketPool& pool = PacketPool::of(sim);
+  Node n(0);
+  Capture h;
+  n.attach(3, h);
+  n.detach(3);
+  Packet by_value;
+  by_value.dst_node = 0;
+  by_value.dst_port = 3;
+  n.deliver(std::move(by_value));
+  Packet pooled;
+  pooled.dst_node = 0;
+  pooled.dst_port = 3;
+  n.deliver(pool.acquire(std::move(pooled)), pool);
+  EXPECT_TRUE(h.received.empty());
+  EXPECT_EQ(n.undeliverable_count(), 2u);
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(Node, UnroutedOrOutOfRangeDestinationsReleaseHandles) {
+  sim::Simulator sim;
+  PacketPool& pool = PacketPool::of(sim);
+  Topology topo(sim);
+  Node& a = topo.add_node();
+  Node& b = topo.add_node();
+  Node& island = topo.add_node();  // no links: routed nowhere
+  topo.add_duplex(a, b, 10e6, sim::Time::millis(1), 10);
+  topo.compute_routes();
+  Capture sink;
+  a.attach(1, sink);
+
+  const struct {
+    NodeId node;
+    PortId port;
+  } targets[] = {
+      {island.id(), 1},  // unrouted
+      {99, 1},           // past the routing table
+      {-4, 1},           // negative node id
+      {a.id(), 1000},    // local, past the port table
+      {a.id(), -1},      // local, negative port
+      {a.id(), 0},       // local, unbound port inside the table
+  };
+  for (const auto& t : targets) {
+    Packet p;
+    p.src_node = a.id();
+    p.dst_node = t.node;
+    p.dst_port = t.port;
+    a.deliver(pool.acquire(std::move(p)), pool);
+  }
+  sim.run();
+  EXPECT_TRUE(sink.received.empty());
+  EXPECT_EQ(a.undeliverable_count(), std::size(targets));
+  EXPECT_EQ(pool.live(), 0u);
 }
 
 }  // namespace
