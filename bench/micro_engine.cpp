@@ -12,13 +12,11 @@
 
 using namespace slowcc;
 
-// The two event-queue benchmarks run once per engine (name suffix
-// /heap, /wheel); tools/bench_report pairs the variants up and reports
-// the wheel:heap speedup in BENCH_engine.json.
-static void BM_EventQueueScheduleRun(benchmark::State& state,
-                                     sim::EngineKind kind) {
+// The two event-queue benchmarks carry a /wheel suffix so
+// tools/bench_report files them as the wheel rows of BENCH_engine.json.
+static void BM_EventQueueScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
-    sim::Simulator sim{kind};
+    sim::Simulator sim;
     for (int i = 0; i < 1000; ++i) {
       sim.schedule_at(sim::Time::micros(i), [] {});
     }
@@ -27,13 +25,11 @@ static void BM_EventQueueScheduleRun(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK_CAPTURE(BM_EventQueueScheduleRun, heap, sim::EngineKind::kHeap);
-BENCHMARK_CAPTURE(BM_EventQueueScheduleRun, wheel, sim::EngineKind::kWheel);
+BENCHMARK(BM_EventQueueScheduleRun)->Name("BM_EventQueueScheduleRun/wheel");
 
-static void BM_EventQueueCancelHeavy(benchmark::State& state,
-                                     sim::EngineKind kind) {
+static void BM_EventQueueCancelHeavy(benchmark::State& state) {
   for (auto _ : state) {
-    sim::EventQueue q{kind};
+    sim::EventQueue q;
     std::vector<sim::EventId> ids;
     ids.reserve(1000);
     for (int i = 0; i < 1000; ++i) {
@@ -44,8 +40,7 @@ static void BM_EventQueueCancelHeavy(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK_CAPTURE(BM_EventQueueCancelHeavy, heap, sim::EngineKind::kHeap);
-BENCHMARK_CAPTURE(BM_EventQueueCancelHeavy, wheel, sim::EngineKind::kWheel);
+BENCHMARK(BM_EventQueueCancelHeavy)->Name("BM_EventQueueCancelHeavy/wheel");
 
 static void BM_DropTailEnqueueDequeue(benchmark::State& state) {
   net::DropTailQueue q(64);

@@ -9,6 +9,7 @@ namespace slowcc::cc {
 TfrcLossHistory::TfrcLossHistory(int n) : n_(n) {
   if (n < 1) throw sim::SimError(sim::SimErrc::kBadConfig, "TfrcLossHistory",
                                  "n must be >= 1");
+  weights_ = weights(n);
 }
 
 std::vector<double> TfrcLossHistory::weights(int n) {
@@ -76,7 +77,7 @@ bool TfrcLossHistory::on_packet(std::int64_t seq, sim::Time now,
 }
 
 double TfrcLossHistory::weighted_average(bool include_open) const {
-  const auto w = weights(n_);
+  const std::vector<double>& w = weights_;
   double num = 0.0;
   double den = 0.0;
   std::size_t wi = 0;

@@ -62,6 +62,9 @@ class TfrcLossHistory {
   static constexpr double kMinDiscount = 0.05;
 
   int n_;
+  // weights(n_), built once: weighted_average() runs on every received
+  // packet and must not allocate.
+  std::vector<double> weights_;
   bool discounting_ = false;
 
   std::int64_t expected_ = 0;       // next in-order sequence expected

@@ -64,7 +64,7 @@ struct PacketHandle {
   constexpr bool operator==(const PacketHandle&) const noexcept = default;
 };
 
-/// Generation-counted free-list pool of Packets (the wheel scheduler's
+/// Generation-counted free-list pool of Packets (the event queue's
 /// node-pool idiom applied to the packet path).
 ///
 /// Storage is chunked — a vector of fixed 256-slot slabs — so a Packet&

@@ -28,7 +28,7 @@ struct ResourceUsage {
 /// process OOM-kill.
 ///
 /// The governor tracks three cheap counters:
-///   - live events: read from the scheduler (EventQueue::size() counts
+///   - live events: read from the event queue (EventQueue::size() counts
 ///     non-cancelled entries in O(1)), so scheduling needs no hooks;
 ///   - live packets and aggregate queued bytes: maintained by
 ///     `net::Queue` implementations via note_packet_admitted/removed.
@@ -41,7 +41,7 @@ struct ResourceUsage {
 /// deterministic detail string.
 ///
 /// The model is intentionally coarse — the point is not byte-accurate
-/// RSS accounting but a deterministic, engine-independent proxy that
+/// RSS accounting but a deterministic proxy that
 /// aborts the same trial at the same event on every run. Process-level
 /// defense (real RSS vs /proc/meminfo) lives in the fleet's admission
 /// control, not here.
@@ -50,7 +50,7 @@ class ResourceGovernor {
   using WatermarkCallback = std::function<void(const ResourceUsage&)>;
 
   /// Modeled per-object footprints (bytes). Deliberately round numbers:
-  /// a pooled scheduler node is ~48-72 bytes depending on engine, a
+  /// a pooled event-queue node is ~72 bytes, a
   /// Packet with bookkeeping ~100-150. Changing them changes which
   /// event a bomb trial aborts at, so they are part of the determinism
   /// contract — bump only with the golden journals.

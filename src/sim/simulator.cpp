@@ -22,7 +22,7 @@ bool chain_before(const ChainedEvent* a, const ChainedEvent* b) noexcept {
 
 }  // namespace
 
-Simulator::Simulator(EngineKind engine) : queue_(engine) {
+Simulator::Simulator() {
   if (t_construct_observer) {
     // Swap the slot out while the observer runs so an observer that
     // constructs helper Simulators cannot recurse into itself.
@@ -227,7 +227,7 @@ void Simulator::run_until(Time deadline) {
       chain->fire(chain->ctx);
     } else {
       PoppedEvent ev;
-      auto cb = queue_.pop_event(&ev);
+      auto cb = queue_.pop(&ev);
       now_ = ev.at;
       ++events_executed_;
       ++t_events_executed;
@@ -239,8 +239,8 @@ void Simulator::run_until(Time deadline) {
     }
     // Poll after the callback so events and packets it just created are
     // charged to it. pending_events() counts live engine events plus
-    // armed chains — logical state, identical across engines and across
-    // the batched/scalar packet paths.
+    // armed chains — logical state, identical across the batched/scalar
+    // packet paths.
     if (governor_.armed()) governor_.poll(pending_events());
     if (hook_every_ != 0 && events_executed_ % hook_every_ == 0) hook_();
   }

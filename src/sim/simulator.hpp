@@ -68,11 +68,7 @@ class Simulator {
   /// thread it was registered on (see `set_thread_construct_observer`).
   using ConstructObserver = std::function<void(Simulator&)>;
 
-  /// Default-constructed simulators use `default_engine()` (thread
-  /// override > SLOWCC_ENGINE env > timer wheel); pass a kind to pin
-  /// one explicitly.
-  Simulator() : Simulator(default_engine()) {}
-  explicit Simulator(EngineKind engine);
+  Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -126,19 +122,10 @@ class Simulator {
   }
 
   /// FNV-1a digest over the (fire-time, seq) pairs of every event
-  /// executed so far. Engine-independent by contract — the golden-trace
-  /// tests pin scenario digests and the differential harness checks
-  /// heap and wheel produce identical values.
+  /// executed so far. The golden-trace tests pin scenario digests, so
+  /// any change to event ordering anywhere in the stack shows here.
   [[nodiscard]] std::uint64_t trace_digest() const noexcept {
     return trace_digest_;
-  }
-
-  /// Which scheduler engine backs this simulation.
-  [[nodiscard]] EngineKind engine_kind() const noexcept {
-    return queue_.engine_kind();
-  }
-  [[nodiscard]] const char* engine_name() const noexcept {
-    return queue_.engine_name();
   }
 
   /// Events executed by every Simulator on the calling thread since

@@ -1,15 +1,16 @@
 #pragma once
 
-// Differential test harness for scheduler engines.
+// Differential test harness: sim::EventQueue against the reference
+// scheduler in reference_scheduler.hpp.
 //
 // A DiffScript is a flat list of schedule/cancel/pop/peek operations.
-// run_script() executes one through a chosen engine and renders every
-// observable (pop order, peek results, cancel outcomes, live size,
-// pending_times, empty-queue throws) into a canonical log string;
-// diff_engines() runs the same script through the heap and the wheel
-// and, when the logs differ, delta-debugs the script down to a minimal
-// failing core and returns a report embedding it. Property tests feed
-// this with randomized 10k-op scripts seeded via sim::Rng.
+// run_script<Engine>() executes one through a fresh queue and renders
+// every observable (pop order, peek results, cancel outcomes, live
+// size, pending_times, empty-queue throws) into a canonical log string;
+// diff_engines() runs the same script through both and, when the logs
+// differ, delta-debugs the script down to a minimal failing core and
+// returns a report embedding it. Property tests feed this with
+// randomized 10k-op scripts seeded via sim::Rng.
 
 #include <algorithm>
 #include <cstdint>
@@ -17,9 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "reference_scheduler.hpp"
 #include "sim/error.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
-#include "sim/scheduler.hpp"
 
 namespace slowcc::test {
 
@@ -32,28 +34,30 @@ struct DiffOp {
 
 using DiffScript = std::vector<DiffOp>;
 
-/// Execute `script` on a fresh engine of `kind` and render everything
+/// Execute `script` on a fresh `Engine` and render everything
 /// observable into a log. Two engines agree iff their logs are equal.
-inline std::string run_script(sim::EngineKind kind, const DiffScript& script) {
-  auto engine = sim::make_scheduler(kind);
-  std::vector<sim::EventId> ids;
+template <typename Engine>
+std::string run_script(const DiffScript& script) {
+  Engine engine;
+  using Id = decltype(engine.schedule(sim::Time{}, [] {}));
+  std::vector<Id> ids;
   std::ostringstream log;
   std::uint64_t executed = 0;
   for (const DiffOp& op : script) {
     switch (op.kind) {
       case DiffOp::Kind::kSchedule:
-        ids.push_back(engine->schedule(sim::Time::nanos(op.at_ns), [] {}));
+        ids.push_back(engine.schedule(sim::Time::nanos(op.at_ns), [] {}));
         break;
       case DiffOp::Kind::kCancel: {
-        sim::EventId id;  // stays invalid when nothing was scheduled yet
+        Id id{};  // stays invalid when nothing was scheduled yet
         if (!ids.empty()) id = ids[op.target % ids.size()];
-        log << "cancel=" << (engine->cancel(id) ? 1 : 0) << "\n";
+        log << "cancel=" << (engine.cancel(id) ? 1 : 0) << "\n";
         break;
       }
       case DiffOp::Kind::kPop:
         try {
           sim::PoppedEvent ev;
-          (void)engine->pop(&ev);
+          (void)engine.pop(&ev);
           ++executed;
           log << "pop=" << ev.at.as_nanos() << "/" << ev.seq << "\n";
         } catch (const sim::SimError&) {
@@ -62,23 +66,23 @@ inline std::string run_script(sim::EngineKind kind, const DiffScript& script) {
         break;
       case DiffOp::Kind::kPeek:
         try {
-          log << "peek=" << engine->next_time().as_nanos() << "\n";
+          log << "peek=" << engine.next_time().as_nanos() << "\n";
         } catch (const sim::SimError&) {
           log << "peek=throw\n";
         }
         break;
     }
-    log << "size=" << engine->size() << "\n";
+    log << "size=" << engine.size() << "\n";
   }
   log << "executed=" << executed << "\n";
   log << "pending=";
-  for (sim::Time t : engine->pending_times(32)) log << t.as_nanos() << ",";
+  for (sim::Time t : engine.pending_times(32)) log << t.as_nanos() << ",";
   log << "\n";
   // Drain whatever is left so the scripts' full execution order is
   // compared even when the script itself pops little.
-  while (engine->size() > 0) {
+  while (engine.size() > 0) {
     sim::PoppedEvent ev;
-    (void)engine->pop(&ev);
+    (void)engine.pop(&ev);
     log << "drain=" << ev.at.as_nanos() << "/" << ev.seq << "\n";
   }
   return log.str();
@@ -107,13 +111,13 @@ inline std::string render_script(const DiffScript& script) {
 }
 
 inline bool engines_disagree(const DiffScript& script) {
-  return run_script(sim::EngineKind::kHeap, script) !=
-         run_script(sim::EngineKind::kWheel, script);
+  return run_script<ReferenceScheduler>(script) !=
+         run_script<sim::EventQueue>(script);
 }
 
 /// ddmin-style shrink: repeatedly delete chunks of the script while the
-/// heap/wheel disagreement persists, halving the chunk size until even
-/// single-op removals no longer help.
+/// queue/reference disagreement persists, halving the chunk size until
+/// even single-op removals no longer help.
 inline DiffScript shrink_script(DiffScript failing) {
   std::size_t chunk = std::max<std::size_t>(1, failing.size() / 2);
   for (;;) {
@@ -138,18 +142,20 @@ inline DiffScript shrink_script(DiffScript failing) {
   }
 }
 
-/// Empty string when both engines agree on `script`; otherwise a
-/// failure report containing the shrunken minimal script and both logs.
+/// Empty string when EventQueue and the reference agree on `script`;
+/// otherwise a failure report containing the shrunken minimal script
+/// and both logs.
 inline std::string diff_engines(const DiffScript& script) {
   if (!engines_disagree(script)) return {};
   const DiffScript minimal = shrink_script(script);
   std::ostringstream out;
-  out << "heap and wheel engines disagree; minimal script ("
-      << minimal.size() << " of " << script.size() << " ops):\n"
-      << render_script(minimal) << "--- heap log ---\n"
-      << run_script(sim::EngineKind::kHeap, minimal)
-      << "--- wheel log ---\n"
-      << run_script(sim::EngineKind::kWheel, minimal);
+  out << "EventQueue disagrees with the reference scheduler; minimal "
+      << "script (" << minimal.size() << " of " << script.size()
+      << " ops):\n"
+      << render_script(minimal) << "--- reference log ---\n"
+      << run_script<ReferenceScheduler>(minimal)
+      << "--- EventQueue log ---\n"
+      << run_script<sim::EventQueue>(minimal);
   return out.str();
 }
 

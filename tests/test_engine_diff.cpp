@@ -1,18 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
-#include <tuple>
+#include <vector>
 
 #include "engine_diff.hpp"
 #include "sim/rng.hpp"
-#include "sim/simulator.hpp"
 
 namespace slowcc::test {
 namespace {
 
 // Property test: randomized 10k-op schedule/cancel/pop/peek scripts,
-// heap and wheel must agree on every observable. On failure the report
+// EventQueue and the reference scheduler must agree on every
+// observable. On failure the report
 // embeds the delta-debugged minimal script, so the assertion message is
 // directly actionable.
 TEST(EngineDiff, RandomizedScriptsAgree) {
@@ -110,79 +111,55 @@ TEST(EngineDiff, EqualStartCascadeBeatsDrainAgrees) {
 
 TEST(EngineDiff, RunScriptIsDeterministicPerEngine) {
   const DiffScript script = random_script(0xd5e7e2ULL, 2000);
-  EXPECT_EQ(run_script(sim::EngineKind::kWheel, script),
-            run_script(sim::EngineKind::kWheel, script));
-  EXPECT_EQ(run_script(sim::EngineKind::kHeap, script),
-            run_script(sim::EngineKind::kHeap, script));
+  EXPECT_EQ(run_script<sim::EventQueue>(script),
+            run_script<sim::EventQueue>(script));
+  EXPECT_EQ(run_script<ReferenceScheduler>(script),
+            run_script<ReferenceScheduler>(script));
 }
 
-// Simulator-level differential: a self-rescheduling workload where
-// every callback draws from a shared Rng, so any divergence in
-// execution order immediately snowballs into different digests.
-class RespawnWorkload {
- public:
-  RespawnWorkload(sim::EngineKind kind, std::uint64_t seed, int budget)
-      : sim_(kind), rng_(seed), budget_(budget) {}
-
-  void spawn() {
-    if (budget_ <= 0) return;
-    --budget_;
+// Re-entrant differential: a self-rescheduling workload where every
+// callback draws from a shared Rng and schedules from inside the drain
+// loop, so any divergence in execution order immediately snowballs
+// into a different (at, seq) stream.
+template <typename Engine>
+std::vector<sim::PoppedEvent> run_respawn(std::uint64_t seed, int budget) {
+  Engine q;
+  sim::Rng rng(seed);
+  sim::Time now;
+  std::function<void()> spawn = [&] {
+    if (budget <= 0) return;
+    --budget;
     const auto delay = sim::Time::nanos(
-        static_cast<std::int64_t>(rng_.uniform_int(std::uint64_t{1} << 34)));
-    sim_.schedule_in(delay, [this] {
-      if (rng_.chance(0.7)) spawn();
-      if (rng_.chance(0.5)) spawn();
+        static_cast<std::int64_t>(rng.uniform_int(std::uint64_t{1} << 34)));
+    q.schedule(now + delay, [&] {
+      if (rng.chance(0.7)) spawn();
+      if (rng.chance(0.5)) spawn();
     });
+  };
+  for (int i = 0; i < 100; ++i) spawn();
+  std::vector<sim::PoppedEvent> fired;
+  while (q.size() > 0) {
+    sim::PoppedEvent ev;
+    auto cb = q.pop(&ev);
+    now = ev.at;
+    fired.push_back(ev);
+    cb();
   }
-
-  sim::Simulator& sim() { return sim_; }
-
- private:
-  sim::Simulator sim_;
-  sim::Rng rng_;
-  int budget_;
-};
+  return fired;
+}
 
 TEST(EngineDiff, SimulatorTraceDigestsMatch) {
-  const auto run = [](sim::EngineKind kind) {
-    RespawnWorkload w(kind, 0xd16e57ULL, 30000);
-    for (int i = 0; i < 100; ++i) w.spawn();
-    w.sim().run();
-    return std::tuple{w.sim().trace_digest(), w.sim().events_executed(),
-                      w.sim().now()};
-  };
-  const auto heap = run(sim::EngineKind::kHeap);
-  const auto wheel = run(sim::EngineKind::kWheel);
-  EXPECT_EQ(std::get<0>(heap), std::get<0>(wheel));
-  EXPECT_EQ(std::get<1>(heap), std::get<1>(wheel));
-  EXPECT_EQ(std::get<2>(heap), std::get<2>(wheel));
-  EXPECT_GT(std::get<1>(heap), 10000u);  // workload actually ran
-}
-
-TEST(EngineDiff, EngineSelectionKnobs) {
-  sim::Simulator heap_sim{sim::EngineKind::kHeap};
-  sim::Simulator wheel_sim{sim::EngineKind::kWheel};
-  EXPECT_STREQ(heap_sim.engine_name(), "heap");
-  EXPECT_STREQ(wheel_sim.engine_name(), "wheel");
-  EXPECT_EQ(heap_sim.engine_kind(), sim::EngineKind::kHeap);
-  EXPECT_EQ(wheel_sim.engine_kind(), sim::EngineKind::kWheel);
-
-  sim::set_thread_default_engine(sim::EngineKind::kHeap);
-  {
-    sim::Simulator s;
-    EXPECT_EQ(s.engine_kind(), sim::EngineKind::kHeap);
+  const auto reference = run_respawn<ReferenceScheduler>(0xd16e57ULL, 30000);
+  const auto queue = run_respawn<sim::EventQueue>(0xd16e57ULL, 30000);
+  ASSERT_GT(reference.size(), 10000u);  // workload actually ran
+  ASSERT_EQ(reference.size(), queue.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_TRUE(reference[i].at == queue[i].at &&
+                reference[i].seq == queue[i].seq)
+        << "first divergent event #" << i << ": reference "
+        << reference[i].at.as_nanos() << "/" << reference[i].seq
+        << ", EventQueue " << queue[i].at.as_nanos() << "/" << queue[i].seq;
   }
-  sim::set_thread_default_engine(sim::EngineKind::kWheel);
-  {
-    sim::Simulator s;
-    EXPECT_EQ(s.engine_kind(), sim::EngineKind::kWheel);
-  }
-  sim::clear_thread_default_engine();
-}
-
-TEST(EngineDiff, EngineKindNames) {
-  EXPECT_STREQ(sim::engine_kind_name(sim::EngineKind::kHeap), "heap");
-  EXPECT_STREQ(sim::engine_kind_name(sim::EngineKind::kWheel), "wheel");
 }
 
 }  // namespace

@@ -9,21 +9,12 @@
 namespace slowcc::sim {
 namespace {
 
-// Every behavioural test runs against both engines; the fixture name in
-// the test listing carries the engine ("AllEngines/EventQueueTest.X/heap").
-class EventQueueTest : public ::testing::TestWithParam<EngineKind> {
+class EventQueueTest : public ::testing::Test {
  protected:
-  EventQueue q{GetParam()};
+  EventQueue q;
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    AllEngines, EventQueueTest,
-    ::testing::Values(EngineKind::kHeap, EngineKind::kWheel),
-    [](const ::testing::TestParamInfo<EngineKind>& info) {
-      return engine_kind_name(info.param);
-    });
-
-TEST_P(EventQueueTest, PopsInTimeOrder) {
+TEST_F(EventQueueTest, PopsInTimeOrder) {
   std::vector<int> fired;
   q.schedule(Time::millis(30), [&] { fired.push_back(3); });
   q.schedule(Time::millis(10), [&] { fired.push_back(1); });
@@ -32,7 +23,7 @@ TEST_P(EventQueueTest, PopsInTimeOrder) {
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueTest, EqualTimesFireInInsertionOrder) {
+TEST_F(EventQueueTest, EqualTimesFireInInsertionOrder) {
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i) {
     q.schedule(Time::millis(5), [&fired, i] { fired.push_back(i); });
@@ -41,25 +32,25 @@ TEST_P(EventQueueTest, EqualTimesFireInInsertionOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
-TEST_P(EventQueueTest, ReportsFireTime) {
+TEST_F(EventQueueTest, ReportsFireTime) {
   q.schedule(Time::millis(42), [] {});
-  Time t;
-  (void)q.pop(&t);
-  EXPECT_EQ(t, Time::millis(42));
+  PoppedEvent ev;
+  (void)q.pop(&ev);
+  EXPECT_EQ(ev.at, Time::millis(42));
 }
 
-TEST_P(EventQueueTest, PopEventReportsFifoSeq) {
+TEST_F(EventQueueTest, PopEventReportsFifoSeq) {
   q.schedule(Time::millis(7), [] {});
   q.schedule(Time::millis(7), [] {});
   PoppedEvent ev;
-  (void)q.pop_event(&ev);
+  (void)q.pop(&ev);
   EXPECT_EQ(ev.at, Time::millis(7));
   EXPECT_EQ(ev.seq, 1u);
-  (void)q.pop_event(&ev);
+  (void)q.pop(&ev);
   EXPECT_EQ(ev.seq, 2u);
 }
 
-TEST_P(EventQueueTest, CancelPreventsExecution) {
+TEST_F(EventQueueTest, CancelPreventsExecution) {
   bool ran = false;
   EventId id = q.schedule(Time::millis(1), [&] { ran = true; });
   q.schedule(Time::millis(2), [] {});
@@ -69,7 +60,7 @@ TEST_P(EventQueueTest, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
-TEST_P(EventQueueTest, CancelAfterFireIsNoOp) {
+TEST_F(EventQueueTest, CancelAfterFireIsNoOp) {
   EventId id = q.schedule(Time::millis(1), [] {});
   (void)q.pop(nullptr);
   q.cancel(id);  // must not corrupt bookkeeping
@@ -78,7 +69,7 @@ TEST_P(EventQueueTest, CancelAfterFireIsNoOp) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST_P(EventQueueTest, DoubleCancelIsNoOp) {
+TEST_F(EventQueueTest, DoubleCancelIsNoOp) {
   EventId id = q.schedule(Time::millis(1), [] {});
   q.schedule(Time::millis(2), [] {});
   q.cancel(id);
@@ -86,21 +77,21 @@ TEST_P(EventQueueTest, DoubleCancelIsNoOp) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST_P(EventQueueTest, DefaultEventIdIsInvalid) {
+TEST_F(EventQueueTest, DefaultEventIdIsInvalid) {
   EventId id;
   EXPECT_FALSE(id.valid());
   q.cancel(id);  // harmless
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueTest, NextTimeSkipsCancelledHead) {
+TEST_F(EventQueueTest, NextTimeSkipsCancelledHead) {
   EventId early = q.schedule(Time::millis(1), [] {});
   q.schedule(Time::millis(5), [] {});
   q.cancel(early);
   EXPECT_EQ(q.next_time(), Time::millis(5));
 }
 
-TEST_P(EventQueueTest, CancelOfFiredIdDoesNotAffectLaterEvents) {
+TEST_F(EventQueueTest, CancelOfFiredIdDoesNotAffectLaterEvents) {
   // The already-fired id must not alias any live entry even after the
   // queue is reused for new events.
   EventId fired_id = q.schedule(Time::millis(1), [] {});
@@ -113,7 +104,7 @@ TEST_P(EventQueueTest, CancelOfFiredIdDoesNotAffectLaterEvents) {
   EXPECT_TRUE(ran);
 }
 
-TEST_P(EventQueueTest, PendingTimesSkipsCancelledAndSorts) {
+TEST_F(EventQueueTest, PendingTimesSkipsCancelledAndSorts) {
   q.schedule(Time::millis(30), [] {});
   EventId mid = q.schedule(Time::millis(20), [] {});
   q.schedule(Time::millis(10), [] {});
@@ -124,7 +115,7 @@ TEST_P(EventQueueTest, PendingTimesSkipsCancelledAndSorts) {
   EXPECT_EQ(times[1], Time::millis(30));
 }
 
-TEST_P(EventQueueTest, PendingTimesHonoursCap) {
+TEST_F(EventQueueTest, PendingTimesHonoursCap) {
   for (int i = 0; i < 10; ++i) q.schedule(Time::millis(i), [] {});
   const auto times = q.pending_times(3);
   ASSERT_EQ(times.size(), 3u);
@@ -132,7 +123,7 @@ TEST_P(EventQueueTest, PendingTimesHonoursCap) {
   EXPECT_EQ(times[2], Time::millis(2));
 }
 
-TEST_P(EventQueueTest, ManyInterleavedOperations) {
+TEST_F(EventQueueTest, ManyInterleavedOperations) {
   int fired = 0;
   std::vector<EventId> ids;
   for (int i = 0; i < 1000; ++i) {
@@ -146,7 +137,7 @@ TEST_P(EventQueueTest, ManyInterleavedOperations) {
 // Regression: next_time() on an all-cancelled queue used to trip an
 // assert (and silently misbehave in release builds); it must raise the
 // same structured error as a genuinely empty queue.
-TEST_P(EventQueueTest, NextTimeOnAllCancelledThrowsSimError) {
+TEST_F(EventQueueTest, NextTimeOnAllCancelledThrowsSimError) {
   std::vector<EventId> ids;
   for (int i = 0; i < 3; ++i) {
     ids.push_back(q.schedule(Time::millis(i + 1), [] {}));
@@ -162,7 +153,7 @@ TEST_P(EventQueueTest, NextTimeOnAllCancelledThrowsSimError) {
   }
 }
 
-TEST_P(EventQueueTest, PopOnEmptyThrowsSimError) {
+TEST_F(EventQueueTest, PopOnEmptyThrowsSimError) {
   EXPECT_THROW((void)q.pop(nullptr), SimError);
   q.schedule(Time::millis(1), [] {});
   (void)q.pop(nullptr);
@@ -172,7 +163,7 @@ TEST_P(EventQueueTest, PopOnEmptyThrowsSimError) {
 // Regression: cancelling the last remaining event and then asking for
 // the next event must behave exactly like an empty queue — and the
 // queue must stay usable afterwards.
-TEST_P(EventQueueTest, CancelLastEventLeavesQueueUsable) {
+TEST_F(EventQueueTest, CancelLastEventLeavesQueueUsable) {
   EventId only = q.schedule(Time::millis(9), [] {});
   q.cancel(only);
   EXPECT_TRUE(q.empty());
@@ -186,8 +177,8 @@ TEST_P(EventQueueTest, CancelLastEventLeavesQueueUsable) {
 
 // Regression: a Simulator whose queue was entirely cancelled must
 // complete run() as a no-op instead of dying inside next_time().
-TEST_P(EventQueueTest, SimulatorRunAfterCancelAllCompletes) {
-  Simulator s{GetParam()};
+TEST_F(EventQueueTest, SimulatorRunAfterCancelAllCompletes) {
+  Simulator s;
   bool ran = false;
   EventId a = s.schedule_in(Time::millis(1), [&] { ran = true; });
   EventId b = s.schedule_in(Time::millis(2), [&] { ran = true; });
@@ -198,27 +189,10 @@ TEST_P(EventQueueTest, SimulatorRunAfterCancelAllCompletes) {
   EXPECT_EQ(s.events_executed(), 0u);
 }
 
-// Regression for the heap engine's tombstone leak: ids cancelled but
-// never popped used to accumulate in the cancelled-id set forever.
-// Compaction must keep the tombstone count bounded by a small constant
-// once live entries are outnumbered.
-TEST(EventQueueHeap, CompactionBoundsTombstones) {
-  EventQueue q{EngineKind::kHeap};
-  std::vector<EventId> ids;
-  for (int i = 0; i < 10000; ++i) {
-    ids.push_back(q.schedule(Time::micros(i), [] {}));
-  }
-  for (EventId id : ids) q.cancel(id);
-  EXPECT_TRUE(q.empty());
-  const SchedulerStats stats = q.stats();
-  EXPECT_LE(stats.tombstones, 100u);
-  EXPECT_LE(stats.stored, 100u);
-}
-
 // The wheel reclaims nodes through its free list: a steady-state
 // schedule/fire cycle must not grow the pool.
 TEST(EventQueueWheel, PoolReusesNodes) {
-  EventQueue q{EngineKind::kWheel};
+  EventQueue q;
   for (int round = 0; round < 5; ++round) {
     for (int i = 0; i < 100; ++i) {
       q.schedule(Time::micros(round * 1000 + i), [] {});
@@ -232,24 +206,15 @@ TEST(EventQueueWheel, PoolReusesNodes) {
 // Cancelling a wheel-resident event reclaims its node immediately
 // (O(1) unlink), not lazily at pop time.
 TEST(EventQueueWheel, CancelReclaimsSlotResidentNodes) {
-  EventQueue q{EngineKind::kWheel};
+  EventQueue q;
   std::vector<EventId> ids;
   for (int i = 0; i < 50; ++i) {
     ids.push_back(q.schedule(Time::millis(i + 1), [] {}));
   }
   for (EventId id : ids) q.cancel(id);
-  const SchedulerStats stats = q.stats();
+  const EventQueue::Stats stats = q.stats();
   EXPECT_EQ(stats.stored, 0u);
   EXPECT_EQ(stats.tombstones, 0u);
-}
-
-TEST(EventQueueFacade, ReportsEngineIdentity) {
-  EventQueue heap_q{EngineKind::kHeap};
-  EventQueue wheel_q{EngineKind::kWheel};
-  EXPECT_EQ(heap_q.engine_kind(), EngineKind::kHeap);
-  EXPECT_EQ(wheel_q.engine_kind(), EngineKind::kWheel);
-  EXPECT_STREQ(heap_q.engine_name(), "heap");
-  EXPECT_STREQ(wheel_q.engine_name(), "wheel");
 }
 
 }  // namespace

@@ -9,19 +9,16 @@
 #include "scenario/fairness_experiment.hpp"
 #include "scenario/oscillation_experiment.hpp"
 #include "scenario/stabilization_experiment.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 
 // Golden-trace regression tests.
 //
-// Each test runs a scaled-down paper scenario (Figures 3, 7, 14) on
-// BOTH engines and folds every Simulator's (fire-time, seq) trace
-// digest into one scenario digest. The two engines must agree — that
-// is the differential guarantee at full-scenario granularity — and the
-// result must match the digest pinned under tests/golden/, so any
-// change to event ordering anywhere in the stack (queues, links,
-// agents, traffic sources) is caught, not just changes to the metrics
-// the scenario outcome summarizes.
+// Each test runs a scaled-down paper scenario (Figures 3, 7, 14) and
+// folds every Simulator's (fire-time, seq) trace digest into one
+// scenario digest. The result must match the digest pinned under
+// tests/golden/, so any change to event ordering anywhere in the stack
+// (event queue, queues, links, agents, traffic sources) is caught, not
+// just changes to the metrics the scenario outcome summarizes.
 //
 // To regenerate after an *intentional* ordering change:
 //   SLOWCC_REGEN_GOLDEN=1 ./tests/slowcc_tests --gtest_filter='GoldenTrace.*'
@@ -34,14 +31,12 @@
 namespace slowcc {
 namespace {
 
-/// Pins the thread's default engine and collects trace digests from
-/// every Simulator the scenario driver constructs, via the construct
-/// observer + guard hook (the guard's deleter runs in ~Simulator while
-/// its members are still alive).
+/// Collects trace digests from every Simulator the scenario driver
+/// constructs, via the construct observer + guard hook (the guard's
+/// deleter runs in ~Simulator while its members are still alive).
 class ScenarioDigest {
  public:
-  explicit ScenarioDigest(sim::EngineKind kind) {
-    sim::set_thread_default_engine(kind);
+  ScenarioDigest() {
     sim::Simulator::set_thread_construct_observer([this](sim::Simulator& s) {
       ++simulators_;
       s.attach_guard(std::shared_ptr<void>(nullptr, [this, sp = &s](void*) {
@@ -56,7 +51,6 @@ class ScenarioDigest {
 
   ~ScenarioDigest() {
     sim::Simulator::set_thread_construct_observer(nullptr);
-    sim::clear_thread_default_engine();
   }
 
   [[nodiscard]] std::uint64_t value() const noexcept { return combined_; }
@@ -104,24 +98,14 @@ void expect_matches_golden(const std::string& name, std::uint64_t digest) {
       << "regenerate with SLOWCC_REGEN_GOLDEN=1 (see EXPERIMENTS.md).";
 }
 
-/// Run `scenario` under both engines, require identical digests, and
-/// compare against the pinned golden.
+/// Run `scenario` and compare its digest against the pinned golden.
 template <typename Fn>
 void check_scenario(const std::string& name, Fn scenario) {
-  std::uint64_t digests[2] = {0, 0};
-  const sim::EngineKind kinds[2] = {sim::EngineKind::kHeap,
-                                    sim::EngineKind::kWheel};
-  for (int i = 0; i < 2; ++i) {
-    ScenarioDigest capture(kinds[i]);
-    scenario();
-    ASSERT_GT(capture.simulators(), 0)
-        << "scenario built no Simulator; digest capture is broken";
-    digests[i] = capture.value();
-  }
-  EXPECT_EQ(digests[0], digests[1])
-      << "heap and wheel engines executed '" << name
-      << "' with different event orderings";
-  expect_matches_golden(name, digests[1]);
+  ScenarioDigest capture;
+  scenario();
+  ASSERT_GT(capture.simulators(), 0)
+      << "scenario built no Simulator; digest capture is broken";
+  expect_matches_golden(name, capture.value());
 }
 
 // Figure 3 regime: stabilization after a sudden bandwidth reduction,

@@ -29,16 +29,20 @@ net::Packet make_packet(Simulator& sim, std::int64_t size_bytes) {
 }
 
 /// Schedule a self-replicating event chain that enqueues `pkts` packets
-/// of `bytes` each per tick — a miniature memory bomb.
+/// of `bytes` each per tick — a miniature memory bomb. The caller keeps
+/// `tick` alive for the run; the closure holds it weakly, because a
+/// closure owning the function that stores it would never be freed.
 void arm_bomb(Simulator& sim, net::Queue& queue,
-              std::shared_ptr<std::function<void()>> tick, int pkts,
+              const std::shared_ptr<std::function<void()>>& tick, int pkts,
               std::int64_t bytes) {
-  *tick = [&sim, &queue, tick, pkts, bytes] {
+  *tick = [&sim, &queue, weak = std::weak_ptr(tick), pkts, bytes] {
     for (int i = 0; i < pkts; ++i) {
       (void)queue.enqueue(make_packet(sim, bytes));
     }
-    sim.schedule_in(Time::millis(1), *tick);
-    sim.schedule_in(Time::millis(2), *tick);
+    const auto self = weak.lock();
+    if (!self) return;
+    sim.schedule_in(Time::millis(1), *self);
+    sim.schedule_in(Time::millis(2), *self);
   };
   sim.schedule_in(Time::millis(1), *tick);
 }

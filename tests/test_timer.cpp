@@ -12,22 +12,14 @@ namespace {
 // Timer rides EventQueue's FIFO tie-break at equal timestamps: a
 // rearm (cancel + fresh schedule) mints a new sequence number and so
 // moves the timer behind existing events at the same deadline. These
-// tests pin that contract on both engines, because transport agents
-// (retransmit timers rearmed every packet) depend on it for
-// deterministic traces.
-class TimerTest : public ::testing::TestWithParam<EngineKind> {
+// tests pin that contract, because transport agents (retransmit
+// timers rearmed every packet) depend on it for deterministic traces.
+class TimerTest : public ::testing::Test {
  protected:
-  Simulator sim{GetParam()};
+  Simulator sim;
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    AllEngines, TimerTest,
-    ::testing::Values(EngineKind::kHeap, EngineKind::kWheel),
-    [](const ::testing::TestParamInfo<EngineKind>& info) {
-      return engine_kind_name(info.param);
-    });
-
-TEST_P(TimerTest, EqualDeadlinesFireInArmingOrder) {
+TEST_F(TimerTest, EqualDeadlinesFireInArmingOrder) {
   std::vector<int> fired;
   Timer t1(sim, [&] { fired.push_back(1); });
   Timer t2(sim, [&] { fired.push_back(2); });
@@ -39,7 +31,7 @@ TEST_P(TimerTest, EqualDeadlinesFireInArmingOrder) {
   EXPECT_EQ(fired, (std::vector<int>{2, 1, 3}));
 }
 
-TEST_P(TimerTest, RescheduleMovesTimerBehindEqualTimePeers) {
+TEST_F(TimerTest, RescheduleMovesTimerBehindEqualTimePeers) {
   std::vector<std::string> order;
   Timer a(sim, [&] { order.push_back("a"); });
   Timer b(sim, [&] { order.push_back("b"); });
@@ -52,7 +44,7 @@ TEST_P(TimerTest, RescheduleMovesTimerBehindEqualTimePeers) {
   EXPECT_EQ(order, (std::vector<std::string>{"b", "a"}));
 }
 
-TEST_P(TimerTest, CancelDoesNotDisturbRemainingTieOrder) {
+TEST_F(TimerTest, CancelDoesNotDisturbRemainingTieOrder) {
   std::vector<int> fired;
   Timer t1(sim, [&] { fired.push_back(1); });
   Timer t2(sim, [&] { fired.push_back(2); });
@@ -65,7 +57,7 @@ TEST_P(TimerTest, CancelDoesNotDisturbRemainingTieOrder) {
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
-TEST_P(TimerTest, CancelThenRearmAtSameDeadlineGoesToBack) {
+TEST_F(TimerTest, CancelThenRearmAtSameDeadlineGoesToBack) {
   std::vector<int> fired;
   Timer t1(sim, [&] { fired.push_back(1); });
   Timer t2(sim, [&] { fired.push_back(2); });
@@ -77,7 +69,7 @@ TEST_P(TimerTest, CancelThenRearmAtSameDeadlineGoesToBack) {
   EXPECT_EQ(fired, (std::vector<int>{2, 1}));
 }
 
-TEST_P(TimerTest, RescheduleToEarlierDeadlineFiresEarlier) {
+TEST_F(TimerTest, RescheduleToEarlierDeadlineFiresEarlier) {
   std::vector<int> fired;
   Timer t1(sim, [&] { fired.push_back(1); });
   Timer t2(sim, [&] { fired.push_back(2); });
@@ -93,7 +85,7 @@ TEST_P(TimerTest, RescheduleToEarlierDeadlineFiresEarlier) {
 // timestamp but behind every event already pending there — on the
 // wheel this exercises the schedule-behind-the-horizon path, since the
 // slot containing `now` has already been drained.
-TEST_P(TimerTest, ZeroDelayRearmFiresAfterEqualTimePeers) {
+TEST_F(TimerTest, ZeroDelayRearmFiresAfterEqualTimePeers) {
   std::vector<std::string> order;
   int a_fires = 0;
   Timer* a_ptr = nullptr;
@@ -110,7 +102,7 @@ TEST_P(TimerTest, ZeroDelayRearmFiresAfterEqualTimePeers) {
   EXPECT_EQ(sim.now(), Time::millis(5));
 }
 
-TEST_P(TimerTest, PendingTracksArmAndFire) {
+TEST_F(TimerTest, PendingTracksArmAndFire) {
   Timer t(sim, [] {});
   EXPECT_FALSE(t.pending());
   t.schedule_in(Time::millis(1));

@@ -2,25 +2,22 @@
 // micro-benchmarks.
 //
 // Generate mode runs bench/micro_engine with google-benchmark's JSON
-// output, pairs the per-variant runs (BM_X/heap vs BM_X/wheel for the
-// event engines, BM_X/scalar vs BM_X/pooled for the packet paths) and
-// writes BENCH_engine.json (schema slowcc.bench_engine.v1) with
-// ns-per-op, items-per-second, the wheel:heap and pooled:scalar
-// speedups per benchmark, and the benchmark child's peak RSS
-// (getrusage(RUSAGE_CHILDREN), so a memory regression in the engines
+// output and writes BENCH_engine.json (schema slowcc.bench_engine.v1)
+// with ns-per-op and items-per-second per run (BM_X/wheel for the
+// event queue, BM_X/scalar and BM_X/pooled for the packet paths), the
+// pooled:scalar speedup, and the benchmark child's peak RSS
+// (getrusage(RUSAGE_CHILDREN), so a memory regression in the engine
 // shows up next to the timing numbers). Validate mode re-reads such a
-// file and checks the schema and that both variants are present for
-// every required benchmark — that is the bench_smoke ctest — and can
-// check minimum speedups: `--require-speedup 1.5` (wheel:heap) and
-// `--require-packet-speedup 2.0` (pooled:scalar, the ROADMAP item 3
-// acceptance floor) fail validation below the floor (for a dedicated
-// quiet perf runner), while the --advise-* spellings only warn (for
-// shared/virtualized CI, where wall-clock ratios between two
-// in-process benchmarks are not stable enough to gate on):
+// file and checks the schema and that every required row is present —
+// that is the bench_smoke ctest — and can check the minimum packet
+// speedup: `--require-packet-speedup 2.0` (pooled:scalar) fails
+// validation below the floor (for a dedicated quiet perf runner),
+// while `--advise-packet-speedup` only warns (for shared/virtualized
+// CI, where wall-clock ratios between two in-process benchmarks are
+// not stable enough to gate on):
 //
 //   bench_report --bench build/bench/micro_engine --out BENCH_engine.json
-//   bench_report --validate BENCH_engine.json [--require-speedup 1.5 |
-//                                              --advise-speedup 1.5]
+//   bench_report --validate BENCH_engine.json
 //                [--require-packet-speedup 2.0 |
 //                 --advise-packet-speedup 2.0]
 //
@@ -44,7 +41,7 @@
 namespace {
 
 constexpr const char* kSchema = "slowcc.bench_engine.v1";
-// The acceptance benchmarks: both engines must report for each.
+// The event-queue benchmarks: each must report a /wheel row.
 const std::vector<std::string> kRequiredBenchmarks = {
     "BM_EventQueueScheduleRun", "BM_EventQueueCancelHeavy"};
 // The packet hot-path macro-benchmarks: both packet paths (scalar and
@@ -114,7 +111,7 @@ double to_nanos(double value, const std::string& unit) {
   return value * 1e9;  // "s"
 }
 
-/// Parse google-benchmark JSON output into per-engine samples. Chunks
+/// Parse google-benchmark JSON output into per-variant samples. Chunks
 /// the text on "name" keys — only benchmark entries carry that key.
 std::vector<Sample> parse_benchmark_json(const std::string& text) {
   std::vector<Sample> samples;
@@ -216,20 +213,6 @@ int generate(const std::string& bench_bin, const std::string& out_path,
   out << "  ],\n  \"comparisons\": [\n";
   std::vector<std::string> lines;
   for (const auto& [bench, engines] : by_bench) {
-    const auto heap = engines.find("heap");
-    const auto wheel = engines.find("wheel");
-    if (heap != engines.end() && wheel != engines.end()) {
-      std::ostringstream line;
-      line << "    {\"name\": \"" << bench
-           << "\", \"heap_ns_per_op\": " << heap->second.ns_per_op
-           << ", \"wheel_ns_per_op\": " << wheel->second.ns_per_op
-           << ", \"wheel_speedup\": "
-           << (wheel->second.ns_per_op > 0.0
-                   ? heap->second.ns_per_op / wheel->second.ns_per_op
-                   : 0.0)
-           << "}";
-      lines.push_back(line.str());
-    }
     const auto scalar = engines.find("scalar");
     const auto pooled = engines.find("pooled");
     if (scalar != engines.end() && pooled != engines.end()) {
@@ -264,8 +247,8 @@ int generate(const std::string& bench_bin, const std::string& out_path,
   return 0;
 }
 
-int validate(const std::string& path, double floor_speedup, bool advisory,
-             double packet_floor, bool packet_advisory) {
+int validate(const std::string& path, double packet_floor,
+             bool packet_advisory) {
   std::ifstream file(path);
   if (!file.good()) {
     std::cerr << "bench_report: cannot read " << path << "\n";
@@ -299,42 +282,12 @@ int validate(const std::string& path, double floor_speedup, bool advisory,
   }
   int failures = 0;
   for (const std::string& bench : kRequiredBenchmarks) {
-    for (const char* engine : {"heap", "wheel"}) {
-      const std::string needle = "{\"name\": \"" + bench +
-                                 "\", \"engine\": \"" + engine + "\"";
-      if (text.find(needle) == std::string::npos) {
-        std::cerr << "bench_report: " << path << " lacks " << bench << "/"
-                  << engine << "\n";
-        ++failures;
-      }
-    }
-    const std::size_t cmp = text.find("{\"name\": \"" + bench +
-                                      "\", \"heap_ns_per_op\"");
-    if (cmp == std::string::npos) {
-      std::cerr << "bench_report: " << path << " lacks a comparison for "
-                << bench << "\n";
+    const std::string needle =
+        "{\"name\": \"" + bench + "\", \"engine\": \"wheel\"";
+    if (text.find(needle) == std::string::npos) {
+      std::cerr << "bench_report: " << path << " lacks " << bench
+                << "/wheel\n";
       ++failures;
-      continue;
-    }
-    double speedup = 0.0;
-    if (!find_number(text.substr(cmp), "wheel_speedup", &speedup) ||
-        speedup <= 0.0) {
-      std::cerr << "bench_report: " << path << " has no wheel_speedup for "
-                << bench << "\n";
-      ++failures;
-    } else if (speedup < floor_speedup) {
-      if (advisory) {
-        std::cerr << "bench_report: WARNING: " << bench << " wheel_speedup "
-                  << speedup << " below advisory floor " << floor_speedup
-                  << " (not gating; ratios are unstable on shared runners)\n";
-      } else {
-        std::cerr << "bench_report: " << bench << " wheel_speedup " << speedup
-                  << " below required " << floor_speedup << "\n";
-        ++failures;
-      }
-    } else {
-      std::cout << "bench_report: " << bench << " wheel_speedup=" << speedup
-                << "\n";
     }
   }
   for (const std::string& bench : kRequiredPacketBenchmarks) {
@@ -389,8 +342,6 @@ int main(int argc, char** argv) {
   std::string min_time = "0.05";
   std::string lint_bin;
   std::string lint_root = ".";
-  double floor_speedup = 0.0;
-  bool speedup_advisory = false;
   double packet_floor = 0.0;
   bool packet_advisory = false;
   for (int i = 1; i < argc; ++i) {
@@ -414,12 +365,6 @@ int main(int argc, char** argv) {
       lint_root = next();
     } else if (arg == "--validate") {
       validate_path = next();
-    } else if (arg == "--require-speedup") {
-      floor_speedup = std::strtod(next(), nullptr);
-      speedup_advisory = false;
-    } else if (arg == "--advise-speedup") {
-      floor_speedup = std::strtod(next(), nullptr);
-      speedup_advisory = true;
     } else if (arg == "--require-packet-speedup") {
       packet_floor = std::strtod(next(), nullptr);
       packet_advisory = false;
@@ -430,14 +375,12 @@ int main(int argc, char** argv) {
       std::cerr << "usage: bench_report --bench <micro_engine> [--out F]"
                    " [--min-time S] [--lint <slowcc_lint> [--lint-root D]]"
                    " | --validate <F>"
-                   " [--require-speedup X | --advise-speedup X]"
                    " [--require-packet-speedup X | --advise-packet-speedup X]\n";
       return 2;
     }
   }
   if (!validate_path.empty()) {
-    return validate(validate_path, floor_speedup, speedup_advisory,
-                    packet_floor, packet_advisory);
+    return validate(validate_path, packet_floor, packet_advisory);
   }
   if (bench_bin.empty()) {
     std::cerr << "bench_report: need --bench or --validate\n";

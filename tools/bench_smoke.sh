@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke-test the engine perf pipeline: run bench_report against
 # bench/micro_engine at a tiny --min-time so it finishes in seconds,
-# then validate the emitted BENCH_engine.json (schema + both engines
-# present for every required benchmark). Speedup thresholds are NOT
+# then validate the emitted BENCH_engine.json (schema + every required
+# benchmark row present). Speedup thresholds are NOT
 # enforced here — a ctest sharing the machine with the rest of the
 # suite would flake; run
 #   tools/ci_checks.sh bench

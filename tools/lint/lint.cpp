@@ -163,11 +163,11 @@ const std::vector<RuleInfo>& all_rules() {
        "stay out of include cycles"},
       {"no-std-function-hot-path",
        "std::function in src/sim/ and src/net/ engine code; pool POD "
-       "entries and keep type erasure at the Scheduler::Callback "
+       "entries and keep type erasure at the EventQueue::Callback "
        "boundary"},
       {"no-hot-path-alloc",
        "heap allocation or container growth in code reachable from "
-       "Queue::enqueue / deliver / scheduler pop (call-table walk); "
+       "Queue::enqueue / deliver / EventQueue::pop (call-table walk); "
        "pre-size or pool on the per-packet path"},
       {"no-unguarded-shared-write",
        "raw ofstream/fopen/::open writes in src/exp/ shared checkpoint "

@@ -24,7 +24,7 @@
 //                          no-time-arith-overflow
 //            hot-path      no-hot-path-alloc (call-table reachability
 //                          from Queue::enqueue / Link or Node deliver /
-//                          scheduler pop)
+//                          EventQueue::pop)
 //            resource      governor-charge-release pairing
 //
 // Enforced rules gate the build; advisory rules are reported (and

@@ -244,7 +244,7 @@ void check_std_function_hot_path(const std::string& path,
                                  const LineMap& lines, FileFacts* out) {
   // Advisory, scoped to the event engine and the network data path: a
   // std::function per entry costs an allocation and an indirect call on
-  // the hottest loops in the simulator. The public Scheduler::Callback
+  // the hottest loops in the simulator. The public EventQueue::Callback
   // boundary is fine (and suppressed at its declaration).
   if (!starts_with(path, "src/sim/") && !starts_with(path, "src/net/")) {
     return;
@@ -259,7 +259,7 @@ void check_std_function_hot_path(const std::string& path,
       add(out, path, line_no, "no-std-function-hot-path",
           "std::function in event-engine hot-path code",
           "store pooled POD entries (timestamp, seq, node index) in the "
-          "engine and keep type-erased callables at the Scheduler::Callback "
+          "engine and keep type-erased callables at the EventQueue::Callback "
           "API boundary; suppress with a reason if this is that boundary");
       break;
     }

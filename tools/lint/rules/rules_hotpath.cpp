@@ -5,7 +5,7 @@
 #include "lint/rules/rules.hpp"
 
 // Hot-path rule family (advisory). The per-packet path — enqueue at a
-// queue, delivery at a link/node, event pop in the scheduler — runs
+// queue, delivery at a link/node, event pop in the EventQueue — runs
 // millions of times per trial; a stray `new`, `make_shared`, or
 // unreserved container growth there is the difference between the
 // paper's sweep finishing overnight or not (ROADMAP tracks pooled
@@ -23,7 +23,7 @@ constexpr int kMaxDepth = 3;  // hops from a hot-path root
 
 bool hot_path_root(const FuncDef& def) {
   if (def.name == "enqueue" || def.name == "deliver") return true;
-  return def.name == "pop" && def.cls.find("Scheduler") != std::string::npos;
+  return def.name == "pop" && def.cls == "EventQueue";
 }
 
 std::string root_label(const FuncDef& def) {

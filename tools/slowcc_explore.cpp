@@ -17,14 +17,20 @@
 //
 // Common keys: seed(1)
 //
+// Every value must parse in full as a finite number (except algo and
+// pattern), and gamma, period_s, bw_mbps, horizon_s and amplitude must
+// be > 0. A malformed argument or a bad value exits 2 with a message
+// naming it, before any simulation runs.
+//
 // Examples:
 //   slowcc_explore fairness algo=tfrc gamma=6 period_s=4 amplitude=10
 //   slowcc_explore stabilization algo=rap gamma=128
 //   slowcc_explore smoothness algo=sqrt gamma=2 pattern=mild
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
+#include <set>
 #include <string>
 
 #include "scenario/convergence_experiment.hpp"
@@ -42,15 +48,18 @@ namespace {
 
 using Args = std::map<std::string, std::string>;
 
+[[noreturn]] void bad_input(const std::string& message) {
+  std::fprintf(stderr, "slowcc_explore: %s\n", message.c_str());
+  std::exit(2);
+}
+
 Args parse_args(int argc, char** argv) {
   Args out;
   for (int i = 2; i < argc; ++i) {
     const std::string kv = argv[i];
     const auto eq = kv.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "ignoring malformed argument '%s' (want k=v)\n",
-                   kv.c_str());
-      continue;
+    if (eq == std::string::npos || eq == 0) {
+      bad_input("malformed argument '" + kv + "' (want key=value)");
     }
     out[kv.substr(0, eq)] = kv.substr(eq + 1);
   }
@@ -58,8 +67,21 @@ Args parse_args(int argc, char** argv) {
 }
 
 double get_num(const Args& a, const char* key, double def) {
+  static const std::set<std::string> kPositive = {
+      "gamma", "period_s", "bw_mbps", "horizon_s", "amplitude"};
   auto it = a.find(key);
-  return it == a.end() ? def : std::atof(it->second.c_str());
+  if (it == a.end()) return def;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      !std::isfinite(value)) {
+    bad_input(std::string(key) + "='" + text + "' is not a finite number");
+  }
+  if (kPositive.count(key) != 0 && value <= 0.0) {
+    bad_input(std::string(key) + "='" + text + "' must be > 0");
+  }
+  return value;
 }
 
 std::string get_str(const Args& a, const char* key, const char* def) {

@@ -4,11 +4,10 @@
 //   slowcc_spec --list DIR                 one line per spec
 //   slowcc_spec --run FILE [--algorithm A] [--scale S] [--seed N]
 //   slowcc_spec --check DIR [--scale S]    CI gate: every spec must
-//       (a) parse and validate, (b) be named after its file stem,
-//       (c) produce the same trace digest under the heap and wheel
-//       engines, and (d) match its committed golden digest under
-//       DIR/golden/. SLOWCC_REGEN_GOLDEN=1 rewrites the goldens after
-//       an intentional behavior change.
+//       (a) parse and validate, (b) be named after its file stem, and
+//       (c) match its committed golden trace digest under DIR/golden/.
+//       SLOWCC_REGEN_GOLDEN=1 rewrites the goldens after an
+//       intentional behavior change.
 //
 // Exit codes: 0 ok, 1 check/run failure, 2 usage or bad spec.
 #include <algorithm>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "sim/error.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "spec/compiler.hpp"
 #include "spec/scenario_spec.hpp"
@@ -54,19 +52,12 @@ std::vector<std::string> spec_files(const std::string& dir) {
   return out;
 }
 
-/// One deterministic run under `engine`; digest folds the trace digest
-/// and the event count, mirroring the golden-trace tests.
-std::uint64_t run_digest(const spec::ScenarioSpec& scenario,
-                         const spec::SpecRunOptions& opt,
-                         sim::EngineKind engine, spec::SpecRunResult* out) {
-  sim::set_thread_default_engine(engine);
-  spec::SpecRunResult result = spec::run_scenario(scenario, opt);
-  sim::clear_thread_default_engine();
+/// Digest of one run: folds the trace digest and the event count,
+/// mirroring the golden-trace tests.
+std::uint64_t run_digest(const spec::SpecRunResult& result) {
   std::uint64_t digest = sim::kFnvOffsetBasis;
   digest = sim::fnv1a_u64(digest, result.trace_digest);
-  digest = sim::fnv1a_u64(digest, result.events);
-  if (out != nullptr) *out = std::move(result);
-  return digest;
+  return sim::fnv1a_u64(digest, result.events);
 }
 
 int check_specs(const std::string& dir, const std::string& golden_dir,
@@ -95,25 +86,13 @@ int check_specs(const std::string& dir, const std::string& golden_dir,
     spec::SpecRunOptions opt;
     opt.seed = seed;
     opt.duration_scale = scale;
-    spec::SpecRunResult result;
-    const std::uint64_t heap =
-        run_digest(scenario, opt, sim::EngineKind::kHeap, &result);
-    const std::uint64_t wheel =
-        run_digest(scenario, opt, sim::EngineKind::kWheel, nullptr);
-    if (heap != wheel) {
-      std::fprintf(stderr,
-                   "slowcc_spec: FAIL %s: heap/wheel engines disagree "
-                   "(0x%llx vs 0x%llx)\n",
-                   file.c_str(), static_cast<unsigned long long>(heap),
-                   static_cast<unsigned long long>(wheel));
-      ++failures;
-      continue;
-    }
+    const spec::SpecRunResult result = spec::run_scenario(scenario, opt);
+    const std::uint64_t digest = run_digest(result);
     const std::string golden_path =
         golden_dir + "/" + scenario.scenario.name + ".txt";
     std::ostringstream rendered;
     rendered << "slowcc.golden.v1 " << scenario.scenario.name << " 0x"
-             << std::hex << heap << "\n";
+             << std::hex << digest << "\n";
     if (regen) {
       std::ofstream out(golden_path);
       if (!out.good()) {
@@ -141,7 +120,7 @@ int check_specs(const std::string& dir, const std::string& golden_dir,
     const std::uint64_t pinned =
         std::strtoull(digest_text.c_str(), nullptr, 16);
     if (header != "slowcc.golden.v1" || name != scenario.scenario.name ||
-        pinned != heap) {
+        pinned != digest) {
       std::fprintf(stderr,
                    "slowcc_spec: FAIL %s: digest %s != pinned %s — if the "
                    "behavior change is intentional, regenerate with "
@@ -153,7 +132,7 @@ int check_specs(const std::string& dir, const std::string& golden_dir,
     }
     std::printf("ok %-28s 0x%llx (%llu events)\n",
                 scenario.scenario.name.c_str(),
-                static_cast<unsigned long long>(heap),
+                static_cast<unsigned long long>(digest),
                 static_cast<unsigned long long>(result.events));
   }
   if (failures > 0) {

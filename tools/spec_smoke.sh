@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Spec library smoke, in three legs:
 #
-#   1  Golden gate: slowcc_spec --check runs every committed spec under
-#      both event engines at a short duration scale and byte-compares
-#      the digests against specs/golden/ (regen: SLOWCC_REGEN_GOLDEN=1).
+#   1  Golden gate: slowcc_spec --check runs every committed spec at a
+#      short duration scale and byte-compares the trace digests against
+#      specs/golden/ (regen: SLOWCC_REGEN_GOLDEN=1).
 #   1b Packet-path gate: the same golden check repeated with
 #      SLOWCC_PACKET_PATH=scalar, pinning the batched/pooled and scalar
 #      packet paths to one event stream (DESIGN.md §14). The
@@ -41,7 +41,7 @@ fail() {
   exit 1
 }
 
-# ---- Leg 1: every spec parses, both engines agree, goldens match ----
+# ---- Leg 1: every spec parses and matches its golden --------------
 "$spec_tool" --check "$specs" || fail "slowcc_spec --check exited $?"
 
 # ---- Leg 1b: scalar packet path reproduces the same goldens ---------
