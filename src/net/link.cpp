@@ -136,10 +136,10 @@ void Link::send(PacketHandle h) {
 
 void Link::start_transmission() {
   if (path_ == PacketPath::kPooled) {
-    const PacketHandle h = queue_->dequeue_handle();
+    std::int64_t size_bytes = 0;
+    const PacketHandle h = queue_->dequeue_handle(&size_bytes);
     if (!h.valid()) return;
-    const sim::Time tx =
-        sim::transmission_time(pool_.get(h).size_bytes, bandwidth_);
+    const sim::Time tx = sim::transmission_time(size_bytes, bandwidth_);
     in_flight_h_ = h;
     tx_ends_ = sim_.now() + tx;
     // The drain chain stands in for the transmit-complete event the
@@ -189,7 +189,7 @@ void Link::depart(PacketHandle h) {
 
 void Link::schedule_delivery(PacketHandle h, sim::Time at) {
   if (wire_count_ != 0 &&
-      at < wire_ring_[(wire_head_ + wire_count_ - 1) % wire_ring_.size()].at) {
+      at < wire_ring_[(wire_head_ + wire_count_ - 1) & wire_mask_].at) {
     // Non-FIFO delivery (propagation delay shrunk mid-flight, or a
     // wire-model extra delay shorter than an earlier one): the engine
     // keeps the total order. The schedule mints the seq, exactly as
@@ -219,23 +219,25 @@ void Link::key_chain(sim::ChainedEvent& chain, sim::Time at,
 
 void Link::wire_push(const WireEntry& entry) {
   if (wire_count_ == wire_ring_.size()) {
-    // Warm-up growth only: double (16 floor) and re-lay from the head.
+    // Warm-up growth only: double (16 floor, so always a power of two)
+    // and re-lay from the head.
     // slowcc-lint: allow(no-hot-path-alloc) ring growth is cold; steady state recycles slots
     std::vector<WireEntry> grown(
         std::max<std::size_t>(16, wire_ring_.size() * 2));
     for (std::size_t i = 0; i < wire_count_; ++i) {
-      grown[i] = wire_ring_[(wire_head_ + i) % wire_ring_.size()];
+      grown[i] = wire_ring_[(wire_head_ + i) & wire_mask_];
     }
     wire_ring_ = std::move(grown);
+    wire_mask_ = wire_ring_.size() - 1;
     wire_head_ = 0;
   }
-  wire_ring_[(wire_head_ + wire_count_) % wire_ring_.size()] = entry;
+  wire_ring_[(wire_head_ + wire_count_) & wire_mask_] = entry;
   ++wire_count_;
 }
 
 Link::WireEntry Link::wire_pop() {
   const WireEntry entry = wire_ring_[wire_head_];
-  wire_head_ = (wire_head_ + 1) % wire_ring_.size();
+  wire_head_ = (wire_head_ + 1) & wire_mask_;
   --wire_count_;
   return entry;
 }

@@ -253,7 +253,9 @@ class Link {
   // Kept fire-time-monotonic by construction — a delivery that would
   // land before the current tail (propagation delay shrunk mid-flight,
   // wire-model extra delay) falls back to an engine event instead.
+  // The capacity is a power of two, indexed by wire_mask_.
   std::vector<WireEntry> wire_ring_;
+  std::size_t wire_mask_ = 0;
   std::size_t wire_head_ = 0;
   std::size_t wire_count_ = 0;
   sim::ChainedEvent wire_chain_;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -87,10 +88,15 @@ class Queue {
   }
 
   /// Remove and return the head handle; invalid handle when empty.
-  [[nodiscard]] PacketHandle dequeue_handle() {
+  /// `size_bytes` (optional) receives the packet's size, read through
+  /// the pool's checked access the dequeue makes anyway, so a caller
+  /// needs no second lookup.
+  [[nodiscard]] PacketHandle dequeue_handle(
+      std::int64_t* size_bytes = nullptr) {
     if (count_ == 0) return PacketHandle{};
     const PacketHandle h = take_front();
     const std::int64_t size = pool_ref().get(h).size_bytes;
+    if (size_bytes != nullptr) *size_bytes = size;
     bytes_ -= size;
     note_removed(size);
     post_dequeue();
@@ -150,13 +156,16 @@ class Queue {
  protected:
   /// `limit_packets` is the buffer size including the packet currently
   /// being serialized; must be >= 1 (validated by implementations).
-  /// The handle ring starts small and doubles toward the limit as the
-  /// buffer fills, so queues configured with pathological limits (the
-  /// membomb self-test uses 2^30) cost memory proportional to their
-  /// actual occupancy, never their configured ceiling.
+  /// The handle ring starts small and doubles as the buffer fills, so
+  /// queues configured with pathological limits (the membomb self-test
+  /// uses 2^30) cost memory proportional to their actual occupancy,
+  /// never their configured ceiling.
   explicit Queue(std::size_t limit_packets)
       : limit_(limit_packets),
-        ring_(std::min<std::size_t>(limit_packets, kInitialRing)) {}
+        ring_(std::bit_ceil(
+            std::clamp<std::size_t>(limit_packets, 1, kInitialRing))),
+        mask_(ring_.size() - 1),
+        grow_at_(std::min(limit_, ring_.size())) {}
 
   /// The admission policy: nullopt admits `p` (which may be mutated —
   /// ECN marking), a reason rejects it untouched. Called exactly once
@@ -186,33 +195,36 @@ class Queue {
 
  private:
   void store(PacketHandle h, std::int64_t size_bytes) {
-    if (count_ == ring_.size()) grow();
-    ring_[(head_ + count_) % ring_.size()] = h;
+    if (count_ >= grow_at_) grow();
+    ring_[(head_ + count_) & mask_] = h;
     ++count_;
     bytes_ += size_bytes;
     note_admitted(size_bytes);
   }
   void grow() {
-    // Doubling toward the limit: O(log limit) growths over the queue's
-    // lifetime, after which steady-state enqueue/dequeue is alloc-free.
-    const std::size_t next =
-        std::min(limit_, std::max<std::size_t>(ring_.size() * 2, kInitialRing));
-    if (next <= ring_.size()) {
+    // The admission policy rejects at limit_, whatever the ring's
+    // power-of-two capacity; storing past it is a policy bug.
+    if (count_ >= limit_) {
       throw sim::SimError(sim::SimErrc::kInvariantViolation, "Queue",
                           "store: buffer full past the admission limit");
     }
+    // Doubling: O(log limit) growths over the queue's lifetime, after
+    // which steady-state enqueue/dequeue is alloc-free. The ring stays
+    // a power of two, so it never exceeds twice the limit.
     // slowcc-lint: allow(no-hot-path-alloc) amortized warm-up growth,
     // bounded by the configured limit
-    std::vector<PacketHandle> bigger(next);
+    std::vector<PacketHandle> bigger(ring_.size() * 2);
     for (std::size_t i = 0; i < count_; ++i) {
-      bigger[i] = ring_[(head_ + i) % ring_.size()];
+      bigger[i] = ring_[(head_ + i) & mask_];
     }
     ring_ = std::move(bigger);
+    mask_ = ring_.size() - 1;
+    grow_at_ = std::min(limit_, ring_.size());
     head_ = 0;
   }
   [[nodiscard]] PacketHandle take_front() noexcept {
     const PacketHandle h = ring_[head_];
-    head_ = (head_ + 1) % ring_.size();
+    head_ = (head_ + 1) & mask_;
     --count_;
     return h;
   }
@@ -227,11 +239,15 @@ class Queue {
     return *pool_;
   }
 
-  // Circular FIFO of handles; doubles toward limit_ as the buffer
-  // fills, then steady-state admission never grows anything.
+  // Circular FIFO of handles with a power-of-two capacity, indexed by
+  // mask_; doubles as the buffer fills (grow_at_ is the occupancy that
+  // triggers the next growth, capped at limit_), then steady-state
+  // admission never grows anything.
   static constexpr std::size_t kInitialRing = 64;
   std::size_t limit_;
   std::vector<PacketHandle> ring_;
+  std::size_t mask_;
+  std::size_t grow_at_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::int64_t bytes_ = 0;

@@ -326,7 +326,7 @@ Time EventQueue::next_time() {
   return Time::nanos(due_.front().at_ns);
 }
 
-PoppedEvent EventQueue::peek() {
+PoppedEvent EventQueue::peek_slow() {
   settle();
   if (due_.empty()) throw_empty("peek");
   return PoppedEvent{Time::nanos(due_.front().at_ns), due_.front().seq};

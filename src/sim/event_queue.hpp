@@ -122,8 +122,18 @@ class EventQueue {
 
   /// (at, seq) of the earliest live event without popping it. The run
   /// loop uses this to merge chained drain sub-events (see
-  /// sim/simulator.hpp) into the queue's (at, seq) total order.
-  [[nodiscard]] PoppedEvent peek();
+  /// sim/simulator.hpp) into the queue's (at, seq) total order. Inline
+  /// while a live event tops the due heap (the common case, once per
+  /// executed event); otherwise the cursor advances out of line.
+  [[nodiscard]] PoppedEvent peek() {
+    if (!due_.empty()) {
+      const HeapEntry& top = due_.front();
+      if (!pool_[top.node].cancelled) {
+        return PoppedEvent{Time::nanos(top.at_ns), top.seq};
+      }
+    }
+    return peek_slow();
+  }
 
   /// Pop the earliest live event's callback; `out` (optional) receives
   /// its (at, seq), which Simulator folds into its trace digest.
@@ -210,6 +220,7 @@ class EventQueue {
   void advance();
   /// Ensure due_ is topped by a live event (or nothing is live at all).
   void settle();
+  [[nodiscard]] PoppedEvent peek_slow();
   [[noreturn]] void throw_empty(const char* op) const;
 
   std::array<std::array<std::uint32_t, kSlots>, kLevels> slot_head_;

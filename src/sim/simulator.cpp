@@ -14,12 +14,6 @@ namespace {
 thread_local Simulator::ConstructObserver t_construct_observer;
 thread_local std::uint64_t t_events_executed = 0;
 
-// Strict (at, seq) order of the chain heap. Seqs come from one counter,
-// so no two armed chains ever compare equal.
-bool chain_before(const ChainedEvent* a, const ChainedEvent* b) noexcept {
-  return a->at < b->at || (a->at == b->at && a->seq < b->seq);
-}
-
 }  // namespace
 
 Simulator::Simulator() {
@@ -80,6 +74,11 @@ void Simulator::set_event_hook(std::uint64_t every_events,
                    "(clear_event_hook first)");
   }
   hook_every_ = every_events;
+  // Fire on absolute multiples of the period, however many events ran
+  // before the hook was installed. From inside an event callback that
+  // event's own check is still to come, so it counts as not yet done.
+  const std::uint64_t checked = events_executed_ - (dispatching_ ? 1 : 0);
+  hook_countdown_ = every_events - checked % every_events;
   hook_ = std::move(hook);
 }
 
@@ -100,81 +99,91 @@ void Simulator::arm_chain(ChainedEvent* chain) {
   }
   // At most two chains per link (transmit + wire FIFO): the heap tops
   // out at twice the topology's link count, not at the packet count.
-  chains_.push_back(chain);  // slowcc-lint: allow(no-hot-path-alloc) bounded by link count, not packet count
+  chains_.push_back(ChainSlot{});  // slowcc-lint: allow(no-hot-path-alloc) bounded by link count, not packet count
   chain_pending_ += chain->pending;
-  sift_up(chains_.size() - 1);
+  sift_up(chains_.size() - 1,
+          ChainSlot{chain->at.as_nanos(), chain->seq, chain});
 }
 
 void Simulator::disarm_chain(ChainedEvent* chain) noexcept {
   if (!chain->armed()) return;
   const std::size_t slot = chain->heap_slot;
-  assert(slot < chains_.size() && chains_[slot] == chain);
+  assert(slot < chains_.size() && chains_[slot].chain == chain);
   chain->heap_slot = ChainedEvent::kNotArmed;
   chain_pending_ -= chain->pending;
-  ChainedEvent* last = chains_.back();
+  const ChainSlot last = chains_.back();
   chains_.pop_back();
-  if (last == chain) return;
-  // Refill the hole with the last leaf and restore the heap around it.
-  chains_[slot] = last;
-  sift_up(slot);
-  sift_down(last->heap_slot);
+  if (last.chain == chain) return;
+  // Refill the hole with the last leaf. It belongs either above the
+  // hole (earlier than the hole's parent, possible when it came from
+  // another subtree) or at or below it, never both: one sift.
+  if (slot > 0 && slot_before(last, chains_[(slot - 1) / 2])) {
+    sift_up(slot, last);
+  } else {
+    sift_down(slot, last);
+  }
 }
 
-void Simulator::retime_chain(ChainedEvent* chain, Time at, std::uint64_t seq,
-                             std::uint64_t pending) {
+void Simulator::throw_bad_retime(const ChainedEvent* chain, Time at) const {
   if (!chain->armed()) {
     throw SimError(SimErrc::kBadSchedule, "Simulator",
                    "retime_chain: chain not armed (arm_chain first)");
   }
-  if (at < now_) {
-    throw SimError(SimErrc::kBadSchedule, "Simulator",
-                   "retime_chain: time in the past (" + at.to_string() +
-                       " < " + now_.to_string() + ")");
-  }
-  chain_pending_ = chain_pending_ - chain->pending + pending;
-  chain->pending = pending;
+  throw SimError(SimErrc::kBadSchedule, "Simulator",
+                 "retime_chain: time in the past (" + at.to_string() + " < " +
+                     now_.to_string() + ")");
+}
+
+void Simulator::rekey_chain(ChainedEvent* chain, Time at,
+                            std::uint64_t seq) noexcept {
+  const ChainSlot old_key{chain->at.as_nanos(), chain->seq, chain};
+  const ChainSlot new_key{at.as_nanos(), seq, chain};
   chain->at = at;
   chain->seq = seq;
-  sift_up(chain->heap_slot);
-  sift_down(chain->heap_slot);
+  // The key moved one way, so the chain moves that way only.
+  if (slot_before(new_key, old_key)) {
+    sift_up(chain->heap_slot, new_key);
+  } else {
+    sift_down(chain->heap_slot, new_key);
+  }
 }
 
-void Simulator::sift_up(std::size_t slot) noexcept {
-  ChainedEvent* const c = chains_[slot];
+void Simulator::sift_up(std::size_t slot, ChainSlot entry) noexcept {
   while (slot > 0) {
     const std::size_t parent = (slot - 1) / 2;
-    if (!chain_before(c, chains_[parent])) break;
+    if (!slot_before(entry, chains_[parent])) break;
     chains_[slot] = chains_[parent];
-    chains_[slot]->heap_slot = slot;
+    chains_[slot].chain->heap_slot = slot;
     slot = parent;
   }
-  chains_[slot] = c;
-  c->heap_slot = slot;
+  chains_[slot] = entry;
+  entry.chain->heap_slot = slot;
 }
 
-void Simulator::sift_down(std::size_t slot) noexcept {
-  ChainedEvent* const c = chains_[slot];
+void Simulator::sift_down(std::size_t slot, ChainSlot entry) noexcept {
   const std::size_t n = chains_.size();
   for (;;) {
     std::size_t child = 2 * slot + 1;
     if (child >= n) break;
-    if (child + 1 < n && chain_before(chains_[child + 1], chains_[child])) {
-      ++child;
+    // Branch-free pick of the earlier child.
+    if (child + 1 < n) {
+      child += static_cast<std::size_t>(
+          slot_before(chains_[child + 1], chains_[child]));
     }
-    if (!chain_before(chains_[child], c)) break;
+    if (!slot_before(chains_[child], entry)) break;
     chains_[slot] = chains_[child];
-    chains_[slot]->heap_slot = slot;
+    chains_[slot].chain->heap_slot = slot;
     slot = child;
   }
-  chains_[slot] = c;
-  c->heap_slot = slot;
+  chains_[slot] = entry;
+  entry.chain->heap_slot = slot;
 }
 
 std::vector<Time> Simulator::pending_event_times(
     std::size_t max_entries) const {
   std::vector<Time> times = queue_.pending_times(max_entries);
   if (!chains_.empty()) {
-    for (const ChainedEvent* c : chains_) times.push_back(c->at);
+    for (const ChainSlot& c : chains_) times.push_back(Time::nanos(c.at_ns));
     std::sort(times.begin(), times.end());
     if (times.size() > max_entries) times.resize(max_entries);
   }
@@ -184,27 +193,39 @@ std::vector<Time> Simulator::pending_event_times(
 void Simulator::run() { run_until(Time::max()); }
 
 void Simulator::run_until(Time deadline) {
+  // Sets dispatching_ for the loop and restores it on every exit,
+  // exceptions included.
+  struct Dispatching {
+    bool& flag;
+    bool saved;
+    explicit Dispatching(bool& f) : flag(f), saved(f) { flag = true; }
+    ~Dispatching() { flag = saved; }
+    Dispatching(const Dispatching&) = delete;
+    Dispatching& operator=(const Dispatching&) = delete;
+  } dispatching(dispatching_);
   for (;;) {
     // Pick the global minimum by (at, seq) between the engine head and
     // the chain heap's top. Seqs are minted from one per-queue
     // counter, so the pair is a strict total order and the executed
     // stream — what trace_digest() folds — is independent of whether a
     // departure runs as an engine event or a chained sub-event.
-    ChainedEvent* const chain = chains_.empty() ? nullptr : chains_.front();
-    const bool engine_live = !queue_.empty();
-    if (!engine_live && chain == nullptr) break;
     bool use_chain;
     PoppedEvent head;
-    if (engine_live) {
+    if (!queue_.empty()) {
       head = queue_.peek();
-      use_chain = chain != nullptr &&
-                  (chain->at < head.at ||
-                   (chain->at == head.at && chain->seq < head.seq));
-    } else {
+      use_chain = !chains_.empty() &&
+                  slot_before(chains_.front(),
+                              ChainSlot{head.at.as_nanos(), head.seq, nullptr});
+    } else if (!chains_.empty()) {
       use_chain = true;
+    } else {
+      break;
     }
-    const Time t = use_chain ? chain->at : head.at;
-    if (t > deadline) break;
+    if (use_chain) {
+      head = PoppedEvent{Time::nanos(chains_.front().at_ns),
+                         chains_.front().seq};
+    }
+    if (head.at > deadline) break;
     if (event_budget_ != 0 &&
         events_executed_ - event_budget_base_ >= event_budget_) {
       throw SimError(
@@ -213,28 +234,21 @@ void Simulator::run_until(Time deadline) {
               " events since armed; clock " + now_.to_string() + ", " +
               std::to_string(pending_events()) + " pending)");
     }
-    assert(t >= now_);
+    assert(head.at >= now_);
+    now_ = head.at;
+    ++events_executed_;
+    ++t_events_executed;
+    trace_digest_ = fnv1a_u64(
+        fnv1a_u64(trace_digest_, static_cast<std::uint64_t>(head.at.as_nanos())),
+        head.seq);
     if (use_chain) {
-      now_ = chain->at;
-      ++events_executed_;
-      ++t_events_executed;
-      trace_digest_ =
-          fnv1a_u64(fnv1a_u64(trace_digest_,
-                              static_cast<std::uint64_t>(chain->at.as_nanos())),
-                    chain->seq);
       // fire() may re-key the chain in place (next packet of the burst)
       // or disarm it (queue drained / link down).
+      ChainedEvent* const chain = chains_.front().chain;
       chain->fire(chain->ctx);
     } else {
-      PoppedEvent ev;
-      auto cb = queue_.pop(&ev);
-      now_ = ev.at;
-      ++events_executed_;
-      ++t_events_executed;
-      trace_digest_ =
-          fnv1a_u64(fnv1a_u64(trace_digest_,
-                              static_cast<std::uint64_t>(ev.at.as_nanos())),
-                    ev.seq);
+      // The engine head was just peeked, so this pops exactly it.
+      auto cb = queue_.pop(nullptr);
       cb();
     }
     // Poll after the callback so events and packets it just created are
@@ -242,7 +256,14 @@ void Simulator::run_until(Time deadline) {
     // armed chains — logical state, identical across the batched/scalar
     // packet paths.
     if (governor_.armed()) governor_.poll(pending_events());
-    if (hook_every_ != 0 && events_executed_ % hook_every_ == 0) hook_();
+    if (hook_countdown_ != 0 && --hook_countdown_ == 0) {
+      // Re-arm before the call, so a hook that throws, clears itself or
+      // re-installs leaves a consistent slot behind.
+      hook_countdown_ = hook_every_;
+      dispatching_ = false;
+      hook_();
+      dispatching_ = true;
+    }
   }
   if (deadline != Time::max() && now_ < deadline) now_ = deadline;
 }

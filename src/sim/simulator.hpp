@@ -28,8 +28,9 @@ namespace slowcc::sim {
 ///     the unbatched path would have called schedule_*() — this is what
 ///     makes trace_digest() bit-identical across the two paths
 ///   - while armed, `at`/`seq`/`pending` change only through
-///     Simulator::retime_chain (they are the chain's heap key and its
-///     share of pending_events()); re-timing (e.g. set_bandwidth on an
+///     Simulator::retime_chain (the heap keeps its own copy of
+///     (at, seq) as the sort key, and `pending` is the chain's share
+///     of pending_events()); re-timing (e.g. set_bandwidth on an
 ///     in-flight packet) re-mints the seq, exactly as a
 ///     cancel+reschedule would
 ///   - the chain is disarmed before `ctx` dies (Links disarm in ~Link;
@@ -102,10 +103,19 @@ class Simulator {
   /// Re-key an armed chain in place — the only way its `at`, `seq` or
   /// `pending` may change while armed (a source re-arming for its next
   /// packet from inside fire(), re-timing an in-flight packet, or
-  /// growing its FIFO). Throws SimError (kBadSchedule) when the chain
-  /// is not armed or `at` < now().
+  /// growing its FIFO). An unchanged (at, seq) only updates `pending`
+  /// and leaves the heap alone. Throws SimError (kBadSchedule) when the
+  /// chain is not armed or `at` < now().
   void retime_chain(ChainedEvent* chain, Time at, std::uint64_t seq,
-                    std::uint64_t pending);
+                    std::uint64_t pending) {
+    if (!chain->armed() || at < now_) throw_bad_retime(chain, at);
+    chain_pending_ = chain_pending_ - chain->pending + pending;
+    chain->pending = pending;
+    // A push onto a non-empty wire FIFO keeps the head's key: nothing
+    // in the heap moves.
+    if (at == chain->at && seq == chain->seq) return;
+    rekey_chain(chain, at, seq);
+  }
 
   /// Run until the queue drains.
   void run();
@@ -178,6 +188,7 @@ class Simulator {
   /// Remove the installed hook; no-op when none is installed.
   void clear_event_hook() noexcept {
     hook_every_ = 0;
+    hook_countdown_ = 0;
     hook_ = nullptr;
   }
 
@@ -222,8 +233,31 @@ class Simulator {
   }
 
  private:
-  void sift_up(std::size_t slot) noexcept;
-  void sift_down(std::size_t slot) noexcept;
+  // One chain-heap entry: the chain's (at, seq) key inline, so sifts
+  // compare contiguous memory instead of reading each chain's source.
+  struct ChainSlot {
+    std::int64_t at_ns;
+    std::uint64_t seq;
+    ChainedEvent* chain;
+  };
+  // One branch-free 128-bit compare: armed times are never negative
+  // (they are >= now() >= 0), so the unsigned (at, seq) concatenation
+  // orders exactly like the pair.
+  [[nodiscard]] static bool slot_before(const ChainSlot& a,
+                                        const ChainSlot& b) noexcept {
+    using Key = unsigned __int128;
+    const Key ka = Key{static_cast<std::uint64_t>(a.at_ns)} << 64 | a.seq;
+    const Key kb = Key{static_cast<std::uint64_t>(b.at_ns)} << 64 | b.seq;
+    return ka < kb;
+  }
+  // retime_chain's out-of-line halves: the heap move for a changed key,
+  // and the kBadSchedule throw.
+  void rekey_chain(ChainedEvent* chain, Time at, std::uint64_t seq) noexcept;
+  [[noreturn]] void throw_bad_retime(const ChainedEvent* chain, Time at) const;
+  // Move `entry` from the hole at `slot` toward the root / the leaves
+  // until the heap order holds, then store it there.
+  void sift_up(std::size_t slot, ChainSlot entry) noexcept;
+  void sift_down(std::size_t slot, ChainSlot entry) noexcept;
 
   EventQueue queue_;
   Time now_;
@@ -233,14 +267,20 @@ class Simulator {
   std::uint64_t event_budget_ = 0;  // 0 = unlimited
   std::uint64_t event_budget_base_ = 0;
   std::uint64_t hook_every_ = 0;
+  // Events left until the hook's next absolute multiple of hook_every_
+  // (0 exactly when no hook is installed).
+  std::uint64_t hook_countdown_ = 0;
+  // True while run_until may be inside an event callback, whose own
+  // hook check is still to come (set_event_hook counts it).
+  bool dispatching_ = false;
   std::function<void()> hook_;
-  // Armed drain chains as a binary min-heap on (at, seq); each chain
-  // records its own slot, so arm, disarm and re-key are O(log n) and
-  // the run loop reads the minimum at front(). A saturated link keeps
-  // its transmit chain and its wire-FIFO chain armed, so a dumbbell
-  // with many busy access links holds dozens at once (80 at peak with
-  // 64 TCP flows at 100 Mb/s).
-  std::vector<ChainedEvent*> chains_;
+  // Armed drain chains as a binary min-heap on the inline (at, seq)
+  // keys; each chain records its own slot, so arm, disarm and re-key
+  // are O(log n) and the run loop reads the minimum at front(). A
+  // saturated link keeps its transmit chain and its wire-FIFO chain
+  // armed, so a dumbbell with many busy access links holds dozens at
+  // once (80 at peak with 64 TCP flows at 100 Mb/s).
+  std::vector<ChainSlot> chains_;
   // Sum of the armed chains' `pending`, so pending_events() — polled
   // after every event in governed trials — needs no scan.
   std::uint64_t chain_pending_ = 0;

@@ -143,5 +143,37 @@ TEST(Link, IdleThenBusyAgain) {
   EXPECT_EQ(rig.sink.received[1].first, sim::Time::millis(27));
 }
 
+TEST(Link, WireFifoGrowingPastSixteenAndWrappingDeliversInOrder) {
+  // 8 Mb/s: 1000 B serialize in 1 ms. One packet offered per ms keeps
+  // the transmitter busy and the queue short, so the in-flight count is
+  // the propagation delay in ms: ~10 (the ring's first 16 slots, lapped
+  // several times), then ~100 after the delay grows at 50 ms, so the
+  // ring doubles past 16 with its head mid-ring.
+  Rig rig(8e6, sim::Time::millis(10), 8);
+  constexpr int kPackets = 300;
+  for (int i = 0; i < kPackets; ++i) {
+    rig.sim.schedule_at(sim::Time::millis(i),
+                        [&rig, i] { rig.link.send(rig.packet(i)); });
+  }
+  rig.sim.schedule_at(sim::Time::millis(50), [&rig] {
+    rig.link.set_propagation_delay(sim::Time::millis(100));
+  });
+  rig.sim.run_until(sim::Time::millis(140));
+  // Everything that departed after the change is still on the wire.
+  EXPECT_GE(rig.sim.pending_events(), 80u);
+  rig.sim.run();
+  ASSERT_EQ(rig.sink.received.size(), static_cast<std::size_t>(kPackets));
+  for (int i = 0; i < kPackets; ++i) {
+    const auto& [at, p] = rig.sink.received[static_cast<std::size_t>(i)];
+    EXPECT_EQ(p.seq, i);
+    // Packet i departs at i + 1 ms; the delay in force at its
+    // departure applies (the change lands just before packet 49's).
+    const sim::Time delay = sim::Time::millis(i + 1 < 50 ? 10 : 100);
+    EXPECT_EQ(at, sim::Time::millis(i + 1) + delay) << "packet " << i;
+  }
+  EXPECT_EQ(rig.link.stats().departures, static_cast<std::uint64_t>(kPackets));
+  EXPECT_EQ(rig.sim.pending_events(), 0u);
+}
+
 }  // namespace
 }  // namespace slowcc::net

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <tuple>
+
 #include "net/drop_tail_queue.hpp"
 #include "net/red_queue.hpp"
 #include "sim/simulator.hpp"
@@ -177,6 +181,105 @@ TEST(Red, DeterministicForSameSeed) {
     return outcome;
   };
   EXPECT_EQ(run(5), run(5));
+}
+
+// The handle ring has a power-of-two capacity indexed by a mask; these
+// limits are not powers of two, so admission must still stop exactly
+// at the configured limit while the ring grows and wraps underneath.
+class RingAtLimit
+    : public ::testing::TestWithParam<std::tuple<bool, std::size_t>> {
+ protected:
+  std::unique_ptr<Queue> make(sim::Simulator& sim) const {
+    const auto [red, limit] = GetParam();
+    if (!red) return std::make_unique<DropTailQueue>(limit);
+    RedConfig cfg;
+    cfg.limit_packets = limit;
+    // Thresholds past the limit: the average never reaches them, so
+    // only the hard limit rejects.
+    cfg.min_thresh = 2.0 * static_cast<double>(limit);
+    cfg.max_thresh = 3.0 * static_cast<double>(limit);
+    return std::make_unique<RedQueue>(sim, cfg);
+  }
+};
+
+TEST_P(RingAtLimit, RejectsAtLimitAndKeepsFifoAcrossGrowthAndWrap) {
+  const std::size_t limit = std::get<1>(GetParam());
+  sim::Simulator sim;
+  const sim::ResourceGovernor& gov = sim.governor();
+  auto q = make(sim);
+  q->attach_governor(&sim.governor());
+  std::int64_t next_in = 0;
+  std::int64_t next_out = 0;
+  std::int64_t bytes = 0;
+  auto size_of = [](std::int64_t seq) { return 40 + (seq * 37) % 1461; };
+  auto push = [&] {
+    const std::int64_t size = size_of(next_in);
+    ASSERT_FALSE(q->enqueue(make_packet(next_in, size)).has_value())
+        << "seq " << next_in << " at length " << q->length_packets();
+    ++next_in;
+    bytes += size;
+  };
+  auto pop = [&] {
+    auto p = q->dequeue();
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->seq, next_out);
+    EXPECT_EQ(p->size_bytes, size_of(next_out));
+    ++next_out;
+    bytes -= p->size_bytes;
+  };
+  auto expect_full = [&] {
+    EXPECT_EQ(q->length_packets(), limit);
+    EXPECT_EQ(q->enqueue(make_packet(-1)), DropReason::kOverflow);
+    EXPECT_EQ(q->length_packets(), limit);
+  };
+  // Advance the head a little, then grow with the head off slot 0, so
+  // growth re-lays a wrapped ring.
+  for (int i = 0; i < 7; ++i) push();
+  for (int i = 0; i < 5; ++i) pop();
+  while (q->length_packets() < limit) push();
+  expect_full();
+  // Steady state at the limit: each pop frees exactly one slot, and
+  // the head laps the ring several times.
+  for (std::size_t round = 0; round < 3 * limit + 5; ++round) {
+    pop();
+    push();
+    ASSERT_EQ(q->length_packets(), limit);
+    EXPECT_EQ(q->length_bytes(), bytes);
+  }
+  expect_full();
+  EXPECT_EQ(gov.live_packets(), limit);
+  EXPECT_EQ(gov.queued_bytes(), static_cast<std::uint64_t>(bytes));
+  while (!q->empty()) pop();
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(q->length_bytes(), 0);
+  EXPECT_EQ(bytes, 0);
+  EXPECT_EQ(gov.live_packets(), 0u);
+  EXPECT_EQ(gov.queued_bytes(), 0u);
+  EXPECT_FALSE(q->dequeue().has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NonPowerOfTwoLimits, RingAtLimit,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(std::size_t{50}, std::size_t{100},
+                                         std::size_t{1000})),
+    [](const ::testing::TestParamInfo<RingAtLimit::ParamType>& info) {
+      return std::string(std::get<0>(info.param) ? "Red" : "DropTail") +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(Queue, DequeueHandleReportsTheSizeItRead) {
+  DropTailQueue q(4);
+  ASSERT_FALSE(q.enqueue(make_packet(0, 321)).has_value());
+  std::int64_t size = 0;
+  const PacketHandle h = q.dequeue_handle(&size);
+  ASSERT_TRUE(h.valid());
+  EXPECT_EQ(size, 321);
+  EXPECT_EQ(q.pool()->get(h).size_bytes, 321);
+  q.pool()->release(h);
+  size = -1;
+  EXPECT_FALSE(q.dequeue_handle(&size).valid());
+  EXPECT_EQ(size, -1) << "an empty dequeue leaves the out-parameter alone";
 }
 
 }  // namespace

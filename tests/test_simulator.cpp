@@ -162,6 +162,41 @@ TEST(Simulator, EventHookFiresEveryNEvents) {
   sim.set_event_hook(1, [&] { ++hooks; });  // slot is free again
 }
 
+TEST(Simulator, EventHookInstalledMidRunFiresOnAbsoluteMultiples) {
+  // The hook period counts executed events from the simulation's start,
+  // not from installation: installed after 7 events with every=5, it
+  // fires after events 10, 15 and 20.
+  Simulator sim;
+  std::vector<std::uint64_t> fired_at;
+  for (int i = 0; i < 22; ++i) sim.schedule_at(Time::millis(i), [] {});
+  sim.run_until(Time::millis(6));
+  ASSERT_EQ(sim.events_executed(), 7u);
+  sim.set_event_hook(5, [&] { fired_at.push_back(sim.events_executed()); });
+  sim.run();
+  EXPECT_EQ(fired_at, (std::vector<std::uint64_t>{10, 15, 20}));
+  // Re-installed on an exact multiple, the next firing is a full period
+  // later.
+  sim.clear_event_hook();
+  fired_at.clear();
+  for (int i = 0; i < 12; ++i) sim.schedule_at(Time::seconds(1 + i), [] {});
+  sim.run_until(Time::seconds(3));  // events 23..25
+  ASSERT_EQ(sim.events_executed(), 25u);
+  sim.set_event_hook(5, [&] { fired_at.push_back(sim.events_executed()); });
+  sim.run();
+  EXPECT_EQ(fired_at, (std::vector<std::uint64_t>{30}));
+  // Installed from inside a callback, that event's own check still
+  // runs: a hook installed during event 35 fires right after it.
+  sim.clear_event_hook();
+  fired_at.clear();
+  sim.schedule_at(Time::seconds(20), [&] {
+    sim.set_event_hook(5, [&] { fired_at.push_back(sim.events_executed()); });
+  });
+  for (int i = 0; i < 6; ++i) sim.schedule_at(Time::seconds(20 + i), [] {});
+  sim.run();  // events 35..41; the installing event is 35
+  EXPECT_EQ(sim.events_executed(), 41u);
+  EXPECT_EQ(fired_at, (std::vector<std::uint64_t>{35, 40}));
+}
+
 TEST(Simulator, EventHookSlotIsExclusive) {
   Simulator sim;
   sim.set_event_hook(10, [] {});
@@ -511,39 +546,138 @@ TEST(SimulatorChains, RandomArmDisarmRetimeMatchesSortedReference) {
   std::vector<int> log;
   constexpr int kChains = 96;
   auto chains = make_chains(sim, kChains, &log);
+  // The reference: what each chain was last asked to be, kept apart
+  // from the ChainedEvents the Simulator maintains.
+  struct Want {
+    bool armed = false;
+    Time at;
+    std::uint64_t seq = 0;
+    std::uint64_t pending = 0;
+  };
+  std::vector<Want> want(kChains);
   std::mt19937 rng(2024);
   for (int step = 0; step < 4000; ++step) {
-    LoggedChain& c = *chains[rng() % kChains];
+    const int id = static_cast<int>(rng() % kChains);
+    LoggedChain& c = *chains[id];
+    Want& w = want[id];
     const Time at = Time::millis(1 + static_cast<std::int64_t>(rng() % 50));
     const std::uint64_t seq = sim.mint_event_seq();
-    switch (rng() % 3) {
+    const std::uint64_t pending = 1 + rng() % 4;
+    switch (rng() % 5) {
       case 0:
         sim.disarm_chain(&c.ev);
+        w.armed = false;
         break;
       case 1:
       case 2:
-        if (c.ev.armed()) {
-          sim.retime_chain(&c.ev, at, seq, 1);
+        if (w.armed) {
+          sim.retime_chain(&c.ev, at, seq, pending);
         } else {
           c.ev.at = at;
           c.ev.seq = seq;
+          c.ev.pending = pending;
           sim.arm_chain(&c.ev);
+        }
+        w = Want{true, at, seq, pending};
+        break;
+      case 3:
+        // Same key, new share of pending_events() (a wire-FIFO push).
+        if (w.armed) {
+          sim.retime_chain(&c.ev, w.at, w.seq, pending);
+          w.pending = pending;
+        }
+        break;
+      case 4:
+        // Same time, fresh seq: the chain can only move later.
+        if (w.armed) {
+          sim.retime_chain(&c.ev, w.at, seq, w.pending);
+          w.seq = seq;
         }
         break;
     }
   }
   std::vector<int> expected;
-  for (auto& c : chains) {
-    if (c->ev.armed()) expected.push_back(c->id);
+  std::size_t pending_sum = 0;
+  for (int id = 0; id < kChains; ++id) {
+    EXPECT_EQ(chains[id]->ev.armed(), want[id].armed) << id;
+    if (!want[id].armed) continue;
+    expected.push_back(id);
+    pending_sum += want[id].pending;
   }
-  EXPECT_EQ(sim.pending_events(), expected.size());
+  EXPECT_EQ(sim.pending_events(), pending_sum);
   EXPECT_EQ(sim.armed_chains(), expected.size());
   std::sort(expected.begin(), expected.end(), [&](int a, int b) {
-    return std::tie(chains[a]->ev.at, chains[a]->ev.seq) <
-           std::tie(chains[b]->ev.at, chains[b]->ev.seq);
+    return std::tie(want[a].at, want[a].seq) <
+           std::tie(want[b].at, want[b].seq);
   });
+  // The digest folds the (at, seq) each chain actually fired under.
+  std::uint64_t digest = kFnvOffsetBasis;
+  for (int id : expected) {
+    digest = fnv1a_u64(
+        fnv1a_u64(digest, static_cast<std::uint64_t>(want[id].at.as_nanos())),
+        want[id].seq);
+  }
   sim.run();
   EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.trace_digest(), digest);
+}
+
+TEST(SimulatorChains, SameKeyRetimeOnlyMovesPending) {
+  Simulator sim;
+  std::vector<int> log;
+  auto chains = make_chains(sim, 8, &log);
+  for (auto& c : chains) {
+    c->ev.at = Time::millis(8 - c->id);
+    c->ev.seq = sim.mint_event_seq();
+    sim.arm_chain(&c->ev);
+  }
+  // Re-key every chain with its own (at, seq) and a new pending count,
+  // the way a wire FIFO grows behind an unchanged head.
+  for (auto& c : chains) {
+    sim.retime_chain(&c->ev, c->ev.at, c->ev.seq,
+                     static_cast<std::uint64_t>(c->id) + 2);
+  }
+  EXPECT_EQ(sim.armed_chains(), 8u);
+  EXPECT_EQ(sim.pending_events(), 2u + 3 + 4 + 5 + 6 + 7 + 8 + 9);
+  sim.retime_chain(&chains[7]->ev, chains[7]->ev.at, chains[7]->ev.seq, 1);
+  EXPECT_EQ(sim.pending_events(), 2u + 3 + 4 + 5 + 6 + 7 + 8 + 1);
+  EXPECT_EQ(sim.armed_chains(), 8u);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorChains, DisarmRefillThatBelongsAboveTheHoleSiftsUp) {
+  Simulator sim;
+  std::vector<int> log;
+  auto chains = make_chains(sim, 11, &log);
+  // Arming keys that already satisfy the heap order, in slot order,
+  // lays the heap out exactly as armed:
+  //   slot:  0   1   2   3   4   5   6
+  //   ms:    1  10   2  11  12  30   3
+  const int ms[] = {1, 10, 2, 11, 12, 30, 3};
+  for (int i = 0; i < 7; ++i) {
+    chains[i]->ev.at = Time::millis(ms[i]);
+    chains[i]->ev.seq = sim.mint_event_seq();
+    sim.arm_chain(&chains[i]->ev);
+  }
+  ASSERT_EQ(chains[4]->ev.heap_slot, 4u);
+  ASSERT_EQ(chains[6]->ev.heap_slot, 6u);
+  // Disarming slot 4 (12 ms) refills it with the last leaf (3 ms, from
+  // the other subtree), which is earlier than the hole's parent (10 ms)
+  // and must move up.
+  sim.disarm_chain(&chains[4]->ev);
+  EXPECT_EQ(chains[6]->ev.heap_slot, 1u);
+  EXPECT_EQ(chains[1]->ev.heap_slot, 4u);
+  // Later chains appended behind it keep the refilled entry off the
+  // end of the heap, where a root refill would have repaired it.
+  for (int i = 7; i < 11; ++i) {
+    chains[i]->ev.at = Time::millis(100 + i);
+    chains[i]->ev.seq = sim.mint_event_seq();
+    sim.arm_chain(&chains[i]->ev);
+  }
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{0, 2, 6, 1, 3, 5, 7, 8, 9, 10}));
 }
 
 TEST(SimulatorChains, DoubleArmAndPastReKeysThrowBadSchedule) {

@@ -4,8 +4,10 @@
 // Generate mode runs bench/micro_engine with google-benchmark's JSON
 // output and writes BENCH_engine.json (schema slowcc.bench_engine.v1)
 // with ns-per-op and items-per-second per run (BM_X/wheel for the
-// event queue, BM_X/scalar and BM_X/pooled for the packet paths), the
-// pooled:scalar speedup, and the benchmark child's peak RSS
+// event queue, BM_X/scalar and BM_X/pooled for the packet paths, and
+// the unsuffixed BM_DumbbellTcpSecond/BM_DumbbellTfrcSecond rows, whose
+// items are executed simulator events, so items_per_second is their
+// events/s), the pooled:scalar speedup, and the benchmark child's peak RSS
 // (getrusage(RUSAGE_CHILDREN), so a memory regression in the engine
 // shows up next to the timing numbers). Validate mode re-reads such a
 // file and checks the schema and that every required row is present —
@@ -48,10 +50,15 @@ const std::vector<std::string> kRequiredBenchmarks = {
 // pooled) must report for each, compared as pooled_speedup.
 const std::vector<std::string> kRequiredPacketBenchmarks = {
     "BM_SaturatedDumbbell"};
+// Whole-simulation benchmarks (one simulated second of the loaded
+// dumbbell on the default engine and packet path): one row each, with
+// no engine variant.
+const std::vector<std::string> kRequiredSimulationBenchmarks = {
+    "BM_DumbbellTcpSecond", "BM_DumbbellTfrcSecond"};
 
 struct Sample {
   std::string bench;
-  std::string engine;
+  std::string engine;  // empty for a benchmark with a single variant
   double ns_per_op = 0.0;
   double items_per_second = 0.0;
 };
@@ -125,8 +132,8 @@ std::vector<Sample> parse_benchmark_json(const std::string& text) {
     pos = next;
     std::string name;
     if (!find_string(chunk, "name", &name)) continue;
+    if (name.rfind("BM_", 0) != 0) continue;
     const std::size_t slash = name.find('/');
-    if (name.rfind("BM_", 0) != 0 || slash == std::string::npos) continue;
     double cpu_time = 0.0;
     double items = 0.0;
     std::string unit = "ns";
@@ -135,7 +142,7 @@ std::vector<Sample> parse_benchmark_json(const std::string& text) {
     (void)find_number(chunk, "items_per_second", &items);
     Sample s;
     s.bench = name.substr(0, slash);
-    s.engine = name.substr(slash + 1);
+    if (slash != std::string::npos) s.engine = name.substr(slash + 1);
     s.ns_per_op = to_nanos(cpu_time, unit);
     s.items_per_second = items;
     samples.push_back(std::move(s));
@@ -165,7 +172,8 @@ int generate(const std::string& bench_bin, const std::string& out_path,
              const std::string& min_time, const std::string& lint_bin,
              const std::string& lint_root) {
   const std::string cmd = bench_bin +
-                          " '--benchmark_filter=BM_EventQueue|BM_SaturatedDumbbell'"
+                          " '--benchmark_filter=BM_EventQueue|BM_SaturatedDumbbell|"
+                          "BM_DumbbellTcpSecond|BM_DumbbellTfrcSecond'"
                           " --benchmark_format=json"
                           " --benchmark_min_time=" +
                           min_time + " 2>/dev/null";
@@ -205,8 +213,9 @@ int generate(const std::string& bench_bin, const std::string& out_path,
   out << "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
-    out << "    {\"name\": \"" << s.bench << "\", \"engine\": \"" << s.engine
-        << "\", \"ns_per_op\": " << s.ns_per_op
+    out << "    {\"name\": \"" << s.bench << "\", ";
+    if (!s.engine.empty()) out << "\"engine\": \"" << s.engine << "\", ";
+    out << "\"ns_per_op\": " << s.ns_per_op
         << ", \"items_per_second\": " << s.items_per_second << "}"
         << (i + 1 < samples.size() ? "," : "") << "\n";
   }
@@ -288,6 +297,25 @@ int validate(const std::string& path, double packet_floor,
       std::cerr << "bench_report: " << path << " lacks " << bench
                 << "/wheel\n";
       ++failures;
+    }
+  }
+  for (const std::string& bench : kRequiredSimulationBenchmarks) {
+    const std::string needle =
+        "{\"name\": \"" + bench + "\", \"ns_per_op\"";
+    const std::size_t row = text.find(needle);
+    double events_per_second = 0.0;
+    if (row == std::string::npos) {
+      std::cerr << "bench_report: " << path << " lacks " << bench << "\n";
+      ++failures;
+    } else if (!find_number(text.substr(row), "items_per_second",
+                            &events_per_second) ||
+               events_per_second <= 0.0) {
+      std::cerr << "bench_report: " << path << " has no events/s for "
+                << bench << "\n";
+      ++failures;
+    } else {
+      std::cout << "bench_report: " << bench
+                << " events_per_second=" << events_per_second << "\n";
     }
   }
   for (const std::string& bench : kRequiredPacketBenchmarks) {

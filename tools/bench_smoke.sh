@@ -21,4 +21,13 @@ out="$out_dir/BENCH_engine.json"
 "$bench_report" --bench "$micro_engine" --out "$out" --min-time 0.01
 "$bench_report" --validate "$out"
 
+# A report missing a required row must fail validation.
+for row in BM_DumbbellTcpSecond BM_DumbbellTfrcSecond; do
+  grep -v "\"$row\"" "$out" > "$out_dir/missing.json"
+  if "$bench_report" --validate "$out_dir/missing.json" >/dev/null 2>&1; then
+    echo "bench smoke: a report without $row validated" >&2
+    exit 1
+  fi
+done
+
 echo "bench smoke: OK"

@@ -15,8 +15,11 @@
 #      resource-exhausted with peak-usage fields while the canonical
 #      outputs stay byte-identical across --jobs 1/--jobs 4/--fleet)
 #   6. engine perf report: bench_report runs the event-queue
-#      micro-benchmarks plus the BM_SaturatedDumbbell packet hot-path
-#      macro-bench and writes BENCH_engine.json into the build dir.
+#      micro-benchmarks, the BM_SaturatedDumbbell packet hot-path
+#      macro-bench and the BM_DumbbellTcpSecond/BM_DumbbellTfrcSecond
+#      whole-simulation benches (events/s), and writes
+#      BENCH_engine.json into the build dir; --validate requires every
+#      one of those rows.
 #      The pooled >= 2x scalar floor is advisory by default (warn
 #      only): wall-clock ratios between two in-process benchmarks are
 #      not stable on shared/virtualized runners. Set
