@@ -112,7 +112,7 @@ BENCHMARK(BM_DumbbellTfrcSecond)->Unit(benchmark::kMillisecond);
 // Packet hot-path macro-bench (ROADMAP item 3): the paper's dumbbell
 // with flash-crowd bursts keeping the bottleneck queue full, so
 // back-to-back departures dominate the event stream — exactly the
-// regime where the pooled path's batched drain chain and pool handles
+// regime where the pooled path's shared lanes and pool handles
 // pay off against the scalar path's one-event-per-departure +
 // by-value std::function captures. Every executed event is a link
 // transmit or delivery (bursts are injected between run_until slices,

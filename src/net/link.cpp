@@ -35,17 +35,50 @@ Link::Link(sim::Simulator& sim, Node& from, Node& to, double bandwidth_bps,
   // Buffered handles live in the simulation-wide pool so they pass from
   // arrival through queue to delivery without a copy.
   queue_->attach_pool(&pool_);
-  chain_.fire = &Link::drain_thunk;
-  chain_.ctx = this;
-  wire_chain_.fire = &Link::wire_thunk;
-  wire_chain_.ctx = this;
 }
 
 Link::~Link() {
-  sim_.disarm_chain(&chain_);
-  sim_.disarm_chain(&wire_chain_);
+  cancel_completion();
   if (in_flight_h_.valid()) pool_.release(in_flight_h_);
-  while (wire_count_ != 0) pool_.release(wire_pop().h);
+  forget_transmit_lanes();
+  if (wire_lane_ != nullptr) sim_.release_lane(*wire_lane_);
+  // Deliveries still propagating sit in lanes other links share: take
+  // them out so they never fire into a dead link, and free their slots.
+  if (lane_deliveries_ != 0) {
+    sim_.revoke_lane_entries(this, lane_deliveries_, &Link::lane_revoked);
+  }
+}
+
+namespace {
+
+// A pooled handle as a lane entry's argument, and back.
+std::uint64_t lane_arg(PacketHandle h) noexcept {
+  return std::uint64_t{h.gen} << 32 | h.slot;
+}
+
+PacketHandle lane_handle(std::uint64_t arg) noexcept {
+  return PacketHandle{static_cast<std::uint32_t>(arg),
+                      static_cast<std::uint32_t>(arg >> 32)};
+}
+
+}  // namespace
+
+void Link::lane_transmitted(void* ctx, std::uint64_t /*arg*/) {
+  Link* const link = static_cast<Link*>(ctx);
+  link->tx_ticket_ = sim::LaneTicket{};
+  link->finish_transmission();
+}
+
+void Link::lane_delivered(void* ctx, std::uint64_t arg) {
+  Link* const link = static_cast<Link*>(ctx);
+  --link->lane_deliveries_;
+  link->deliver_pooled(lane_handle(arg));
+}
+
+void Link::lane_revoked(void* ctx, std::uint64_t arg) {
+  Link* const link = static_cast<Link*>(ctx);
+  --link->lane_deliveries_;
+  link->pool_.release(lane_handle(arg));
 }
 
 void Link::drop_packet(const Packet& p, DropReason reason) {
@@ -139,13 +172,13 @@ void Link::start_transmission() {
     std::int64_t size_bytes = 0;
     const PacketHandle h = queue_->dequeue_handle(&size_bytes);
     if (!h.valid()) return;
-    const sim::Time tx = sim::transmission_time(size_bytes, bandwidth_);
+    const TransmitMemo& tx = transmit_memo(size_bytes);
     in_flight_h_ = h;
-    tx_ends_ = sim_.now() + tx;
-    // The drain chain stands in for the transmit-complete event the
-    // scalar path would schedule here; minting its seq from the same
-    // engine counter keeps the executed (at, seq) stream identical.
-    key_chain(chain_, tx_ends_, sim_.mint_event_seq(), 1);
+    tx_ends_ = sim_.now() + tx.duration;
+    // The lane entry stands in for the transmit-complete event the
+    // scalar path would schedule here; the post mints its seq from the
+    // same engine counter, so the executed (at, seq) stream is identical.
+    tx_ticket_ = tx.lane->post(this, 0);
     return;
   }
   auto head = queue_->dequeue();
@@ -184,97 +217,66 @@ void Link::depart(PacketHandle h) {
     sim_.schedule_in(delay_ + verdict.extra_delay + verdict.duplicate_delay,
                      Deliver{this, dup});
   }
-  schedule_delivery(h, sim_.now() + delay_ + verdict.extra_delay);
+  schedule_delivery(h, verdict.extra_delay);
 }
 
-void Link::schedule_delivery(PacketHandle h, sim::Time at) {
-  if (wire_count_ != 0 &&
-      at < wire_ring_[(wire_head_ + wire_count_ - 1) & wire_mask_].at) {
-    // Non-FIFO delivery (propagation delay shrunk mid-flight, or a
-    // wire-model extra delay shorter than an earlier one): the engine
+const Link::TransmitMemo& Link::remember_transmit(std::int64_t size_bytes) {
+  // Most recent first: the older entry gives up its lane.
+  if (tx_memo_[1].lane != nullptr) sim_.release_lane(*tx_memo_[1].lane);
+  tx_memo_[1] = tx_memo_[0];
+  const sim::Time duration = sim::transmission_time(size_bytes, bandwidth_);
+  tx_memo_[0] = TransmitMemo{
+      size_bytes, duration,
+      &sim_.acquire_lane(duration, &Link::lane_transmitted)};
+  return tx_memo_[0];
+}
+
+void Link::forget_transmit_lanes() noexcept {
+  for (TransmitMemo& memo : tx_memo_) {
+    if (memo.lane != nullptr) sim_.release_lane(*memo.lane);
+    memo = TransmitMemo{};
+  }
+}
+
+void Link::schedule_delivery(PacketHandle h, sim::Time extra_delay) {
+  if (extra_delay != sim::Time()) {
+    // A wire-model extra delay is not a fixed duration: the engine
     // keeps the total order. The schedule mints the seq, exactly as
-    // the chain path does explicitly below.
-    sim_.schedule_in(at - sim_.now(), Deliver{this, h});
+    // the lane post below does.
+    sim_.schedule_in(delay_ + extra_delay, Deliver{this, h});
     return;
   }
-  // The seq is minted here — the point where the scalar path would
-  // have scheduled the delivery event — so the executed (at, seq)
-  // stream is bit-identical whichever path carries the delivery.
-  wire_push(WireEntry{at, sim_.mint_event_seq(), h});
-  const WireEntry& head = wire_ring_[wire_head_];
-  key_chain(wire_chain_, head.at, head.seq, wire_count_);
-}
-
-void Link::key_chain(sim::ChainedEvent& chain, sim::Time at,
-                     std::uint64_t seq, std::uint64_t pending) {
-  if (chain.armed()) {
-    sim_.retime_chain(&chain, at, seq, pending);
-    return;
+  // The post mints the seq — the point where the scalar path would have
+  // scheduled the delivery event — so the executed (at, seq) stream is
+  // bit-identical whichever path carries the delivery.
+  if (wire_lane_ == nullptr) {
+    wire_lane_ = &sim_.acquire_lane(delay_, &Link::lane_delivered);
   }
-  chain.at = at;
-  chain.seq = seq;
-  chain.pending = pending;
-  sim_.arm_chain(&chain);
+  wire_lane_->post(this, lane_arg(h));
+  ++lane_deliveries_;
 }
 
-void Link::wire_push(const WireEntry& entry) {
-  if (wire_count_ == wire_ring_.size()) {
-    // Warm-up growth only: double (16 floor, so always a power of two)
-    // and re-lay from the head.
-    // slowcc-lint: allow(no-hot-path-alloc) ring growth is cold; steady state recycles slots
-    std::vector<WireEntry> grown(
-        std::max<std::size_t>(16, wire_ring_.size() * 2));
-    for (std::size_t i = 0; i < wire_count_; ++i) {
-      grown[i] = wire_ring_[(wire_head_ + i) & wire_mask_];
-    }
-    wire_ring_ = std::move(grown);
-    wire_mask_ = wire_ring_.size() - 1;
-    wire_head_ = 0;
+void Link::cancel_completion() {
+  if (tx_ticket_.valid()) {
+    tx_ticket_.lane->revoke(tx_ticket_);
+    tx_ticket_ = sim::LaneTicket{};
   }
-  wire_ring_[(wire_head_ + wire_count_) & wire_mask_] = entry;
-  ++wire_count_;
+  sim_.cancel(tx_event_);
+  tx_event_ = sim::EventId{};
 }
 
-Link::WireEntry Link::wire_pop() {
-  const WireEntry entry = wire_ring_[wire_head_];
-  wire_head_ = (wire_head_ + 1) & wire_mask_;
-  --wire_count_;
-  return entry;
-}
-
-void Link::wire_step() {
-  // Pop and re-arm before delivering: the handler may reentrantly
-  // inject traffic, and the chain must already describe the new head
-  // (or be disarmed) when it does.
-  const WireEntry entry = wire_pop();
-  if (wire_count_ != 0) {
-    const WireEntry& head = wire_ring_[wire_head_];
-    sim_.retime_chain(&wire_chain_, head.at, head.seq, wire_count_);
-  } else {
-    sim_.disarm_chain(&wire_chain_);
-  }
-  deliver_pooled(entry.h);
-}
-
-void Link::drain_step() {
-  // One chained sub-event: finish the in-flight packet, then either
-  // re-arm the chain in place for the next queued packet or let it go
-  // quiet. The (at, seq) this step executed under were minted when the
-  // packet entered the transmitter, exactly where the scalar path
-  // scheduled its transmit-complete event.
+void Link::finish_transmission() {
+  // The (at, seq) this completion executed under were minted when the
+  // packet entered the transmitter (or was re-timed), exactly where the
+  // scalar path scheduled its transmit-complete event.
   const PacketHandle h = in_flight_h_;
   in_flight_h_ = PacketHandle{};
   depart(h);
 
   // A nested set_down() (from a drop/depart observer) may have drained
-  // the queue and disarmed the chain; a nested set_up()+send may even
-  // have restarted transmission. Only continue the burst when the
-  // transmitter is genuinely free.
-  if (up_ && !transmitting() && !queue_->empty()) {
-    start_transmission();  // re-keys the chain in place
-  } else if (!transmitting()) {
-    sim_.disarm_chain(&chain_);
-  }
+  // the queue; a nested set_up()+send may even have restarted
+  // transmission. Only continue when the transmitter is genuinely free.
+  if (up_ && !transmitting() && !queue_->empty()) start_transmission();
 }
 
 void Link::deliver_pooled(PacketHandle h) { to_.deliver(h, pool_); }
@@ -326,16 +328,19 @@ void Link::set_bandwidth(double bandwidth_bps) {
     const double remaining_bits = remaining_s * bandwidth_;
     const sim::Time rem = sim::Time::seconds(remaining_bits / bandwidth_bps);
     tx_ends_ = sim_.now() + rem;
+    // The remainder is no lane's fixed duration, so the pooled path
+    // moves it to the engine as well. Revoking mints nothing: both
+    // paths draw the seq in the schedule below.
+    cancel_completion();
     if (path_ == PacketPath::kPooled) {
-      // Re-key the chain in place. The seq is re-minted because the
-      // scalar path cancels + reschedules here — same counter draw.
-      sim_.retime_chain(&chain_, tx_ends_, sim_.mint_event_seq(), 1);
+      tx_event_ = sim_.schedule_in(rem, TransmitDone{this});
     } else {
-      sim_.cancel(tx_event_);
       tx_event_ = sim_.schedule_in(rem, [this] { on_transmit_complete(); });
     }
   }
   bandwidth_ = bandwidth_bps;
+  // Transmission times memoized at the old rate no longer hold.
+  forget_transmit_lanes();
   notify_state_change();
 }
 
@@ -346,6 +351,12 @@ void Link::set_propagation_delay(sim::Time delay) {
   }
   if (delay == delay_) return;
   delay_ = delay;
+  // Later departures post into the new delay's lane; packets already
+  // propagating keep firing from the old one.
+  if (wire_lane_ != nullptr) {
+    sim_.release_lane(*wire_lane_);
+    wire_lane_ = nullptr;
+  }
   notify_state_change();
 }
 
@@ -353,15 +364,13 @@ void Link::set_down() {
   if (!up_) return;
   up_ = false;
   if (transmitting()) {
+    cancel_completion();
     if (path_ == PacketPath::kPooled) {
-      sim_.disarm_chain(&chain_);
       const PacketHandle h = in_flight_h_;
       in_flight_h_ = PacketHandle{};
       drop_packet(pool_.get(h), DropReason::kLinkDown);
       pool_.release(h);
     } else {
-      sim_.cancel(tx_event_);
-      tx_event_ = sim::EventId{};
       Packet p = std::move(*in_flight_);
       in_flight_.reset();
       drop_packet(p, DropReason::kLinkDown);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -9,6 +10,7 @@
 #include "net/packet_filter.hpp"
 #include "net/packet_pool.hpp"
 #include "net/queue.hpp"
+#include "sim/lane.hpp"
 #include "sim/simulator.hpp"
 
 namespace slowcc::net {
@@ -94,14 +96,14 @@ struct LinkStats {
 /// Each link runs one of two packet paths, fixed at construction from
 /// `default_packet_path()` (DESIGN.md §14):
 ///  * pooled (default): packets live in the simulation's PacketPool and
-///    move as 8-byte handles; back-to-back departures on a saturated
-///    link coalesce into one batched drain chain (a sim::ChainedEvent
-///    re-armed in place per packet instead of one engine event each),
-///    and in-flight deliveries ride a per-link propagation FIFO fronted
-///    by a second chain — one armed chain emits the whole pipeline,
-///    N packets per scheduler interaction, with an engine fallback for
-///    the rare non-FIFO cases (wire extra delays, duplicates, a
-///    propagation delay shrunk mid-flight).
+///    move as 8-byte handles. A transmit-complete is posted into the
+///    simulation's shared lane for its transmission time, and an
+///    in-flight delivery into the lane for the propagation delay
+///    (sim::Lane: one FIFO per fixed duration, shared by every link of
+///    the simulation), so a whole topology's pipeline fires through a
+///    handful of armed chains. The rare cases a fixed duration cannot
+///    carry — a transmission re-timed mid-flight, a wire-model extra
+///    delay, a duplicate — fall back to engine events.
 ///  * scalar: the pre-refactor value-semantics path, one engine event
 ///    per departure — the differential-test oracle and bench baseline.
 /// Both paths mint identical (at, seq) event streams, so trace digests
@@ -114,8 +116,9 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Disarms the drain chain and returns the in-flight packet to the
-  /// pool (links always die before the Simulator they reference).
+  /// Revokes this link's pending transmit and lane deliveries and
+  /// returns their packets to the pool (links always die before the
+  /// Simulator they reference).
   ~Link();
 
   /// Offer a packet for transmission (called by the upstream node).
@@ -194,31 +197,42 @@ class Link {
     void operator()() const { link->deliver_pooled(h); }
   };
 
-  // One in-flight delivery in the propagation FIFO: fire time, the seq
-  // minted for it (at exactly the scalar schedule point), its handle.
-  struct WireEntry {
-    sim::Time at;
-    std::uint64_t seq = 0;
-    PacketHandle h;
+  // Pooled transmit-complete scheduled on the engine, after a
+  // mid-flight re-time took it out of its lane.
+  struct TransmitDone {
+    Link* link;
+    void operator()() const {
+      link->tx_event_ = sim::EventId{};
+      link->finish_transmission();
+    }
+  };
+
+  // A transmission time and its lane, for one packet size at the
+  // current bandwidth.
+  struct TransmitMemo {
+    std::int64_t size_bytes = -1;
+    sim::Time duration;
+    sim::Lane* lane = nullptr;
   };
 
   void start_transmission();
   void on_transmit_complete();  // scalar: one engine event per departure
-  void drain_step();            // pooled: one chained sub-event per packet
-  static void drain_thunk(void* ctx) {
-    static_cast<Link*>(ctx)->drain_step();
+  void finish_transmission();   // pooled: depart, then start the next
+  // Drop the pending transmit-complete: its lane ticket or engine event.
+  void cancel_completion();
+  // Lane callbacks (ctx is the Link).
+  static void lane_transmitted(void* ctx, std::uint64_t arg);
+  static void lane_delivered(void* ctx, std::uint64_t arg);
+  static void lane_revoked(void* ctx, std::uint64_t arg);
+  [[nodiscard]] const TransmitMemo& transmit_memo(std::int64_t size_bytes) {
+    if (tx_memo_[0].size_bytes == size_bytes) return tx_memo_[0];
+    if (tx_memo_[1].size_bytes == size_bytes) return tx_memo_[1];
+    return remember_transmit(size_bytes);
   }
-  void wire_step();             // pooled: deliver the propagation head
-  static void wire_thunk(void* ctx) {
-    static_cast<Link*>(ctx)->wire_step();
-  }
+  const TransmitMemo& remember_transmit(std::int64_t size_bytes);
+  void forget_transmit_lanes() noexcept;
   void depart(PacketHandle h);  // wire verdict + delivery scheduling
-  void schedule_delivery(PacketHandle h, sim::Time at);
-  // Arm `chain` at (at, seq), or re-key it in place when already armed.
-  void key_chain(sim::ChainedEvent& chain, sim::Time at, std::uint64_t seq,
-                 std::uint64_t pending);
-  void wire_push(const WireEntry& entry);
-  [[nodiscard]] WireEntry wire_pop();
+  void schedule_delivery(PacketHandle h, sim::Time extra_delay);
   void deliver_pooled(PacketHandle h);
   void drop_packet(const Packet& p, DropReason reason);
   void notify_state_change();
@@ -240,25 +254,24 @@ class Link {
   // Transmitter state, kept here (not in an event closure) so
   // bandwidth changes and link failures can re-time or drop it.
   // Scalar path: the packet by value + its completion event. Pooled
-  // path: the packet's handle + the drain chain, armed exactly while
-  // a packet occupies the transmitter.
+  // path: the packet's handle + its completion, a ticket in a transmit
+  // lane or (after a mid-flight re-time) an engine event.
   std::optional<Packet> in_flight_;
   PacketHandle in_flight_h_;
   sim::EventId tx_event_;
-  sim::ChainedEvent chain_;
+  sim::LaneTicket tx_ticket_;
   sim::Time tx_ends_;
 
-  // Propagation pipeline (pooled path): a circular FIFO of in-flight
-  // deliveries fronted by one chain armed at the head's (at, seq).
-  // Kept fire-time-monotonic by construction — a delivery that would
-  // land before the current tail (propagation delay shrunk mid-flight,
-  // wire-model extra delay) falls back to an engine event instead.
-  // The capacity is a power of two, indexed by wire_mask_.
-  std::vector<WireEntry> wire_ring_;
-  std::size_t wire_mask_ = 0;
-  std::size_t wire_head_ = 0;
-  std::size_t wire_count_ = 0;
-  sim::ChainedEvent wire_chain_;
+  // Pooled lanes this link points at: the transmit lanes of the two
+  // most recent packet sizes (cleared by set_bandwidth) and, once a
+  // packet has propagated, the lane of the current delay_ (dropped by
+  // set_propagation_delay). Both are taken on first use, not at
+  // construction.
+  std::array<TransmitMemo, 2> tx_memo_;
+  sim::Lane* wire_lane_ = nullptr;
+  // This link's deliveries pending in lanes (any delay it has had), so
+  // ~Link knows whether it has entries to revoke.
+  std::size_t lane_deliveries_ = 0;
 };
 
 }  // namespace slowcc::net

@@ -15,9 +15,9 @@ namespace slowcc::net {
 
 /// Which packet hot path links use (DESIGN.md §14).
 ///  * kPooled (default): packets live in a per-Simulator PacketPool and
-///    flow through queue/link/node as 8-byte handles; back-to-back
-///    departures on a saturated link coalesce into one batched drain
-///    chain (sim::ChainedEvent).
+///    flow through queue/link/node as 8-byte handles; pending
+///    departures and deliveries ride the simulation's shared
+///    fixed-delay lanes (sim::Lane) instead of one engine event each.
 ///  * kScalar: the pre-refactor path — packets move by value and every
 ///    departure is its own engine event. Kept as the differential-test
 ///    oracle and the macro-bench baseline.

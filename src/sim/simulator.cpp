@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "sim/error.hpp"
+#include "sim/lane.hpp"
 
 namespace slowcc::sim {
 namespace {
@@ -31,6 +32,8 @@ Simulator::Simulator() {
     observer.swap(t_construct_observer);
   }
 }
+
+Simulator::~Simulator() = default;
 
 std::uint64_t Simulator::thread_events_executed() noexcept {
   return t_events_executed;
@@ -97,9 +100,9 @@ void Simulator::arm_chain(ChainedEvent* chain) {
                    "arm_chain: chain already armed (re-key it with "
                    "retime_chain instead)");
   }
-  // At most two chains per link (transmit + wire FIFO): the heap tops
-  // out at twice the topology's link count, not at the packet count.
-  chains_.push_back(ChainSlot{});  // slowcc-lint: allow(no-hot-path-alloc) bounded by link count, not packet count
+  // One chain per lane: the heap tops out at the number of distinct
+  // transmit and propagation durations, not at the packet count.
+  chains_.push_back(ChainSlot{});  // slowcc-lint: allow(no-hot-path-alloc) bounded by the lane count, not packet count
   chain_pending_ += chain->pending;
   sift_up(chains_.size() - 1,
           ChainSlot{chain->at.as_nanos(), chain->seq, chain});
@@ -179,11 +182,73 @@ void Simulator::sift_down(std::size_t slot, ChainSlot entry) noexcept {
   entry.chain->heap_slot = slot;
 }
 
+Lane& Simulator::acquire_lane(Time duration, LaneFire fire) {
+  Lane* idle = nullptr;
+  for (const std::unique_ptr<Lane>& lane : lanes_) {
+    if (!lane->in_use()) {
+      if (idle == nullptr) idle = lane.get();
+    } else if (lane->duration_ == duration && lane->fire_ == fire) {
+      ++lane->refs_;
+      return *lane;
+    }
+  }
+  if (idle == nullptr) {
+    // Created on a link's first post with a new duration; idle lanes
+    // are re-purposed first, so the table tops out at the number of
+    // durations in use at once.
+    // slowcc-lint: allow(no-hot-path-alloc) one lane per distinct duration in use, re-purposed when idle
+    lanes_.push_back(std::unique_ptr<Lane>(new Lane(*this)));
+    idle = lanes_.back().get();
+  }
+  idle->duration_ = duration;
+  idle->fire_ = fire;
+  idle->refs_ = 1;
+  return *idle;
+}
+
+void Simulator::release_lane(Lane& lane) noexcept {
+  assert(lane.refs_ != 0);
+  --lane.refs_;
+}
+
+void Simulator::revoke_lane_entries(void* ctx, std::size_t count,
+                                    LaneFire on_revoke) {
+  for (const std::unique_ptr<Lane>& lane : lanes_) {
+    for (std::uint64_t pos = lane->head_; pos != lane->tail_ && count != 0;
+         ++pos) {
+      const Lane::Entry entry = lane->at_pos(pos);
+      if (entry.ctx != ctx) continue;
+      lane->revoke_pos(pos);
+      --count;
+      on_revoke(ctx, entry.arg);
+    }
+  }
+}
+
+LaneStats Simulator::lane_stats() const noexcept {
+  LaneStats stats;
+  stats.allocated = lanes_.size();
+  for (const std::unique_ptr<Lane>& lane : lanes_) {
+    if (lane->in_use()) ++stats.in_use;
+    stats.most_live = std::max(stats.most_live, lane->live());
+  }
+  return stats;
+}
+
 std::vector<Time> Simulator::pending_event_times(
     std::size_t max_entries) const {
   std::vector<Time> times = queue_.pending_times(max_entries);
   if (!chains_.empty()) {
-    for (const ChainSlot& c : chains_) times.push_back(Time::nanos(c.at_ns));
+    // A lane's chain stands in for every live entry of the lane, in
+    // order; any other chain stands in for its own key.
+    for (const ChainSlot& c : chains_) {
+      if (c.chain->fire == &Lane::fire_thunk) {
+        static_cast<const Lane*>(c.chain->ctx)
+            ->append_times(max_entries, &times);
+      } else {
+        times.push_back(Time::nanos(c.at_ns));
+      }
+    }
     std::sort(times.begin(), times.end());
     if (times.size() > max_entries) times.resize(max_entries);
   }

@@ -16,10 +16,22 @@
 
 namespace slowcc::sim {
 
+class Lane;
+
+/// Callback of a Lane entry: the `ctx` and `arg` it was posted with.
+using LaneFire = void (*)(void* ctx, std::uint64_t arg);
+
+/// Shape of the Simulator's lane table (diagnostics and tests).
+struct LaneStats {
+  std::size_t in_use = 0;     // lanes a source points at or that hold entries
+  std::size_t allocated = 0;  // lanes ever created (in use + idle)
+  std::size_t most_live = 0;  // the largest live count of any one lane
+};
+
 /// One pending sub-event of a batched drain chain (DESIGN.md §14). A
-/// chain source — net::Link draining a saturated queue in batched mode —
-/// keeps exactly one of these armed per in-flight transmission instead
-/// of scheduling an engine event per departure. The run loop merges the
+/// chain source — a sim::Lane fronting a fixed-delay FIFO of pending
+/// events — keeps one of these armed while it holds entries instead of
+/// scheduling an engine event per entry. The run loop merges the
 /// chain into the engine's (at, seq) total order: when the chain is the
 /// global minimum it advances the clock, counts the event, folds the
 /// digest, and calls `fire(ctx)` directly — no engine storage, no
@@ -30,11 +42,10 @@ namespace slowcc::sim {
 ///   - while armed, `at`/`seq`/`pending` change only through
 ///     Simulator::retime_chain (the heap keeps its own copy of
 ///     (at, seq) as the sort key, and `pending` is the chain's share
-///     of pending_events()); re-timing (e.g. set_bandwidth on an
-///     in-flight packet) re-mints the seq, exactly as a
+///     of pending_events()); re-timing re-mints the seq, exactly as a
 ///     cancel+reschedule would
-///   - the chain is disarmed before `ctx` dies (Links disarm in ~Link;
-///     components always die before the Simulator they reference)
+///   - the chain is disarmed before `ctx` dies (Lanes die with their
+///     Simulator; other sources disarm in their destructor)
 struct ChainedEvent {
   static constexpr std::size_t kNotArmed = static_cast<std::size_t>(-1);
 
@@ -43,11 +54,9 @@ struct ChainedEvent {
   void (*fire)(void* ctx) = nullptr;
   void* ctx = nullptr;
   /// How many unbatched engine events this chain currently stands in
-  /// for. A transmit chain is always 1 (one pending transmit-complete);
-  /// a propagation chain fronting a FIFO of in-flight deliveries sets
-  /// it to the FIFO's occupancy, so pending_events() — and with it the
-  /// ResourceGovernor's event footprint and budget-abort points — stay
-  /// identical to the scalar schedule.
+  /// for. A Lane sets it to its live count, so pending_events() — and
+  /// with it the ResourceGovernor's event footprint and budget-abort
+  /// points — stay identical to the scalar schedule.
   std::uint64_t pending = 1;
   /// Index in the Simulator's chain heap; kNotArmed while disarmed.
   /// Owned by the Simulator.
@@ -70,6 +79,7 @@ class Simulator {
   using ConstructObserver = std::function<void(Simulator&)>;
 
   Simulator();
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -111,11 +121,28 @@ class Simulator {
     if (!chain->armed() || at < now_) throw_bad_retime(chain, at);
     chain_pending_ = chain_pending_ - chain->pending + pending;
     chain->pending = pending;
-    // A push onto a non-empty wire FIFO keeps the head's key: nothing
-    // in the heap moves.
+    // A post onto a non-empty lane keeps the head's key: nothing in the
+    // heap moves.
     if (at == chain->at && seq == chain->seq) return;
     rekey_chain(chain, at, seq);
   }
+
+  /// The lane for events `duration` after their post that fire with
+  /// `fire`, counting the caller as one more source pointing at it. An
+  /// idle lane (no source, no entry) is re-purposed before a new one is
+  /// created. Pair with release_lane.
+  Lane& acquire_lane(Time duration, LaneFire fire);
+
+  /// Drop one source's claim on `lane`. Its pending entries still fire;
+  /// once it holds none and no source points at it, the lane is idle.
+  void release_lane(Lane& lane) noexcept;
+
+  /// Revoke every live lane entry posted with `ctx`, passing each one's
+  /// `arg` to `on_revoke(ctx, arg)`; stops after `count` of them. For a
+  /// source that dies with entries pending in shared lanes.
+  void revoke_lane_entries(void* ctx, std::size_t count, LaneFire on_revoke);
+
+  [[nodiscard]] LaneStats lane_stats() const noexcept;
 
   /// Run until the queue drains.
   void run();
@@ -173,7 +200,8 @@ class Simulator {
   }
 
   /// Timestamps of the earliest pending events (diagnostics), merged
-  /// across the engine and any armed drain chains.
+  /// across the engine, every live lane entry and any other armed
+  /// drain chain.
   [[nodiscard]] std::vector<Time> pending_event_times(
       std::size_t max_entries) const;
 
@@ -276,14 +304,16 @@ class Simulator {
   std::function<void()> hook_;
   // Armed drain chains as a binary min-heap on the inline (at, seq)
   // keys; each chain records its own slot, so arm, disarm and re-key
-  // are O(log n) and the run loop reads the minimum at front(). A
-  // saturated link keeps its transmit chain and its wire-FIFO chain
-  // armed, so a dumbbell with many busy access links holds dozens at
-  // once (80 at peak with 64 TCP flows at 100 Mb/s).
+  // are O(log n) and the run loop reads the minimum at front(). Every
+  // link shares one lane per transmit or propagation duration, so the
+  // heap holds a handful of lanes (4 at most in a 64-flow dumbbell).
   std::vector<ChainSlot> chains_;
   // Sum of the armed chains' `pending`, so pending_events() — polled
   // after every event in governed trials — needs no scan.
   std::uint64_t chain_pending_ = 0;
+  // Every lane ever created, in use or idle; unique_ptr keeps each
+  // lane (and its armed ChainedEvent) at a stable address.
+  std::vector<std::unique_ptr<Lane>> lanes_;
   ResourceGovernor governor_;
   // Declared last: guards (e.g. a Watchdog holding our hook slot) are
   // destroyed first, while the members they release are still alive.

@@ -1,7 +1,7 @@
 #pragma once
 
 // Differential test harness for the two packet hot paths (DESIGN.md
-// §14): pooled (handles + batched drain chain) vs scalar (by-value
+// §14): pooled (handles + shared fixed-delay lanes) vs scalar (by-value
 // packets, one engine event per departure).
 //
 // A PathScript is a flat list of send/run/flap/retime operations driven
@@ -237,7 +237,7 @@ inline std::string diff_paths(const PathScript& script,
 }
 
 /// Randomized script: sends dominate (bursts saturate the link so the
-/// drain chain actually batches), runs advance time by slices shorter
+/// transmit lane stays busy), runs advance time by slices shorter
 /// than one serialization (so flaps and retimes land mid-transmission),
 /// and flaps/retimes/filters are sprinkled in.
 inline PathScript random_path_script(std::uint64_t seed,

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "net/packet_pool.hpp"
 #include "scenario/dumbbell.hpp"
+#include "sim/lane.hpp"
 
 namespace slowcc::scenario {
 namespace {
@@ -120,6 +124,31 @@ TEST(Dumbbell, StaggeredStartIsDeterministicPerSeed) {
   };
   EXPECT_EQ(run(3), run(3));
   EXPECT_NE(run(3), run(4));
+}
+
+// The pooled path keeps in-flight packets in lanes the Simulator owns
+// and every link shares. Tearing a busy topology down mid-run must take
+// each dead link's entries out of those lanes and return their packets,
+// so the pool balances and the Simulator carries on without them.
+TEST(Dumbbell, DestroyedMidRunReturnsEveryPacketHeldInSharedLanes) {
+  net::set_thread_packet_path(net::PacketPath::kPooled);
+  sim::Simulator sim;
+  auto bed = std::make_unique<Dumbbell>(sim, DumbbellConfig{});
+  for (int i = 0; i < 8; ++i) bed->add_flow(FlowSpec::tcp(2.0));
+  bed->add_reverse_traffic();
+  bed->start_flows();
+  bed->finalize();
+  sim.run_until(sim::Time::seconds(2));
+  net::PacketPool& pool = net::PacketPool::of(sim);
+  ASSERT_GT(pool.live(), 0u);
+  ASSERT_GE(sim.lane_stats().most_live, 16u) << "the lanes must be busy";
+  bed.reset();
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(sim.lane_stats().in_use, 0u);
+  EXPECT_EQ(sim.lane_stats().most_live, 0u);
+  EXPECT_EQ(sim.armed_chains(), 0u);
+  sim.run_until(sim::Time::seconds(3));
+  net::clear_thread_packet_path();
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "fault/fault_script.hpp"
 #include "net/drop_tail_queue.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
@@ -173,6 +176,92 @@ TEST(Link, WireFifoGrowingPastSixteenAndWrappingDeliversInOrder) {
   }
   EXPECT_EQ(rig.link.stats().departures, static_cast<std::uint64_t>(kPackets));
   EXPECT_EQ(rig.sim.pending_events(), 0u);
+}
+
+struct DelayLog final : LinkObserver {
+  std::set<std::int64_t> delays_ns;
+  void on_state_change(const Link& link) override {
+    delays_ns.insert(link.propagation_delay().as_nanos());
+  }
+};
+
+TEST(Link, DelayJitterStepsLeaveABoundedLaneTable) {
+  // 160 jitter steps, 10 ms apart, each a fresh delay in [5, 15] ms,
+  // under a packet per ms. Each step moves later departures to a new
+  // delivery lane while the old one still drains, so a lane table that
+  // never re-purposed idle lanes would grow by one per step.
+  set_thread_packet_path(PacketPath::kPooled);
+  Rig rig(8e6, sim::Time::millis(10), 8);
+  DelayLog log;
+  rig.link.add_observer(&log);
+  fault::FaultScript script;
+  script.delay_jitter(rig.link, sim::Time::millis(5), sim::Time::millis(1605),
+                      sim::Time::millis(10), sim::Time::millis(5));
+  fault::FaultInjector injector(rig.sim, 7);
+  injector.arm(script);
+  constexpr int kPackets = 1650;
+  for (int i = 0; i < kPackets; ++i) {
+    rig.sim.schedule_at(sim::Time::millis(i),
+                        [&rig, i] { rig.link.send(rig.packet(i)); });
+  }
+  std::size_t most_in_use = 0;
+  rig.sim.set_event_hook(1, [&] {
+    most_in_use = std::max(most_in_use, rig.sim.lane_stats().in_use);
+  });
+  rig.sim.run();
+  EXPECT_EQ(injector.faults_injected(), 160u);
+  EXPECT_GE(log.delays_ns.size(), 150u) << "the steps must change the delay";
+  ASSERT_EQ(rig.sink.received.size(), static_cast<std::size_t>(kPackets));
+  // In use at once: the transmit lane, the current delay's lane and the
+  // lanes of the one or two delays before it, still draining.
+  EXPECT_LE(most_in_use, 4u);
+  EXPECT_LE(rig.sim.lane_stats().allocated, 5u);
+  EXPECT_EQ(rig.sim.lane_stats().most_live, 0u);
+  rig.sim.clear_event_hook();
+  rig.link.remove_observer(&log);
+  clear_thread_packet_path();
+}
+
+TEST(Link, LinksSharingALaneDieWithoutFiringIntoTheDeadOne) {
+  // Two links with one bandwidth and one delay share both lanes; the
+  // first dies with packets in its transmitter and on its wire.
+  set_thread_packet_path(PacketPath::kPooled);
+  sim::Simulator sim;
+  Node a{0, "a"};
+  Node b{1, "b"};
+  Capture sink;
+  sink.sim = &sim;
+  b.attach(1, sink);
+  auto packet = [](std::int64_t seq) {
+    Packet p;
+    p.src_node = 0;
+    p.dst_node = 1;
+    p.dst_port = 1;
+    p.seq = seq;
+    p.size_bytes = 1000;
+    return p;
+  };
+  Link keep(sim, a, b, 8e6, sim::Time::millis(10),
+            std::make_unique<DropTailQueue>(8));
+  auto dying = std::make_unique<Link>(sim, a, b, 8e6, sim::Time::millis(10),
+                                      std::make_unique<DropTailQueue>(8));
+  for (int i = 0; i < 4; ++i) {
+    keep.send(packet(i));
+    dying->send(packet(100 + i));
+  }
+  sim.run_until(sim::Time::micros(2500));  // 2 on each wire, 1 in each tx
+  PacketPool& pool = PacketPool::of(sim);
+  EXPECT_EQ(pool.live(), 8u);
+  EXPECT_EQ(sim.lane_stats().most_live, 4u);
+  dying.reset();
+  EXPECT_EQ(pool.live(), 4u);
+  sim.run();
+  ASSERT_EQ(sink.received.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(sink.received[static_cast<std::size_t>(i)].second.seq, i);
+  }
+  EXPECT_EQ(pool.live(), 0u);
+  clear_thread_packet_path();
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "packet_path_diff.hpp"
 #include "scenario/dumbbell.hpp"
+#include "sim/lane.hpp"
 #include "sim/rng.hpp"
 
 namespace slowcc::test {
@@ -12,7 +16,7 @@ namespace {
 
 // ====================================================================
 // Property tests: randomized send/run/flap/retime/filter scripts, the
-// pooled (batched drain chain) and scalar (one event per departure)
+// pooled (shared fixed-delay lanes) and scalar (one event per departure)
 // packet paths must agree on every observable — time, event count,
 // trace digest, link counters, queue occupancy, and each delivered
 // packet. On failure the report embeds the ddmin-shrunken minimal
@@ -172,16 +176,130 @@ TEST(PacketPathDiff, HarnessIsDeterministicPerPath) {
 }
 
 // ====================================================================
-// Scenario-level differential: the one-link rig above never has more
-// than two chains armed. A 64-flow dumbbell keeps many access links
-// busy at once, so the pooled path's chain heap works at depth while
-// the scalar path arms no chain at all; equal digests and event counts
-// prove the heap fires in exact (at, seq) order under load.
+// Shared lanes: links with one bandwidth and one delay post into the
+// same transmit and delivery lanes, so a fault on one link must take
+// its own entry out of the middle of a lane the others keep using.
+// Three links from a to b carry bursts; `fault` strikes mid-burst; the
+// log renders deliveries, the event stream, every link's counters and
+// the pending times, and the two paths must agree on all of it.
+
+using LaneFault = std::function<void(std::vector<net::Link*>&)>;
+
+std::string run_shared_lane_rig(net::PacketPath path, const LaneFault& fault) {
+  net::set_thread_packet_path(path);
+  std::ostringstream log;
+  {
+    sim::Simulator sim;
+    net::Node a{0, "a"};
+    net::Node b{1, "b"};
+    detail::CountingSink sink;
+    sink.sim = &sim;
+    sink.log = &log;
+    b.attach(1, sink);
+    std::vector<std::unique_ptr<net::Link>> owned;
+    std::vector<net::Link*> links;
+    for (int i = 0; i < 3; ++i) {
+      owned.push_back(std::make_unique<net::Link>(
+          sim, a, b, 8e6, sim::Time::micros(2500),
+          std::make_unique<net::DropTailQueue>(8)));
+      links.push_back(owned.back().get());
+    }
+    auto send_burst = [&](int round) {
+      for (int i = 0; i < 3; ++i) {
+        for (int k = 0; k < 4; ++k) {
+          net::Packet p;
+          p.src_node = 0;
+          p.dst_node = 1;
+          p.dst_port = 1;
+          p.seq = round * 1000 + i * 100 + k;
+          p.size_bytes = 1000;
+          links[static_cast<std::size_t>(i)]->send(std::move(p));
+        }
+      }
+    };
+    auto render = [&](const char* what) {
+      log << what << " t=" << sim.now().as_nanos()
+          << " ev=" << sim.events_executed() << " dig=" << sim.trace_digest()
+          << " pending=" << sim.pending_events() << " at=";
+      for (const sim::Time t : sim.pending_event_times(64)) {
+        log << t.as_nanos() << ",";
+      }
+      for (const net::Link* link : links) {
+        const net::LinkStats& s = link->stats();
+        log << " [dep=" << s.departures << " drop=" << s.drops_total()
+            << " q=" << link->queue().length_packets() << "]";
+      }
+      log << "\n";
+    };
+    send_burst(0);
+    // 1.5 serializations in: each link's first packet is on the wire,
+    // its second mid-transmission.
+    sim.run_until(sim::Time::micros(1500));
+    render("before");
+    fault(links);
+    render("after");
+    sim.run_until(sim::Time::micros(3200));
+    send_burst(1);
+    render("resent");
+    sim.run();
+    render("final");
+    log << "pool_live=" << net::PacketPool::of(sim).live() << "\n";
+  }
+  net::clear_thread_packet_path();
+  return log.str();
+}
+
+void expect_paths_agree_on_shared_lanes(const LaneFault& fault) {
+  const std::string scalar =
+      run_shared_lane_rig(net::PacketPath::kScalar, fault);
+  const std::string pooled =
+      run_shared_lane_rig(net::PacketPath::kPooled, fault);
+  EXPECT_EQ(pooled, scalar);
+}
+
+// The middle link's in-flight packet leaves the transmit lane the other
+// two still share and finishes as an engine event; then the rate goes
+// back, which moves its next packets into the shared lane again.
+TEST(PacketPathDiff, SetBandwidthOnASharedTransmitLane) {
+  expect_paths_agree_on_shared_lanes([](std::vector<net::Link*>& links) {
+    links[1]->set_bandwidth(2e6);
+    links[1]->set_bandwidth(8e6);
+    links[0]->set_bandwidth(4e6);
+  });
+}
+
+// The middle link's transmit ticket sits between the other two links'
+// tickets in the shared lane when the link goes down.
+TEST(PacketPathDiff, SetDownWhileTheTicketSitsMidLane) {
+  expect_paths_agree_on_shared_lanes([](std::vector<net::Link*>& links) {
+    links[1]->set_down();
+    links[2]->set_down();
+    links[2]->set_up();
+  });
+}
+
+// Packets already propagating keep the delay they left with (and their
+// lane); later departures move to the new delay's lane, shorter for one
+// link and longer for another, so the lanes' fire times interleave.
+TEST(PacketPathDiff, SetPropagationDelayWhilePacketsPropagateSwitchesLanes) {
+  expect_paths_agree_on_shared_lanes([](std::vector<net::Link*>& links) {
+    links[0]->set_propagation_delay(sim::Time::micros(300));
+    links[2]->set_propagation_delay(sim::Time::micros(4000));
+  });
+}
+
+// ====================================================================
+// Scenario-level differential: the rigs above share lanes between at
+// most three links. A 64-flow dumbbell keeps many access links busy at
+// once, so the pooled path's lanes each carry dozens of links' entries
+// while the scalar path arms no chain at all; equal digests and event
+// counts prove the lanes fire in exact (at, seq) order under load.
 
 struct DumbbellRun {
   std::uint64_t digest = 0;
   std::uint64_t events = 0;
   std::size_t max_armed_chains = 0;
+  std::size_t most_lane_live = 0;
 };
 
 DumbbellRun run_many_flow_dumbbell(net::PacketPath path) {
@@ -201,6 +319,8 @@ DumbbellRun run_many_flow_dumbbell(net::PacketPath path) {
     // digest it helps to check.
     sim.set_event_hook(8, [&] {
       out.max_armed_chains = std::max(out.max_armed_chains, sim.armed_chains());
+      out.most_lane_live =
+          std::max(out.most_lane_live, sim.lane_stats().most_live);
     });
     sim.run_until(sim::Time::seconds(1.5));
     out.digest = sim.trace_digest();
@@ -216,7 +336,41 @@ TEST(PacketPathDiff, ManyFlowDumbbellAgreesAcrossPaths) {
   EXPECT_EQ(pooled.digest, scalar.digest);
   EXPECT_EQ(pooled.events, scalar.events);
   EXPECT_EQ(scalar.max_armed_chains, 0u);
-  EXPECT_GE(pooled.max_armed_chains, 64u) << "the chain heap never got deep";
+  EXPECT_GE(pooled.most_lane_live, 64u) << "no lane was ever shared under load";
+}
+
+// The Watchdog's "next at" dump reads pending_event_times: it must list
+// the true earliest pending events whichever path carries them, not
+// only the head of each FIFO the pooled path batches.
+std::vector<std::int64_t> many_flow_pending_ns(net::PacketPath path) {
+  net::set_thread_packet_path(path);
+  std::vector<std::int64_t> times;
+  {
+    sim::Simulator sim;
+    scenario::DumbbellConfig cfg;
+    cfg.bottleneck_bps = 100e6;
+    cfg.seed = 3;
+    scenario::Dumbbell bed(sim, cfg);
+    for (int i = 0; i < 64; ++i) bed.add_flow(scenario::FlowSpec::tcp(2.0));
+    bed.add_reverse_traffic();
+    bed.start_flows();
+    bed.finalize();
+    sim.run_until(sim::Time::seconds(1.0));
+    for (const sim::Time t : sim.pending_event_times(32)) {
+      times.push_back(t.as_nanos());
+    }
+  }
+  net::clear_thread_packet_path();
+  return times;
+}
+
+TEST(PacketPathDiff, PendingEventTimesAgreeAcrossPaths) {
+  const std::vector<std::int64_t> scalar =
+      many_flow_pending_ns(net::PacketPath::kScalar);
+  const std::vector<std::int64_t> pooled =
+      many_flow_pending_ns(net::PacketPath::kPooled);
+  ASSERT_EQ(scalar.size(), 32u);
+  EXPECT_EQ(pooled, scalar);
 }
 
 }  // namespace

@@ -632,7 +632,7 @@ TEST(SimulatorChains, SameKeyRetimeOnlyMovesPending) {
     sim.arm_chain(&c->ev);
   }
   // Re-key every chain with its own (at, seq) and a new pending count,
-  // the way a wire FIFO grows behind an unchanged head.
+  // the way a lane grows behind an unchanged head.
   for (auto& c : chains) {
     sim.retime_chain(&c->ev, c->ev.at, c->ev.seq,
                      static_cast<std::uint64_t>(c->id) + 2);

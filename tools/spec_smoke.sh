@@ -8,7 +8,7 @@
 #      SLOWCC_PACKET_PATH=scalar, pinning the batched/pooled and scalar
 #      packet paths to one event stream (DESIGN.md §14). The
 #      saturated_dumbbell spec exists for this leg: its bottleneck never
-#      goes idle, so the drain chain and propagation FIFO stay armed for
+#      goes idle, so its transmit and propagation lanes stay armed for
 #      the whole run.
 #   2  Sweep determinism: a spec-driven sweep (algorithm hole filled
 #      from --algorithms, one declared [params] axis swept) must be
