@@ -3,7 +3,6 @@
 #include <benchmark/benchmark.h>
 
 #include "net/drop_tail_queue.hpp"
-#include "net/packet_pool.hpp"
 #include "net/red_queue.hpp"
 #include "scenario/dumbbell.hpp"
 #include "sim/event_queue.hpp"
@@ -109,60 +108,47 @@ static void BM_DumbbellTfrcSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_DumbbellTfrcSecond)->Unit(benchmark::kMillisecond);
 
-// Packet hot-path macro-bench (ROADMAP item 3): the paper's dumbbell
-// with flash-crowd bursts keeping the bottleneck queue full, so
-// back-to-back departures dominate the event stream — exactly the
-// regime where the pooled path's shared lanes and pool handles
-// pay off against the scalar path's one-event-per-departure +
-// by-value std::function captures. Every executed event is a link
-// transmit or delivery (bursts are injected between run_until slices,
-// not via per-packet source timers, so source-model overhead does not
-// dilute the packet path being measured). Runs once per packet path
-// (/scalar, /pooled); both execute the identical logical event stream
-// (the differential tests pin that), so the ns-per-op ratio is the
-// end-to-end events/s speedup that tools/bench_report reports as
-// pooled_speedup.
-static void BM_SaturatedDumbbell(benchmark::State& state,
-                                 net::PacketPath path) {
+// Packet hot-path macro-bench: the paper's dumbbell with flash-crowd
+// bursts keeping the bottleneck queue full, so back-to-back departures
+// dominate the event stream — the regime the shared lanes and pool
+// handles are built for. Every executed event is a link transmit or
+// delivery (bursts are injected between run_until slices, not via
+// per-packet source timers, so source-model overhead does not dilute
+// the packet path being measured). Items are executed events, so
+// items_per_second is its events/s.
+static void BM_SaturatedDumbbell(benchmark::State& state) {
   std::int64_t events = 0;
   for (auto _ : state) {
-    net::set_thread_packet_path(path);
-    {
-      sim::Simulator sim;
-      scenario::DumbbellConfig cfg;
-      cfg.reverse_tcp_flows = 0;
-      cfg.red = false;  // DropTail: bursts fit the buffer, no early drops
-      scenario::Dumbbell bed(sim, cfg);
-      // Unstarted CBR pair: just a routed source/sink host on each side.
-      const scenario::Dumbbell::CbrPair endpoints = bed.add_cbr_pair(1e6);
-      bed.finalize();
-      const net::NodeId dst = endpoints.sink->local_node().id();
-      const net::PortId port = endpoints.sink->local_port();
-      // 64 packets x 1000 B at 10 Mb/s = 51.2 ms per burst drain.
-      std::int64_t seq = 0;
-      for (int burst = 0; burst < 48; ++burst) {
-        for (int i = 0; i < 64; ++i) {
-          net::Packet p;
-          p.src_node = bed.left_router().id();
-          p.dst_node = dst;
-          p.dst_port = port;
-          p.seq = seq++;
-          p.size_bytes = 1000;
-          bed.bottleneck().send(std::move(p));
-        }
-        sim.run_until(sim::Time::millis(52) * (burst + 1));
+    sim::Simulator sim;
+    scenario::DumbbellConfig cfg;
+    cfg.reverse_tcp_flows = 0;
+    cfg.red = false;  // DropTail: bursts fit the buffer, no early drops
+    scenario::Dumbbell bed(sim, cfg);
+    // Unstarted CBR pair: just a routed source/sink host on each side.
+    const scenario::Dumbbell::CbrPair endpoints = bed.add_cbr_pair(1e6);
+    bed.finalize();
+    const net::NodeId dst = endpoints.sink->local_node().id();
+    const net::PortId port = endpoints.sink->local_port();
+    // 64 packets x 1000 B at 10 Mb/s = 51.2 ms per burst drain.
+    std::int64_t seq = 0;
+    for (int burst = 0; burst < 48; ++burst) {
+      for (int i = 0; i < 64; ++i) {
+        net::Packet p;
+        p.src_node = bed.left_router().id();
+        p.dst_node = dst;
+        p.dst_port = port;
+        p.seq = seq++;
+        p.size_bytes = 1000;
+        bed.bottleneck().send(std::move(p));
       }
-      sim.run();
-      events += static_cast<std::int64_t>(sim.events_executed());
-      benchmark::DoNotOptimize(sim.events_executed());
+      sim.run_until(sim::Time::millis(52) * (burst + 1));
     }
-    net::clear_thread_packet_path();
+    sim.run();
+    events += static_cast<std::int64_t>(sim.events_executed());
+    benchmark::DoNotOptimize(sim.events_executed());
   }
   state.SetItemsProcessed(events);
 }
-BENCHMARK_CAPTURE(BM_SaturatedDumbbell, scalar, net::PacketPath::kScalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SaturatedDumbbell, pooled, net::PacketPath::kPooled)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SaturatedDumbbell)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -16,8 +16,7 @@ Link::Link(sim::Simulator& sim, Node& from, Node& to, double bandwidth_bps,
       to_(to),
       bandwidth_(bandwidth_bps),
       delay_(propagation_delay),
-      queue_(std::move(queue)),
-      path_(default_packet_path()) {
+      queue_(std::move(queue)) {
   if (bandwidth_ <= 0.0) {
     throw sim::SimError(sim::SimErrc::kBadConfig, "Link",
                         "bandwidth must be positive");
@@ -46,6 +45,11 @@ Link::~Link() {
   // them out so they never fire into a dead link, and free their slots.
   if (lane_deliveries_ != 0) {
     sim_.revoke_lane_entries(this, lane_deliveries_, &Link::lane_revoked);
+  }
+  // Deliveries on the engine (wire-model extra delays, duplicates) too.
+  for (const EngineDelivery& d : engine_deliveries_) {
+    sim_.cancel(d.id);
+    pool_.release(d.h);
   }
 }
 
@@ -102,42 +106,7 @@ void Link::drop_packet(const Packet& p, DropReason reason) {
   for (auto* o : observers_) o->on_drop(p, reason);
 }
 
-void Link::send(Packet&& p) {
-  if (path_ == PacketPath::kPooled) {
-    send(pool_.acquire(std::move(p)));
-    return;
-  }
-  ++stats_.arrivals;
-  for (auto* o : observers_) o->on_arrival(p);
-
-  if (!up_) {
-    drop_packet(p, DropReason::kLinkDown);
-    return;
-  }
-
-  if (forced_drop_ && forced_drop_(p)) {
-    drop_packet(p, DropReason::kForced);
-    return;
-  }
-
-  if (auto reason = queue_->enqueue(std::move(p))) {
-    // NOTE: `p` was moved into enqueue, but the queue only consumes the
-    // packet on success; on failure it rejects before moving, so the
-    // observer payload stays valid.
-    drop_packet(p, *reason);
-    return;
-  }
-
-  if (!transmitting()) start_transmission();
-}
-
 void Link::send(PacketHandle h) {
-  if (path_ == PacketPath::kScalar) {
-    // A pooled upstream forwarding into a scalar link (mixed-mode
-    // simulations): fall back to the value path.
-    send(pool_.take(h));
-    return;
-  }
   ++stats_.arrivals;
   {
     const Packet& p = pool_.get(h);
@@ -168,25 +137,16 @@ void Link::send(PacketHandle h) {
 }
 
 void Link::start_transmission() {
-  if (path_ == PacketPath::kPooled) {
-    std::int64_t size_bytes = 0;
-    const PacketHandle h = queue_->dequeue_handle(&size_bytes);
-    if (!h.valid()) return;
-    const TransmitMemo& tx = transmit_memo(size_bytes);
-    in_flight_h_ = h;
-    tx_ends_ = sim_.now() + tx.duration;
-    // The lane entry stands in for the transmit-complete event the
-    // scalar path would schedule here; the post mints its seq from the
-    // same engine counter, so the executed (at, seq) stream is identical.
-    tx_ticket_ = tx.lane->post(this, 0);
-    return;
-  }
-  auto head = queue_->dequeue();
-  if (!head) return;
-  const sim::Time tx = sim::transmission_time(head->size_bytes, bandwidth_);
-  in_flight_ = std::move(*head);
-  tx_ends_ = sim_.now() + tx;
-  tx_event_ = sim_.schedule_in(tx, [this] { on_transmit_complete(); });
+  std::int64_t size_bytes = 0;
+  const PacketHandle h = queue_->dequeue_handle(&size_bytes);
+  if (!h.valid()) return;
+  const TransmitMemo& tx = transmit_memo(size_bytes);
+  in_flight_h_ = h;
+  tx_ends_ = sim_.now() + tx.duration;
+  // The lane entry stands in for a transmit-complete engine event; the
+  // post mints its seq from the same engine counter, here, where the
+  // reference link schedules one.
+  tx_ticket_ = tx.lane->post(this, 0);
 }
 
 void Link::depart(PacketHandle h) {
@@ -213,9 +173,9 @@ void Link::depart(PacketHandle h) {
   if (verdict.duplicate) {
     ++stats_.duplicates;
     Packet copy = p;
-    const PacketHandle dup = pool_.acquire(std::move(copy));
-    sim_.schedule_in(delay_ + verdict.extra_delay + verdict.duplicate_delay,
-                     Deliver{this, dup});
+    schedule_engine_delivery(
+        pool_.acquire(std::move(copy)),
+        delay_ + verdict.extra_delay + verdict.duplicate_delay);
   }
   schedule_delivery(h, verdict.extra_delay);
 }
@@ -243,17 +203,33 @@ void Link::schedule_delivery(PacketHandle h, sim::Time extra_delay) {
     // A wire-model extra delay is not a fixed duration: the engine
     // keeps the total order. The schedule mints the seq, exactly as
     // the lane post below does.
-    sim_.schedule_in(delay_ + extra_delay, Deliver{this, h});
+    schedule_engine_delivery(h, delay_ + extra_delay);
     return;
   }
-  // The post mints the seq — the point where the scalar path would have
-  // scheduled the delivery event — so the executed (at, seq) stream is
-  // bit-identical whichever path carries the delivery.
+  // The post mints the seq at the point an engine schedule would, so
+  // the executed (at, seq) stream is the same whichever carries the
+  // delivery.
   if (wire_lane_ == nullptr) {
     wire_lane_ = &sim_.acquire_lane(delay_, &Link::lane_delivered);
   }
   wire_lane_->post(this, lane_arg(h));
   ++lane_deliveries_;
+}
+
+void Link::schedule_engine_delivery(PacketHandle h, sim::Time after) {
+  engine_deliveries_.push_back(
+      EngineDelivery{sim_.schedule_in(after, Deliver{this, h}), h});
+}
+
+void Link::engine_delivered(PacketHandle h) {
+  for (EngineDelivery& d : engine_deliveries_) {
+    if (d.h == h) {
+      d = engine_deliveries_.back();
+      engine_deliveries_.pop_back();
+      break;
+    }
+  }
+  deliver_pooled(h);
 }
 
 void Link::cancel_completion() {
@@ -267,8 +243,7 @@ void Link::cancel_completion() {
 
 void Link::finish_transmission() {
   // The (at, seq) this completion executed under were minted when the
-  // packet entered the transmitter (or was re-timed), exactly where the
-  // scalar path scheduled its transmit-complete event.
+  // packet entered the transmitter (or was re-timed).
   const PacketHandle h = in_flight_h_;
   in_flight_h_ = PacketHandle{};
   depart(h);
@@ -280,40 +255,6 @@ void Link::finish_transmission() {
 }
 
 void Link::deliver_pooled(PacketHandle h) { to_.deliver(h, pool_); }
-
-void Link::on_transmit_complete() {
-  tx_event_ = sim::EventId{};
-  Packet p = std::move(*in_flight_);
-  in_flight_.reset();
-
-  WireVerdict verdict;
-  if (wire_ != nullptr) verdict = wire_->on_wire(p);
-
-  if (verdict.drop) {
-    // Lost on the wire after occupying the transmitter: counted as a
-    // drop instead of a departure so packet conservation still holds.
-    drop_packet(p, DropReason::kImpairment);
-  } else {
-    ++stats_.departures;
-    stats_.bytes_delivered += p.size_bytes;
-    for (auto* o : observers_) o->on_depart(p);
-
-    if (verdict.extra_delay > sim::Time()) ++stats_.reordered;
-    if (verdict.duplicate) {
-      ++stats_.duplicates;
-      Packet copy = p;
-      sim_.schedule_in(
-          delay_ + verdict.extra_delay + verdict.duplicate_delay,
-          [this, q = std::move(copy)]() mutable { to_.deliver(std::move(q)); });
-    }
-    sim_.schedule_in(delay_ + verdict.extra_delay,
-                     [this, q = std::move(p)]() mutable {
-                       to_.deliver(std::move(q));
-                     });
-  }
-
-  if (!queue_->empty()) start_transmission();
-}
 
 void Link::set_bandwidth(double bandwidth_bps) {
   if (bandwidth_bps <= 0.0) {
@@ -328,15 +269,11 @@ void Link::set_bandwidth(double bandwidth_bps) {
     const double remaining_bits = remaining_s * bandwidth_;
     const sim::Time rem = sim::Time::seconds(remaining_bits / bandwidth_bps);
     tx_ends_ = sim_.now() + rem;
-    // The remainder is no lane's fixed duration, so the pooled path
-    // moves it to the engine as well. Revoking mints nothing: both
-    // paths draw the seq in the schedule below.
+    // The remainder is no lane's fixed duration, so it moves to the
+    // engine. Revoking mints nothing: the seq is drawn in the schedule
+    // below, as a cancel plus reschedule would draw it.
     cancel_completion();
-    if (path_ == PacketPath::kPooled) {
-      tx_event_ = sim_.schedule_in(rem, TransmitDone{this});
-    } else {
-      tx_event_ = sim_.schedule_in(rem, [this] { on_transmit_complete(); });
-    }
+    tx_event_ = sim_.schedule_in(rem, TransmitDone{this});
   }
   bandwidth_ = bandwidth_bps;
   // Transmission times memoized at the old rate no longer hold.
@@ -365,16 +302,10 @@ void Link::set_down() {
   up_ = false;
   if (transmitting()) {
     cancel_completion();
-    if (path_ == PacketPath::kPooled) {
-      const PacketHandle h = in_flight_h_;
-      in_flight_h_ = PacketHandle{};
-      drop_packet(pool_.get(h), DropReason::kLinkDown);
-      pool_.release(h);
-    } else {
-      Packet p = std::move(*in_flight_);
-      in_flight_.reset();
-      drop_packet(p, DropReason::kLinkDown);
-    }
+    const PacketHandle h = in_flight_h_;
+    in_flight_h_ = PacketHandle{};
+    drop_packet(pool_.get(h), DropReason::kLinkDown);
+    pool_.release(h);
   }
   while (auto head = queue_->dequeue()) {
     drop_packet(*head, DropReason::kLinkDown);

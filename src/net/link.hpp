@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -93,21 +92,17 @@ struct LinkStats {
 ///    Packets already propagating were past the failure point and
 ///    still deliver.
 ///
-/// Each link runs one of two packet paths, fixed at construction from
-/// `default_packet_path()` (DESIGN.md §14):
-///  * pooled (default): packets live in the simulation's PacketPool and
-///    move as 8-byte handles. A transmit-complete is posted into the
-///    simulation's shared lane for its transmission time, and an
-///    in-flight delivery into the lane for the propagation delay
-///    (sim::Lane: one FIFO per fixed duration, shared by every link of
-///    the simulation), so a whole topology's pipeline fires through a
-///    handful of armed chains. The rare cases a fixed duration cannot
-///    carry — a transmission re-timed mid-flight, a wire-model extra
-///    delay, a duplicate — fall back to engine events.
-///  * scalar: the pre-refactor value-semantics path, one engine event
-///    per departure — the differential-test oracle and bench baseline.
-/// Both paths mint identical (at, seq) event streams, so trace digests
-/// and golden traces are path-independent.
+/// Packets live in the simulation's PacketPool and move as 8-byte
+/// handles (DESIGN.md §14). A transmit-complete is posted into the
+/// simulation's shared lane for its transmission time, and an in-flight
+/// delivery into the lane for the propagation delay (sim::Lane: one
+/// FIFO per fixed duration, shared by every link of the simulation), so
+/// a whole topology's pipeline fires through a handful of armed chains.
+/// The rare cases a fixed duration cannot carry — a transmission
+/// re-timed mid-flight, a wire-model extra delay, a duplicate — fall
+/// back to engine events. `tests/reference_link.hpp` is the by-value,
+/// one-engine-event-per-transition oracle the differential tests diff
+/// this class against; both mint the same (at, seq) event stream.
 class Link {
  public:
   Link(sim::Simulator& sim, Node& from, Node& to, double bandwidth_bps,
@@ -116,17 +111,18 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Revokes this link's pending transmit and lane deliveries and
-  /// returns their packets to the pool (links always die before the
-  /// Simulator they reference).
+  /// Revokes this link's pending transmit and deliveries (lane entries
+  /// and engine fallbacks alike) and returns their packets to the pool
+  /// (links always die before the Simulator they reference).
   ~Link();
 
-  /// Offer a packet for transmission (called by the upstream node).
-  void send(Packet&& p);
+  /// Offer a packet for transmission: acquires it into the pool, then
+  /// sends the handle.
+  void send(Packet&& p) { send(pool_.acquire(std::move(p))); }
 
-  /// Offer a pooled packet for transmission (the handle-based fast
-  /// path an upstream Node forwards along). Ownership of `h` passes to
-  /// the link on admission; on drop the link releases it.
+  /// Offer a pooled packet for transmission (what an upstream Node
+  /// forwards along). Ownership of `h` passes to the link; on drop the
+  /// link releases it.
   void send(PacketHandle h);
 
   [[nodiscard]] double bandwidth_bps() const noexcept { return bandwidth_; }
@@ -156,12 +152,9 @@ class Link {
 
   [[nodiscard]] bool is_up() const noexcept { return up_; }
 
-  /// Which packet path this link runs (fixed at construction).
-  [[nodiscard]] PacketPath packet_path() const noexcept { return path_; }
-
   /// True while a packet occupies the transmitter.
   [[nodiscard]] bool transmitting() const noexcept {
-    return in_flight_.has_value() || in_flight_h_.valid();
+    return in_flight_h_.valid();
   }
 
   /// Install a stochastic wire impairment (nullptr clears). The model
@@ -189,16 +182,23 @@ class Link {
   }
 
  private:
-  // Pooled delivery closure: 16 bytes, trivially copyable, so
-  // scheduling it never leaves std::function's inline buffer.
+  // Engine delivery closure (a wire-model extra delay or a duplicate):
+  // 16 bytes, trivially copyable, so scheduling it never leaves
+  // std::function's inline buffer.
   struct Deliver {
     Link* link;
     PacketHandle h;
-    void operator()() const { link->deliver_pooled(h); }
+    void operator()() const { link->engine_delivered(h); }
   };
 
-  // Pooled transmit-complete scheduled on the engine, after a
-  // mid-flight re-time took it out of its lane.
+  // A delivery pending on the engine, so ~Link can cancel it.
+  struct EngineDelivery {
+    sim::EventId id;
+    PacketHandle h;
+  };
+
+  // Transmit-complete scheduled on the engine, after a mid-flight
+  // re-time took it out of its lane.
   struct TransmitDone {
     Link* link;
     void operator()() const {
@@ -216,8 +216,7 @@ class Link {
   };
 
   void start_transmission();
-  void on_transmit_complete();  // scalar: one engine event per departure
-  void finish_transmission();   // pooled: depart, then start the next
+  void finish_transmission();  // depart, then start the next
   // Drop the pending transmit-complete: its lane ticket or engine event.
   void cancel_completion();
   // Lane callbacks (ctx is the Link).
@@ -233,6 +232,8 @@ class Link {
   void forget_transmit_lanes() noexcept;
   void depart(PacketHandle h);  // wire verdict + delivery scheduling
   void schedule_delivery(PacketHandle h, sim::Time extra_delay);
+  void schedule_engine_delivery(PacketHandle h, sim::Time after);
+  void engine_delivered(PacketHandle h);
   void deliver_pooled(PacketHandle h);
   void drop_packet(const Packet& p, DropReason reason);
   void notify_state_change();
@@ -248,21 +249,18 @@ class Link {
   PacketFilter forced_drop_;
   WireModel* wire_ = nullptr;
   LinkStats stats_;
-  const PacketPath path_;
   bool up_ = true;
 
   // Transmitter state, kept here (not in an event closure) so
-  // bandwidth changes and link failures can re-time or drop it.
-  // Scalar path: the packet by value + its completion event. Pooled
-  // path: the packet's handle + its completion, a ticket in a transmit
-  // lane or (after a mid-flight re-time) an engine event.
-  std::optional<Packet> in_flight_;
+  // bandwidth changes and link failures can re-time or drop it: the
+  // packet's handle and its completion, a ticket in a transmit lane or
+  // (after a mid-flight re-time) an engine event.
   PacketHandle in_flight_h_;
   sim::EventId tx_event_;
   sim::LaneTicket tx_ticket_;
   sim::Time tx_ends_;
 
-  // Pooled lanes this link points at: the transmit lanes of the two
+  // Lanes this link points at: the transmit lanes of the two
   // most recent packet sizes (cleared by set_bandwidth) and, once a
   // packet has propagated, the lane of the current delay_ (dropped by
   // set_propagation_delay). Both are taken on first use, not at
@@ -272,6 +270,10 @@ class Link {
   // This link's deliveries pending in lanes (any delay it has had), so
   // ~Link knows whether it has entries to revoke.
   std::size_t lane_deliveries_ = 0;
+  // This link's deliveries pending as engine events. Only a wire model
+  // puts any here, and few at a time, so a fire finds its entry by a
+  // short scan.
+  std::vector<EngineDelivery> engine_deliveries_;
 };
 
 }  // namespace slowcc::net

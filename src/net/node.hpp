@@ -14,12 +14,12 @@ class Link;
 /// Anything that terminates packets at a node: transport agents, sinks,
 /// traffic generators' receivers.
 ///
-/// Handlers receive the packet by const reference: on the pooled path
-/// it aliases the pool slot (released by the Node right after the call
-/// returns), on the scalar path the caller's value. Handlers needing
-/// the packet beyond the call copy what they keep — in practice they
-/// read a few header fields, which is why the zero-copy terminal
-/// dispatch is free.
+/// Handlers receive the packet by const reference: for a pooled
+/// delivery it aliases the pool slot (released by the Node right after
+/// the call returns), for a by-value one the caller's value. Handlers
+/// needing the packet beyond the call copy what they keep — in
+/// practice they read a few header fields, which is why the zero-copy
+/// terminal dispatch is free.
 class PacketHandler {
  public:
   virtual ~PacketHandler() = default;

@@ -140,9 +140,9 @@ class EventQueue {
   [[nodiscard]] Callback pop(PoppedEvent* out);
 
   /// Consume the next FIFO sequence number WITHOUT storing an event.
-  /// Chain sources (net::Link batched drains) mint seqs at exactly the
-  /// points the unbatched path would have called schedule(), so the
-  /// executed (at, seq) stream — and every golden trace digest — is
+  /// Chain sources (the sim::Lane entries net::Link posts) mint seqs
+  /// at exactly the points an unbatched schedule would call schedule(),
+  /// so the executed (at, seq) stream — and every golden trace digest — is
   /// bit-identical whether a departure runs as a queued event or as a
   /// chained sub-event. Minted seqs never materialize a node, so no
   /// EventId can refer to them.

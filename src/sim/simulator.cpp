@@ -318,8 +318,8 @@ void Simulator::run_until(Time deadline) {
     }
     // Poll after the callback so events and packets it just created are
     // charged to it. pending_events() counts live engine events plus
-    // armed chains — logical state, identical across the batched/scalar
-    // packet paths.
+    // the events armed chains stand in for — logical state, identical
+    // to a schedule with one engine event per entry.
     if (governor_.armed()) governor_.poll(pending_events());
     if (hook_countdown_ != 0 && --hook_countdown_ == 0) {
       // Re-arm before the call, so a hook that throws, clears itself or

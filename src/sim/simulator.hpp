@@ -37,8 +37,8 @@ struct LaneStats {
 /// digest, and calls `fire(ctx)` directly — no engine storage, no
 /// std::function, no engine pop. Invariants the source must keep:
 ///   - `seq` comes from Simulator::mint_event_seq() at exactly the point
-///     the unbatched path would have called schedule_*() — this is what
-///     makes trace_digest() bit-identical across the two paths
+///     a one-event-per-entry schedule would have called schedule_*() —
+///     this is what keeps trace_digest() bit-identical to that schedule
 ///   - while armed, `at`/`seq`/`pending` change only through
 ///     Simulator::retime_chain (the heap keeps its own copy of
 ///     (at, seq) as the sort key, and `pending` is the chain's share
@@ -53,10 +53,10 @@ struct ChainedEvent {
   std::uint64_t seq = 0;
   void (*fire)(void* ctx) = nullptr;
   void* ctx = nullptr;
-  /// How many unbatched engine events this chain currently stands in
-  /// for. A Lane sets it to its live count, so pending_events() — and
-  /// with it the ResourceGovernor's event footprint and budget-abort
-  /// points — stay identical to the scalar schedule.
+  /// How many engine events this chain currently stands in for. A
+  /// Lane sets it to its live count, so pending_events() — and with it
+  /// the ResourceGovernor's event footprint and budget-abort points —
+  /// stay identical to a schedule with one engine event per entry.
   std::uint64_t pending = 1;
   /// Index in the Simulator's chain heap; kNotArmed while disarmed.
   /// Owned by the Simulator.

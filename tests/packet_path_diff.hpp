@@ -1,20 +1,22 @@
 #pragma once
 
-// Differential test harness for the two packet hot paths (DESIGN.md
-// §14): pooled (handles + shared fixed-delay lanes) vs scalar (by-value
-// packets, one engine event per departure).
+// Differential test harness for the packet path (DESIGN.md §14):
+// net::Link (pooled handles + shared fixed-delay lanes) against
+// ReferenceLink (tests/reference_link.hpp: by-value packets, one engine
+// event per transmit-complete, delivery and duplicate).
 //
-// A PathScript is a flat list of send/run/flap/retime operations driven
-// against a one-link rig. run_path_script() executes a script through a
-// chosen PacketPath and renders everything observable — simulated time,
-// executed-event count, the trace digest, every LinkStats counter,
-// queue occupancy, and each delivered packet — into a canonical log
-// string. diff_paths() runs the same script through both paths and,
-// when the logs differ, delta-debugs the script down to a minimal
-// failing core (the engine_diff.hpp ddmin pattern) and returns a report
-// embedding it. Property tests feed this with randomized scripts seeded
-// via sim::Rng; directed regressions encode the batching edge cases
-// (set_down mid-drain, RED drop mid-batch, retiming, wire faults).
+// A PathScript is a flat list of send/run/flap/retime/delay/filter/wire
+// operations driven against a one-link rig. run_path_script<LinkT>()
+// executes a script on a link of type LinkT and renders everything
+// observable — simulated time, executed-event count, the trace digest,
+// every LinkStats counter, queue occupancy, and each delivered packet —
+// into a canonical log string. diff_paths() runs the same script on
+// both link types and, when the logs differ, delta-debugs the script
+// down to a minimal failing core (the engine_diff.hpp ddmin pattern)
+// and returns a report embedding it. Property tests feed this with
+// randomized scripts seeded via sim::Rng; directed regressions encode
+// the batching edge cases (set_down mid-drain, RED drop mid-batch,
+// retiming, wire faults).
 
 #include <algorithm>
 #include <cstdint>
@@ -28,6 +30,7 @@
 #include "net/node.hpp"
 #include "net/packet_pool.hpp"
 #include "net/red_queue.hpp"
+#include "reference_link.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -40,7 +43,9 @@ struct PathOp {
     kDown,       // link failure
     kUp,         // link repair
     kBandwidth,  // retime the transmitter (arg = new bps)
+    kDelay,      // change the propagation delay (arg = nanoseconds)
     kFilter,     // toggle a deterministic forced-drop filter
+    kWire,       // toggle the deterministic SeqKeyedWire model
   };
   Kind kind = Kind::kSend;
   std::int64_t arg = 0;
@@ -50,12 +55,43 @@ using PathScript = std::vector<PathOp>;
 
 /// Scripted rig parameters; `red` switches the queue discipline so the
 /// differential also covers RED's RNG-consuming admission (mid-batch
-/// early drops) against the scalar oracle.
+/// early drops) against the reference link.
 struct PathRigConfig {
   bool red = false;
   std::size_t queue_limit = 8;
   double bandwidth_bps = 8e6;  // 1000 B packet = 1 ms serialization
   sim::Time delay = sim::Time::micros(500);
+};
+
+/// A deterministic wire model keyed on the packet's seq, so both link
+/// types see the same verdicts in the same order. It exercises every
+/// engine fallback of net::Link: a loss on the wire, an extra delay
+/// long enough to reorder against the next departures, a duplicate
+/// that lands with its original, and an extra delay plus a later
+/// duplicate.
+struct SeqKeyedWire final : net::WireModel {
+  net::WireVerdict on_wire(const net::Packet& p) override {
+    net::WireVerdict v;
+    switch (p.seq % 6) {
+      case 1:
+        v.drop = true;
+        break;
+      case 2:
+        v.extra_delay = sim::Time::micros(1700);
+        break;
+      case 3:
+        v.duplicate = true;
+        break;
+      case 4:
+        v.extra_delay = sim::Time::micros(1300);
+        v.duplicate = true;
+        v.duplicate_delay = sim::Time::micros(400);
+        break;
+      default:
+        break;
+    }
+    return v;
+  }
 };
 
 namespace detail {
@@ -83,12 +119,12 @@ inline std::unique_ptr<net::Queue> make_queue(sim::Simulator& sim,
 
 }  // namespace detail
 
-/// Execute `script` with links constructed on `path` and render every
-/// observable into a log. The two paths agree iff their logs are equal.
-inline std::string run_path_script(net::PacketPath path,
-                                   const PathScript& script,
-                                   const PathRigConfig& cfg = {}) {
-  net::set_thread_packet_path(path);
+/// Execute `script` on a link of type `LinkT` (net::Link or
+/// ReferenceLink) and render every observable into a log. The two link
+/// types agree iff their logs are equal.
+template <typename LinkT>
+std::string run_path_script(const PathScript& script,
+                            const PathRigConfig& cfg = {}) {
   std::ostringstream log;
   {
     sim::Simulator sim;
@@ -98,10 +134,12 @@ inline std::string run_path_script(net::PacketPath path,
     sink.sim = &sim;
     sink.log = &log;
     b.attach(1, sink);
-    net::Link link(sim, a, b, cfg.bandwidth_bps, cfg.delay,
-                   detail::make_queue(sim, cfg));
+    SeqKeyedWire wire;
+    LinkT link(sim, a, b, cfg.bandwidth_bps, cfg.delay,
+               detail::make_queue(sim, cfg));
 
     bool filtered = false;
+    bool wired = false;
     std::int64_t next_seq = 0;
     for (const PathOp& op : script) {
       switch (op.kind) {
@@ -127,6 +165,9 @@ inline std::string run_path_script(net::PacketPath path,
         case PathOp::Kind::kBandwidth:
           link.set_bandwidth(static_cast<double>(op.arg));
           break;
+        case PathOp::Kind::kDelay:
+          link.set_propagation_delay(sim::Time::nanos(op.arg));
+          break;
         case PathOp::Kind::kFilter:
           filtered = !filtered;
           if (filtered) {
@@ -135,6 +176,10 @@ inline std::string run_path_script(net::PacketPath path,
           } else {
             link.set_forced_drop_filter(nullptr);
           }
+          break;
+        case PathOp::Kind::kWire:
+          wired = !wired;
+          link.set_wire_model(wired ? &wire : nullptr);
           break;
       }
       const net::LinkStats& s = link.stats();
@@ -151,13 +196,13 @@ inline std::string run_path_script(net::PacketPath path,
         << " arr=" << s.arrivals << " dep=" << s.departures
         << " ovf=" << s.drops_overflow << " early=" << s.drops_early
         << " forced=" << s.drops_forced << " down=" << s.drops_link_down
-        << " bytes=" << s.bytes_delivered
+        << " imp=" << s.drops_impairment << " dup=" << s.duplicates
+        << " reo=" << s.reordered << " bytes=" << s.bytes_delivered
         << " q=" << link.queue().length_packets() << "\n";
     log << "pool_live_after_drain="
         << (net::PacketPool::of(sim).live() - link.queue().length_packets())
         << "\n";
   }
-  net::clear_thread_packet_path();
   return log.str();
 }
 
@@ -180,8 +225,14 @@ inline std::string render_path_script(const PathScript& script) {
       case PathOp::Kind::kBandwidth:
         out << "  bandwidth(bps=" << op.arg << ")\n";
         break;
+      case PathOp::Kind::kDelay:
+        out << "  delay(ns=" << op.arg << ")\n";
+        break;
       case PathOp::Kind::kFilter:
         out << "  filter()\n";
+        break;
+      case PathOp::Kind::kWire:
+        out << "  wire()\n";
         break;
     }
   }
@@ -190,12 +241,12 @@ inline std::string render_path_script(const PathScript& script) {
 
 inline bool paths_disagree(const PathScript& script,
                            const PathRigConfig& cfg = {}) {
-  return run_path_script(net::PacketPath::kScalar, script, cfg) !=
-         run_path_script(net::PacketPath::kPooled, script, cfg);
+  return run_path_script<ReferenceLink>(script, cfg) !=
+         run_path_script<net::Link>(script, cfg);
 }
 
 /// ddmin-style shrink (see engine_diff.hpp): delete chunks while the
-/// scalar/pooled disagreement persists.
+/// net::Link/ReferenceLink disagreement persists.
 inline PathScript shrink_path_script(PathScript failing,
                                      const PathRigConfig& cfg = {}) {
   std::size_t chunk = std::max<std::size_t>(1, failing.size() / 2);
@@ -220,26 +271,27 @@ inline PathScript shrink_path_script(PathScript failing,
   }
 }
 
-/// Empty string when both paths agree on `script`; otherwise a failure
-/// report containing the shrunken minimal script and both logs.
+/// Empty string when both link types agree on `script`; otherwise a
+/// failure report containing the shrunken minimal script and both logs.
 inline std::string diff_paths(const PathScript& script,
                               const PathRigConfig& cfg = {}) {
   if (!paths_disagree(script, cfg)) return {};
   const PathScript minimal = shrink_path_script(script, cfg);
   std::ostringstream out;
-  out << "scalar and pooled packet paths disagree; minimal script ("
+  out << "net::Link and ReferenceLink disagree; minimal script ("
       << minimal.size() << " of " << script.size() << " ops):\n"
-      << render_path_script(minimal) << "--- scalar log ---\n"
-      << run_path_script(net::PacketPath::kScalar, minimal, cfg)
-      << "--- pooled log ---\n"
-      << run_path_script(net::PacketPath::kPooled, minimal, cfg);
+      << render_path_script(minimal) << "--- reference log ---\n"
+      << run_path_script<ReferenceLink>(minimal, cfg)
+      << "--- link log ---\n"
+      << run_path_script<net::Link>(minimal, cfg);
   return out.str();
 }
 
 /// Randomized script: sends dominate (bursts saturate the link so the
 /// transmit lane stays busy), runs advance time by slices shorter
 /// than one serialization (so flaps and retimes land mid-transmission),
-/// and flaps/retimes/filters are sprinkled in.
+/// and flaps/retimes/delay changes/filters/wire-model toggles are
+/// sprinkled in.
 inline PathScript random_path_script(std::uint64_t seed,
                                      std::size_t num_ops) {
   sim::Rng rng(seed);
@@ -257,15 +309,22 @@ inline PathScript random_path_script(std::uint64_t seed,
       op.kind = PathOp::Kind::kRun;
       // 0..2 ms in 50 us steps: lands inside and across transmissions.
       op.arg = static_cast<std::int64_t>(rng.uniform_int(41)) * 50'000;
-    } else if (roll < 0.87) {
+    } else if (roll < 0.86) {
       op.kind = down ? PathOp::Kind::kUp : PathOp::Kind::kDown;
       down = !down;
-    } else if (roll < 0.94) {
+    } else if (roll < 0.91) {
       op.kind = PathOp::Kind::kBandwidth;
       op.arg = 1'000'000 + static_cast<std::int64_t>(rng.uniform_int(16)) *
                                1'000'000;
-    } else {
+    } else if (roll < 0.94) {
+      op.kind = PathOp::Kind::kDelay;
+      // 0..2 ms in 250 us steps: shorter and longer than packets
+      // already propagating, and zero.
+      op.arg = static_cast<std::int64_t>(rng.uniform_int(9)) * 250'000;
+    } else if (roll < 0.97) {
       op.kind = PathOp::Kind::kFilter;
+    } else {
+      op.kind = PathOp::Kind::kWire;
     }
     script.push_back(op);
   }

@@ -126,12 +126,11 @@ TEST(Dumbbell, StaggeredStartIsDeterministicPerSeed) {
   EXPECT_NE(run(3), run(4));
 }
 
-// The pooled path keeps in-flight packets in lanes the Simulator owns
-// and every link shares. Tearing a busy topology down mid-run must take
+// Links keep in-flight packets in lanes the Simulator owns and every
+// link shares. Tearing a busy topology down mid-run must take
 // each dead link's entries out of those lanes and return their packets,
 // so the pool balances and the Simulator carries on without them.
 TEST(Dumbbell, DestroyedMidRunReturnsEveryPacketHeldInSharedLanes) {
-  net::set_thread_packet_path(net::PacketPath::kPooled);
   sim::Simulator sim;
   auto bed = std::make_unique<Dumbbell>(sim, DumbbellConfig{});
   for (int i = 0; i < 8; ++i) bed->add_flow(FlowSpec::tcp(2.0));
@@ -148,7 +147,6 @@ TEST(Dumbbell, DestroyedMidRunReturnsEveryPacketHeldInSharedLanes) {
   EXPECT_EQ(sim.lane_stats().most_live, 0u);
   EXPECT_EQ(sim.armed_chains(), 0u);
   sim.run_until(sim::Time::seconds(3));
-  net::clear_thread_packet_path();
 }
 
 }  // namespace

@@ -190,7 +190,6 @@ TEST(Link, DelayJitterStepsLeaveABoundedLaneTable) {
   // under a packet per ms. Each step moves later departures to a new
   // delivery lane while the old one still drains, so a lane table that
   // never re-purposed idle lanes would grow by one per step.
-  set_thread_packet_path(PacketPath::kPooled);
   Rig rig(8e6, sim::Time::millis(10), 8);
   DelayLog log;
   rig.link.add_observer(&log);
@@ -219,13 +218,11 @@ TEST(Link, DelayJitterStepsLeaveABoundedLaneTable) {
   EXPECT_EQ(rig.sim.lane_stats().most_live, 0u);
   rig.sim.clear_event_hook();
   rig.link.remove_observer(&log);
-  clear_thread_packet_path();
 }
 
 TEST(Link, LinksSharingALaneDieWithoutFiringIntoTheDeadOne) {
   // Two links with one bandwidth and one delay share both lanes; the
   // first dies with packets in its transmitter and on its wire.
-  set_thread_packet_path(PacketPath::kPooled);
   sim::Simulator sim;
   Node a{0, "a"};
   Node b{1, "b"};
@@ -261,7 +258,62 @@ TEST(Link, LinksSharingALaneDieWithoutFiringIntoTheDeadOne) {
     EXPECT_EQ(sink.received[static_cast<std::size_t>(i)].second.seq, i);
   }
   EXPECT_EQ(pool.live(), 0u);
-  clear_thread_packet_path();
+}
+
+// A wire model that delays every packet by 5 ms or duplicates it, so
+// its delivery (or its copy's) rides an engine event, not a lane.
+struct DelayOrDuplicate final : WireModel {
+  bool duplicate = false;
+  WireVerdict on_wire(const Packet& /*p*/) override {
+    WireVerdict v;
+    if (duplicate) {
+      v.duplicate = true;
+    } else {
+      v.extra_delay = sim::Time::millis(5);
+    }
+    return v;
+  }
+};
+
+// ~Link must cancel the engine deliveries a wire model scheduled and
+// return their packets, as it does for lane entries: one packet,
+// destroyed 2 ms into its 10 ms propagation.
+void expect_dead_link_cancels_wire_delivery(bool duplicate) {
+  sim::Simulator sim;
+  Node a{0, "a"};
+  Node b{1, "b"};
+  Capture sink;
+  sink.sim = &sim;
+  b.attach(1, sink);
+  DelayOrDuplicate wire;
+  wire.duplicate = duplicate;
+  auto link = std::make_unique<Link>(sim, a, b, 8e6, sim::Time::millis(10),
+                                     std::make_unique<DropTailQueue>(4));
+  link->set_wire_model(&wire);
+  Packet p;
+  p.dst_node = 1;
+  p.dst_port = 1;
+  p.size_bytes = 1000;
+  link->send(std::move(p));
+  sim.run_until(sim::Time::millis(3));
+  PacketPool& pool = PacketPool::of(sim);
+  ASSERT_EQ(pool.live(), duplicate ? 2u : 1u);
+  link.reset();
+  // Checked before running on: a delivery left pending would fire into
+  // the dead link.
+  ASSERT_EQ(pool.live(), 0u);
+  ASSERT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_TRUE(sink.received.empty());
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(Link, DestroyedLinkCancelsAWireDelayedDelivery) {
+  expect_dead_link_cancels_wire_delivery(false);
+}
+
+TEST(Link, DestroyedLinkCancelsADuplicateOnTheWire) {
+  expect_dead_link_cancels_wire_delivery(true);
 }
 
 }  // namespace

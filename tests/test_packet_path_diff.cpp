@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,12 +16,12 @@ namespace slowcc::test {
 namespace {
 
 // ====================================================================
-// Property tests: randomized send/run/flap/retime/filter scripts, the
-// pooled (shared fixed-delay lanes) and scalar (one event per departure)
-// packet paths must agree on every observable — time, event count,
-// trace digest, link counters, queue occupancy, and each delivered
-// packet. On failure the report embeds the ddmin-shrunken minimal
-// script, so the assertion message is directly actionable.
+// Property tests: on randomized send/run/flap/retime/delay/filter/wire
+// scripts, net::Link (shared fixed-delay lanes) and ReferenceLink (one
+// engine event per transition) must agree on every observable — time,
+// event count, trace digest, link counters, queue occupancy, and each
+// delivered packet. On failure the report embeds the ddmin-shrunken
+// minimal script, so the assertion message is directly actionable.
 
 TEST(PacketPathDiff, RandomizedScriptsAgreeOnDropTail) {
   constexpr std::uint64_t kBaseSeed = 0x9ac4e7aa7bULL;
@@ -31,9 +32,9 @@ TEST(PacketPathDiff, RandomizedScriptsAgreeOnDropTail) {
   }
 }
 
-// RED consumes RNG draws during admission; the paths only agree if the
-// pooled queue makes exactly the same admit() calls in the same order
-// (early drops land mid-batch under saturation).
+// RED consumes RNG draws during admission; the links only agree if the
+// handle API makes exactly the same admit() calls in the same order as
+// the value API (early drops land mid-batch under saturation).
 TEST(PacketPathDiff, RandomizedScriptsAgreeOnRed) {
   constexpr std::uint64_t kBaseSeed = 0x9ac45edULL;
   PathRigConfig cfg;
@@ -59,12 +60,12 @@ TEST(PacketPathDiff, ShortScriptsAgree) {
 }
 
 // ====================================================================
-// Directed regressions: the batch-boundary cases named in ISSUE 10.
+// Directed regressions: the batch-boundary cases.
 
 // A burst that saturates the link, then set_down lands mid-drain: the
 // chain must disarm without firing the queued departures, the
 // in-flight packet is dropped as kLinkDown, and the queue flushes —
-// identically to the scalar cancel.
+// identically to the reference link's cancel.
 TEST(PacketPathDiff, SetDownInterruptsDrain) {
   PathScript script;
   for (int i = 0; i < 6; ++i) script.push_back({PathOp::Kind::kSend, 1000});
@@ -80,7 +81,7 @@ TEST(PacketPathDiff, SetDownInterruptsDrain) {
 
 // Flap the link while the queue still holds a backlog and immediately
 // resume sending: the first post-repair send must re-arm the chain
-// from scratch (the scalar path schedules a fresh tx event).
+// from scratch (the reference link schedules a fresh tx event).
 TEST(PacketPathDiff, FlapThenImmediateResend) {
   PathScript script;
   for (int i = 0; i < 4; ++i) script.push_back({PathOp::Kind::kSend, 800});
@@ -93,7 +94,7 @@ TEST(PacketPathDiff, FlapThenImmediateResend) {
 }
 
 // RED early drop mid-batch: an aggressive RED config dropping under a
-// saturating burst must consume identical RNG draws on both paths —
+// saturating burst must consume identical RNG draws on both links —
 // the drop decisions (and therefore which seqs are delivered) match.
 TEST(PacketPathDiff, RedDropsMidBatch) {
   PathRigConfig cfg;
@@ -124,8 +125,9 @@ TEST(PacketPathDiff, LastPacketOfBatchCanceled) {
 }
 
 // set_bandwidth mid-transmission re-times the in-flight packet: the
-// pooled path re-mints the chain seq exactly where the scalar path
-// cancels + reschedules, so digests stay identical.
+// link revokes its lane ticket and schedules the remainder exactly
+// where the reference link cancels + reschedules, so digests stay
+// identical.
 TEST(PacketPathDiff, RetimeMidTransmission) {
   PathScript script;
   for (int i = 0; i < 5; ++i) script.push_back({PathOp::Kind::kSend, 1500});
@@ -151,6 +153,35 @@ TEST(PacketPathDiff, ForcedDropUnderSaturation) {
   EXPECT_TRUE(report.empty()) << report;
 }
 
+// Every engine fallback of the wire model under saturation, across a
+// flap and a re-time: losses on the wire, extra delays that reorder
+// against later departures, duplicates with and without their own
+// delay, and the model cleared while reordered copies still propagate.
+TEST(PacketPathDiff, WireModelFallbacksAgree) {
+  PathScript script;
+  script.push_back({PathOp::Kind::kWire, 0});
+  for (int i = 0; i < 8; ++i) {
+    script.push_back({PathOp::Kind::kSend, i % 2 == 0 ? 1000 : 300});
+  }
+  script.push_back({PathOp::Kind::kRun, 2'500'000});
+  script.push_back({PathOp::Kind::kBandwidth, 4'000'000});
+  script.push_back({PathOp::Kind::kRun, 1'000'000});
+  script.push_back({PathOp::Kind::kDown, 0});
+  script.push_back({PathOp::Kind::kUp, 0});
+  for (int i = 0; i < 6; ++i) script.push_back({PathOp::Kind::kSend, 1000});
+  // All six depart with the model on; seq 10 is delayed and duplicated.
+  script.push_back({PathOp::Kind::kRun, 20'000'000});
+  script.push_back({PathOp::Kind::kWire, 0});
+  for (int i = 0; i < 4; ++i) script.push_back({PathOp::Kind::kSend, 500});
+  const std::string report = diff_paths(script);
+  EXPECT_TRUE(report.empty()) << report;
+  // The script must actually reach every verdict, or it proves nothing.
+  const std::string log = run_path_script<net::Link>(script);
+  for (const char* counter : {" imp=0 ", " dup=0 ", " reo=0 "}) {
+    EXPECT_EQ(log.find(counter), std::string::npos) << counter << "\n" << log;
+  }
+}
+
 // ====================================================================
 // Harness self-checks.
 
@@ -164,15 +195,51 @@ TEST(PacketPathDiff, AgreementReportsEmpty) {
 }
 
 // Determinism of the harness itself: the same script renders the same
-// log twice on the same path (no hidden global state between runs).
+// log twice on the same link type (no hidden global state between
+// runs).
 TEST(PacketPathDiff, HarnessIsDeterministicPerPath) {
   const PathScript script = random_path_script(0x9acd37e7ULL, 200);
-  for (const net::PacketPath path :
-       {net::PacketPath::kScalar, net::PacketPath::kPooled}) {
-    const std::string first = run_path_script(path, script);
-    const std::string second = run_path_script(path, script);
-    EXPECT_EQ(first, second);
+  EXPECT_EQ(run_path_script<net::Link>(script),
+            run_path_script<net::Link>(script));
+  EXPECT_EQ(run_path_script<ReferenceLink>(script),
+            run_path_script<ReferenceLink>(script));
+}
+
+// The oracle keeps the ~Link contract too: a reference link destroyed
+// with a transmission, wire-delayed deliveries and duplicates pending
+// cancels them all, and the Simulator runs on without them.
+TEST(PacketPathDiff, ReferenceLinkDiesWithoutFiringIntoTheDeadOne) {
+  sim::Simulator sim;
+  net::Node a{0, "a"};
+  net::Node b{1, "b"};
+  std::ostringstream log;
+  detail::CountingSink sink;
+  sink.sim = &sim;
+  sink.log = &log;
+  b.attach(1, sink);
+  SeqKeyedWire wire;
+  auto link = std::make_unique<ReferenceLink>(
+      sim, a, b, 8e6, sim::Time::millis(10),
+      std::make_unique<net::DropTailQueue>(8));
+  link->set_wire_model(&wire);
+  // Seqs 2, 3 and 4 get an extra delay, a duplicate and both; seq 5
+  // is still in the transmitter when the link dies.
+  for (std::int64_t seq = 2; seq <= 5; ++seq) {
+    net::Packet p;
+    p.dst_node = 1;
+    p.dst_port = 1;
+    p.seq = seq;
+    p.size_bytes = 1000;
+    link->send(std::move(p));
   }
+  sim.run_until(sim::Time::millis(3) + sim::Time::micros(500));
+  ASSERT_TRUE(link->transmitting());
+  ASSERT_EQ(sim.pending_events(), 6u);
+  link.reset();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(net::PacketPool::of(sim).live(), 0u);
+  sim.run();
+  EXPECT_EQ(log.str(), "");
 }
 
 // ====================================================================
@@ -181,12 +248,11 @@ TEST(PacketPathDiff, HarnessIsDeterministicPerPath) {
 // its own entry out of the middle of a lane the others keep using.
 // Three links from a to b carry bursts; `fault` strikes mid-burst; the
 // log renders deliveries, the event stream, every link's counters and
-// the pending times, and the two paths must agree on all of it.
+// the pending times, and three net::Links must agree on all of it with
+// three ReferenceLinks.
 
-using LaneFault = std::function<void(std::vector<net::Link*>&)>;
-
-std::string run_shared_lane_rig(net::PacketPath path, const LaneFault& fault) {
-  net::set_thread_packet_path(path);
+template <typename LinkT, typename Fault>
+std::string run_shared_lane_rig(const Fault& fault) {
   std::ostringstream log;
   {
     sim::Simulator sim;
@@ -196,10 +262,10 @@ std::string run_shared_lane_rig(net::PacketPath path, const LaneFault& fault) {
     sink.sim = &sim;
     sink.log = &log;
     b.attach(1, sink);
-    std::vector<std::unique_ptr<net::Link>> owned;
-    std::vector<net::Link*> links;
+    std::vector<std::unique_ptr<LinkT>> owned;
+    std::vector<LinkT*> links;
     for (int i = 0; i < 3; ++i) {
-      owned.push_back(std::make_unique<net::Link>(
+      owned.push_back(std::make_unique<LinkT>(
           sim, a, b, 8e6, sim::Time::micros(2500),
           std::make_unique<net::DropTailQueue>(8)));
       links.push_back(owned.back().get());
@@ -224,7 +290,7 @@ std::string run_shared_lane_rig(net::PacketPath path, const LaneFault& fault) {
       for (const sim::Time t : sim.pending_event_times(64)) {
         log << t.as_nanos() << ",";
       }
-      for (const net::Link* link : links) {
+      for (const LinkT* link : links) {
         const net::LinkStats& s = link->stats();
         log << " [dep=" << s.departures << " drop=" << s.drops_total()
             << " q=" << link->queue().length_packets() << "]";
@@ -245,23 +311,22 @@ std::string run_shared_lane_rig(net::PacketPath path, const LaneFault& fault) {
     render("final");
     log << "pool_live=" << net::PacketPool::of(sim).live() << "\n";
   }
-  net::clear_thread_packet_path();
   return log.str();
 }
 
-void expect_paths_agree_on_shared_lanes(const LaneFault& fault) {
-  const std::string scalar =
-      run_shared_lane_rig(net::PacketPath::kScalar, fault);
-  const std::string pooled =
-      run_shared_lane_rig(net::PacketPath::kPooled, fault);
-  EXPECT_EQ(pooled, scalar);
+// `fault` takes the rig's links as `std::vector<LinkT*>&` for either
+// link type, so it is written as a generic lambda.
+template <typename Fault>
+void expect_links_agree_on_shared_lanes(const Fault& fault) {
+  EXPECT_EQ(run_shared_lane_rig<net::Link>(fault),
+            run_shared_lane_rig<ReferenceLink>(fault));
 }
 
 // The middle link's in-flight packet leaves the transmit lane the other
 // two still share and finishes as an engine event; then the rate goes
 // back, which moves its next packets into the shared lane again.
 TEST(PacketPathDiff, SetBandwidthOnASharedTransmitLane) {
-  expect_paths_agree_on_shared_lanes([](std::vector<net::Link*>& links) {
+  expect_links_agree_on_shared_lanes([](auto& links) {
     links[1]->set_bandwidth(2e6);
     links[1]->set_bandwidth(8e6);
     links[0]->set_bandwidth(4e6);
@@ -271,7 +336,7 @@ TEST(PacketPathDiff, SetBandwidthOnASharedTransmitLane) {
 // The middle link's transmit ticket sits between the other two links'
 // tickets in the shared lane when the link goes down.
 TEST(PacketPathDiff, SetDownWhileTheTicketSitsMidLane) {
-  expect_paths_agree_on_shared_lanes([](std::vector<net::Link*>& links) {
+  expect_links_agree_on_shared_lanes([](auto& links) {
     links[1]->set_down();
     links[2]->set_down();
     links[2]->set_up();
@@ -282,95 +347,83 @@ TEST(PacketPathDiff, SetDownWhileTheTicketSitsMidLane) {
 // lane); later departures move to the new delay's lane, shorter for one
 // link and longer for another, so the lanes' fire times interleave.
 TEST(PacketPathDiff, SetPropagationDelayWhilePacketsPropagateSwitchesLanes) {
-  expect_paths_agree_on_shared_lanes([](std::vector<net::Link*>& links) {
+  expect_links_agree_on_shared_lanes([](auto& links) {
     links[0]->set_propagation_delay(sim::Time::micros(300));
     links[2]->set_propagation_delay(sim::Time::micros(4000));
   });
 }
 
 // ====================================================================
-// Scenario-level differential: the rigs above share lanes between at
-// most three links. A 64-flow dumbbell keeps many access links busy at
-// once, so the pooled path's lanes each carry dozens of links' entries
-// while the scalar path arms no chain at all; equal digests and event
-// counts prove the lanes fire in exact (at, seq) order under load.
+// Scenario-level pins: the rigs above share lanes between at most
+// three links. A 64-flow dumbbell keeps many access links busy at once,
+// so each lane carries dozens of links' entries. scenario::Dumbbell
+// builds its own net::Links, so no reference link can be swapped in:
+// these tests pin the digest, event count and pending times that the
+// by-value path (one engine event per departure and delivery) produced
+// for the same run, proving the lanes fire in exact (at, seq) order
+// under load.
 
 struct DumbbellRun {
   std::uint64_t digest = 0;
   std::uint64_t events = 0;
-  std::size_t max_armed_chains = 0;
   std::size_t most_lane_live = 0;
 };
 
-DumbbellRun run_many_flow_dumbbell(net::PacketPath path) {
-  net::set_thread_packet_path(path);
+DumbbellRun run_many_flow_dumbbell() {
   DumbbellRun out;
-  {
-    sim::Simulator sim;
-    scenario::DumbbellConfig cfg;
-    cfg.bottleneck_bps = 100e6;
-    cfg.seed = 3;
-    scenario::Dumbbell bed(sim, cfg);
-    for (int i = 0; i < 64; ++i) bed.add_flow(scenario::FlowSpec::tcp(2.0));
-    bed.add_reverse_traffic();
-    bed.start_flows();
-    bed.finalize();
-    // The hook runs outside the event stream, so it cannot move the
-    // digest it helps to check.
-    sim.set_event_hook(8, [&] {
-      out.max_armed_chains = std::max(out.max_armed_chains, sim.armed_chains());
-      out.most_lane_live =
-          std::max(out.most_lane_live, sim.lane_stats().most_live);
-    });
-    sim.run_until(sim::Time::seconds(1.5));
-    out.digest = sim.trace_digest();
-    out.events = sim.events_executed();
-  }
-  net::clear_thread_packet_path();
+  sim::Simulator sim;
+  scenario::DumbbellConfig cfg;
+  cfg.bottleneck_bps = 100e6;
+  cfg.seed = 3;
+  scenario::Dumbbell bed(sim, cfg);
+  for (int i = 0; i < 64; ++i) bed.add_flow(scenario::FlowSpec::tcp(2.0));
+  bed.add_reverse_traffic();
+  bed.start_flows();
+  bed.finalize();
+  // The hook runs outside the event stream, so it cannot move the
+  // digest it helps to check.
+  sim.set_event_hook(8, [&] {
+    out.most_lane_live =
+        std::max(out.most_lane_live, sim.lane_stats().most_live);
+  });
+  sim.run_until(sim::Time::seconds(1.5));
+  out.digest = sim.trace_digest();
+  out.events = sim.events_executed();
   return out;
 }
 
 TEST(PacketPathDiff, ManyFlowDumbbellAgreesAcrossPaths) {
-  const DumbbellRun scalar = run_many_flow_dumbbell(net::PacketPath::kScalar);
-  const DumbbellRun pooled = run_many_flow_dumbbell(net::PacketPath::kPooled);
-  EXPECT_EQ(pooled.digest, scalar.digest);
-  EXPECT_EQ(pooled.events, scalar.events);
-  EXPECT_EQ(scalar.max_armed_chains, 0u);
-  EXPECT_GE(pooled.most_lane_live, 64u) << "no lane was ever shared under load";
+  const DumbbellRun run = run_many_flow_dumbbell();
+  EXPECT_EQ(run.digest, 10911702783543799015ULL);
+  EXPECT_EQ(run.events, 228814u);
+  EXPECT_GE(run.most_lane_live, 64u) << "no lane was ever shared under load";
 }
 
 // The Watchdog's "next at" dump reads pending_event_times: it must list
-// the true earliest pending events whichever path carries them, not
-// only the head of each FIFO the pooled path batches.
-std::vector<std::int64_t> many_flow_pending_ns(net::PacketPath path) {
-  net::set_thread_packet_path(path);
-  std::vector<std::int64_t> times;
-  {
-    sim::Simulator sim;
-    scenario::DumbbellConfig cfg;
-    cfg.bottleneck_bps = 100e6;
-    cfg.seed = 3;
-    scenario::Dumbbell bed(sim, cfg);
-    for (int i = 0; i < 64; ++i) bed.add_flow(scenario::FlowSpec::tcp(2.0));
-    bed.add_reverse_traffic();
-    bed.start_flows();
-    bed.finalize();
-    sim.run_until(sim::Time::seconds(1.0));
-    for (const sim::Time t : sim.pending_event_times(32)) {
-      times.push_back(t.as_nanos());
-    }
-  }
-  net::clear_thread_packet_path();
-  return times;
-}
-
+// the true earliest pending events, not only the head of each lane.
 TEST(PacketPathDiff, PendingEventTimesAgreeAcrossPaths) {
-  const std::vector<std::int64_t> scalar =
-      many_flow_pending_ns(net::PacketPath::kScalar);
-  const std::vector<std::int64_t> pooled =
-      many_flow_pending_ns(net::PacketPath::kPooled);
-  ASSERT_EQ(scalar.size(), 32u);
-  EXPECT_EQ(pooled, scalar);
+  sim::Simulator sim;
+  scenario::DumbbellConfig cfg;
+  cfg.bottleneck_bps = 100e6;
+  cfg.seed = 3;
+  scenario::Dumbbell bed(sim, cfg);
+  for (int i = 0; i < 64; ++i) bed.add_flow(scenario::FlowSpec::tcp(2.0));
+  bed.add_reverse_traffic();
+  bed.start_flows();
+  bed.finalize();
+  sim.run_until(sim::Time::seconds(1.0));
+  std::vector<std::int64_t> times;
+  for (const sim::Time t : sim.pending_event_times(32)) {
+    times.push_back(t.as_nanos());
+  }
+  const std::vector<std::int64_t> by_value = {
+      1000016000, 1000019200, 1000027200, 1000027200, 1000027200, 1000043200,
+      1000044800, 1000046400, 1000051200, 1000057600, 1000067200, 1000099200,
+      1000107200, 1000107200, 1000129600, 1000137600, 1000147200, 1000182400,
+      1000187200, 1000187200, 1000209600, 1000227200, 1000262400, 1000265600,
+      1000267200, 1000267200, 1000270400, 1000289600, 1000307200, 1000345600,
+      1000347200, 1000348800};
+  EXPECT_EQ(times, by_value);
 }
 
 }  // namespace

@@ -4,24 +4,17 @@
 // Generate mode runs bench/micro_engine with google-benchmark's JSON
 // output and writes BENCH_engine.json (schema slowcc.bench_engine.v1)
 // with ns-per-op and items-per-second per run (BM_X/wheel for the
-// event queue, BM_X/scalar and BM_X/pooled for the packet paths, and
-// the unsuffixed BM_DumbbellTcpSecond/BM_DumbbellTfrcSecond rows, whose
-// items are executed simulator events, so items_per_second is their
-// events/s), the pooled:scalar speedup, and the benchmark child's peak RSS
-// (getrusage(RUSAGE_CHILDREN), so a memory regression in the engine
-// shows up next to the timing numbers). Validate mode re-reads such a
-// file and checks the schema and that every required row is present —
-// that is the bench_smoke ctest — and can check the minimum packet
-// speedup: `--require-packet-speedup 2.0` (pooled:scalar) fails
-// validation below the floor (for a dedicated quiet perf runner),
-// while `--advise-packet-speedup` only warns (for shared/virtualized
-// CI, where wall-clock ratios between two in-process benchmarks are
-// not stable enough to gate on):
+// event queue, and the unsuffixed BM_SaturatedDumbbell,
+// BM_DumbbellTcpSecond and BM_DumbbellTfrcSecond rows, whose items are
+// executed simulator events, so items_per_second is their events/s),
+// and the benchmark child's peak RSS (getrusage(RUSAGE_CHILDREN), so a
+// memory regression in the engine shows up next to the timing
+// numbers). Validate mode re-reads such a file and checks the schema
+// and that every required row is present — that is the bench_smoke
+// ctest:
 //
 //   bench_report --bench build/bench/micro_engine --out BENCH_engine.json
 //   bench_report --validate BENCH_engine.json
-//                [--require-packet-speedup 2.0 |
-//                 --advise-packet-speedup 2.0]
 //
 // Exit codes: 0 ok, 1 validation failure, 2 usage or execution error.
 
@@ -35,7 +28,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,15 +38,11 @@ constexpr const char* kSchema = "slowcc.bench_engine.v1";
 // The event-queue benchmarks: each must report a /wheel row.
 const std::vector<std::string> kRequiredBenchmarks = {
     "BM_EventQueueScheduleRun", "BM_EventQueueCancelHeavy"};
-// The packet hot-path macro-benchmarks: both packet paths (scalar and
-// pooled) must report for each, compared as pooled_speedup.
-const std::vector<std::string> kRequiredPacketBenchmarks = {
-    "BM_SaturatedDumbbell"};
-// Whole-simulation benchmarks (one simulated second of the loaded
-// dumbbell on the default engine and packet path): one row each, with
-// no engine variant.
+// Whole-simulation benchmarks (the saturated bottleneck's packet hot
+// path, and one simulated second of the loaded dumbbell): one row
+// each, with no engine variant.
 const std::vector<std::string> kRequiredSimulationBenchmarks = {
-    "BM_DumbbellTcpSecond", "BM_DumbbellTfrcSecond"};
+    "BM_SaturatedDumbbell", "BM_DumbbellTcpSecond", "BM_DumbbellTfrcSecond"};
 
 struct Sample {
   std::string bench;
@@ -191,10 +179,6 @@ int generate(const std::string& bench_bin, const std::string& out_path,
     return 2;
   }
 
-  // bench name -> engine -> sample
-  std::map<std::string, std::map<std::string, Sample>> by_bench;
-  for (const Sample& s : samples) by_bench[s.bench][s.engine] = s;
-
   double lint_wall_ms = -1.0;
   if (!lint_bin.empty()) {
     lint_wall_ms = time_lint_run(lint_bin, lint_root);
@@ -219,27 +203,6 @@ int generate(const std::string& bench_bin, const std::string& out_path,
         << ", \"items_per_second\": " << s.items_per_second << "}"
         << (i + 1 < samples.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"comparisons\": [\n";
-  std::vector<std::string> lines;
-  for (const auto& [bench, engines] : by_bench) {
-    const auto scalar = engines.find("scalar");
-    const auto pooled = engines.find("pooled");
-    if (scalar != engines.end() && pooled != engines.end()) {
-      std::ostringstream line;
-      line << "    {\"name\": \"" << bench
-           << "\", \"scalar_ns_per_op\": " << scalar->second.ns_per_op
-           << ", \"pooled_ns_per_op\": " << pooled->second.ns_per_op
-           << ", \"pooled_speedup\": "
-           << (pooled->second.ns_per_op > 0.0
-                   ? scalar->second.ns_per_op / pooled->second.ns_per_op
-                   : 0.0)
-           << "}";
-      lines.push_back(line.str());
-    }
-  }
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    out << lines[i] << (i + 1 < lines.size() ? "," : "") << "\n";
-  }
   out << "  ]\n}\n";
 
   std::ofstream file(out_path);
@@ -249,15 +212,13 @@ int generate(const std::string& bench_bin, const std::string& out_path,
   }
   file << out.str();
   std::cout << "bench_report: wrote " << out_path << " ("
-            << samples.size() << " samples, " << lines.size()
-            << " comparisons, peak_rss_bytes=" << peak_rss;
+            << samples.size() << " samples, peak_rss_bytes=" << peak_rss;
   if (lint_wall_ms >= 0.0) std::cout << ", lint_wall_ms=" << lint_wall_ms;
   std::cout << ")\n";
   return 0;
 }
 
-int validate(const std::string& path, double packet_floor,
-             bool packet_advisory) {
+int validate(const std::string& path) {
   std::ifstream file(path);
   if (!file.good()) {
     std::cerr << "bench_report: cannot read " << path << "\n";
@@ -318,45 +279,6 @@ int validate(const std::string& path, double packet_floor,
                 << " events_per_second=" << events_per_second << "\n";
     }
   }
-  for (const std::string& bench : kRequiredPacketBenchmarks) {
-    for (const char* engine : {"scalar", "pooled"}) {
-      const std::string needle = "{\"name\": \"" + bench +
-                                 "\", \"engine\": \"" + engine + "\"";
-      if (text.find(needle) == std::string::npos) {
-        std::cerr << "bench_report: " << path << " lacks " << bench << "/"
-                  << engine << "\n";
-        ++failures;
-      }
-    }
-    const std::size_t cmp = text.find("{\"name\": \"" + bench +
-                                      "\", \"scalar_ns_per_op\"");
-    if (cmp == std::string::npos) {
-      std::cerr << "bench_report: " << path << " lacks a comparison for "
-                << bench << "\n";
-      ++failures;
-      continue;
-    }
-    double speedup = 0.0;
-    if (!find_number(text.substr(cmp), "pooled_speedup", &speedup) ||
-        speedup <= 0.0) {
-      std::cerr << "bench_report: " << path << " has no pooled_speedup for "
-                << bench << "\n";
-      ++failures;
-    } else if (speedup < packet_floor) {
-      if (packet_advisory) {
-        std::cerr << "bench_report: WARNING: " << bench << " pooled_speedup "
-                  << speedup << " below advisory floor " << packet_floor
-                  << " (not gating; ratios are unstable on shared runners)\n";
-      } else {
-        std::cerr << "bench_report: " << bench << " pooled_speedup " << speedup
-                  << " below required " << packet_floor << "\n";
-        ++failures;
-      }
-    } else {
-      std::cout << "bench_report: " << bench << " pooled_speedup=" << speedup
-                << "\n";
-    }
-  }
   if (failures == 0) std::cout << "bench_report: " << path << " valid\n";
   return failures == 0 ? 0 : 1;
 }
@@ -370,8 +292,6 @@ int main(int argc, char** argv) {
   std::string min_time = "0.05";
   std::string lint_bin;
   std::string lint_root = ".";
-  double packet_floor = 0.0;
-  bool packet_advisory = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -393,22 +313,15 @@ int main(int argc, char** argv) {
       lint_root = next();
     } else if (arg == "--validate") {
       validate_path = next();
-    } else if (arg == "--require-packet-speedup") {
-      packet_floor = std::strtod(next(), nullptr);
-      packet_advisory = false;
-    } else if (arg == "--advise-packet-speedup") {
-      packet_floor = std::strtod(next(), nullptr);
-      packet_advisory = true;
     } else {
       std::cerr << "usage: bench_report --bench <micro_engine> [--out F]"
                    " [--min-time S] [--lint <slowcc_lint> [--lint-root D]]"
-                   " | --validate <F>"
-                   " [--require-packet-speedup X | --advise-packet-speedup X]\n";
+                   " | --validate <F>\n";
       return 2;
     }
   }
   if (!validate_path.empty()) {
-    return validate(validate_path, packet_floor, packet_advisory);
+    return validate(validate_path);
   }
   if (bench_bin.empty()) {
     std::cerr << "bench_report: need --bench or --validate\n";

@@ -1,15 +1,9 @@
 #!/usr/bin/env bash
-# Spec library smoke, in three legs:
+# Spec library smoke, in two legs:
 #
 #   1  Golden gate: slowcc_spec --check runs every committed spec at a
 #      short duration scale and byte-compares the trace digests against
 #      specs/golden/ (regen: SLOWCC_REGEN_GOLDEN=1).
-#   1b Packet-path gate: the same golden check repeated with
-#      SLOWCC_PACKET_PATH=scalar, pinning the batched/pooled and scalar
-#      packet paths to one event stream (DESIGN.md §14). The
-#      saturated_dumbbell spec exists for this leg: its bottleneck never
-#      goes idle, so its transmit and propagation lanes stay armed for
-#      the whole run.
 #   2  Sweep determinism: a spec-driven sweep (algorithm hole filled
 #      from --algorithms, one declared [params] axis swept) must be
 #      byte-identical across --jobs 4 (via --selfcheck, which replays
@@ -43,12 +37,6 @@ fail() {
 
 # ---- Leg 1: every spec parses and matches its golden --------------
 "$spec_tool" --check "$specs" || fail "slowcc_spec --check exited $?"
-
-# ---- Leg 1b: scalar packet path reproduces the same goldens ---------
-[[ -f "$specs/saturated_dumbbell.toml" ]] \
-  || fail "saturated_dumbbell.toml missing — the packet-path leg needs it"
-SLOWCC_PACKET_PATH=scalar "$spec_tool" --check "$specs" \
-  || fail "slowcc_spec --check under SLOWCC_PACKET_PATH=scalar exited $?"
 
 # ---- Leg 2: spec-driven sweep determinism -------------------------
 # wifi_jitter_burst declares the burst_loss param and leaves the flow
