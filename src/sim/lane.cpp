@@ -5,11 +5,6 @@
 
 namespace slowcc::sim {
 
-Lane::Lane(Simulator& sim) : sim_(sim) {
-  chain_.fire = &Lane::fire_thunk;
-  chain_.ctx = this;
-}
-
 void Lane::grow_ring() {
   // Warm-up growth only: double (16 floor, so always a power of two)
   // and re-lay every entry at its position under the new mask.
@@ -25,21 +20,24 @@ void Lane::grow_ring() {
 
 void Lane::settle_head() {
   while (head_ != tail_ && at_pos(head_).ctx == nullptr) ++head_;
+  // An emptied lane keeps its slot with the empty key, so filling it
+  // again is one key write in post().
   if (live_ == 0) {
-    sim_.disarm_chain(&chain_);
+    sim_.lane_keys_[index_] = Simulator::kEmptyLaneKey;
     return;
   }
   const Entry& head = at_pos(head_);
-  sim_.retime_chain(&chain_, Time::nanos(head.at_ns), head.seq, live_);
+  sim_.lane_keys_[index_] = Simulator::lane_key(head.at_ns, head.seq);
 }
 
 void Lane::fire_head() {
-  // Pop and re-key before the callback: it may post into this lane (or
-  // revoke from it) reentrantly, and the chain must already describe
-  // the new head when it does.
+  // Pop and write the new head's key before the callback: it may post
+  // into this lane (or revoke from it) reentrantly, and the key must
+  // already describe the new head when it does.
   const Entry e = at_pos(head_);
   ++head_;
   --live_;
+  --sim_.lane_pending_;
   settle_head();
   fire_(e.ctx, e.arg);
 }
@@ -54,11 +52,9 @@ void Lane::revoke(LaneTicket ticket) {
 void Lane::revoke_pos(std::uint64_t pos) {
   at_pos(pos).ctx = nullptr;
   --live_;
-  if (pos == head_) {
-    settle_head();
-  } else {
-    sim_.retime_chain(&chain_, chain_.at, chain_.seq, live_);
-  }
+  --sim_.lane_pending_;
+  // Only a revoked head moves the lane's key.
+  if (pos == head_) settle_head();
 }
 
 void Lane::append_times(std::size_t max_entries,

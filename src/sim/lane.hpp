@@ -28,9 +28,9 @@ struct LaneTicket {
 /// §14.3). An entry posted at now() + d for one fixed d can never fire
 /// before an entry posted earlier: now() never decreases and seqs only
 /// grow, so a ring in post order is already in (at, seq) order. The
-/// lane fronts its head in the Simulator's chain heap through one
-/// ChainedEvent whose `pending` is the live count, so however many
-/// sources share it, the heap holds one entry per lane.
+/// lane keeps its head's (at, seq) key in the Simulator's lane-key
+/// array (the +infinity key while it is empty), so however many
+/// sources share it, the run loop's merge compares one key per lane.
 ///
 /// Lanes are owned by their Simulator and handed out by
 /// Simulator::acquire_lane, which counts the sources pointing at each
@@ -40,8 +40,8 @@ struct LaneTicket {
 ///
 /// Invariants: the ring holds entries in post order between `head_` and
 /// `tail_`; a revoked entry becomes a tombstone (ctx == nullptr) and the
-/// head is always a live entry, so the armed chain's key is always the
-/// earliest live (at, seq) of the lane.
+/// head is always a live entry, so the lane's key is always the earliest
+/// live (at, seq) of the lane.
 class Lane {
  public:
   Lane(const Lane&) = delete;
@@ -73,7 +73,7 @@ class Lane {
     std::uint64_t arg = 0;
   };
 
-  explicit Lane(Simulator& sim);
+  Lane(Simulator& sim, std::size_t index) : sim_(sim), index_(index) {}
 
   [[nodiscard]] bool in_use() const noexcept {
     return refs_ != 0 || live_ != 0;
@@ -84,11 +84,10 @@ class Lane {
   // Warm-up growth: double the ring, keeping every entry at its
   // position (so tickets stay valid).
   void grow_ring();
-  // Pop the head and call its callback (the chain's fire).
+  // Pop the head and call its callback (the run loop's lane event).
   void fire_head();
-  static void fire_thunk(void* lane) { static_cast<Lane*>(lane)->fire_head(); }
-  // Skip tombstones at the head, then re-key the chain to the new head
-  // or disarm it when nothing live is left.
+  // Skip tombstones at the head, then write the new head's key, or the
+  // empty key when nothing live is left.
   void settle_head();
   // Tombstone the live entry at `pos`.
   void revoke_pos(std::uint64_t pos);
@@ -96,6 +95,8 @@ class Lane {
   void append_times(std::size_t max_entries, std::vector<Time>* out) const;
 
   Simulator& sim_;
+  // This lane's slot in the Simulator's lanes_ and lane_keys_.
+  std::size_t index_;
   Time duration_;
   LaneFire fire_ = nullptr;
   // Power-of-two ring indexed by position & mask_; positions in
@@ -108,7 +109,6 @@ class Lane {
   // Sources pointing at this lane (Simulator::acquire_lane /
   // release_lane).
   std::size_t refs_ = 0;
-  ChainedEvent chain_;
 };
 
 inline LaneTicket Lane::post(void* ctx, std::uint64_t arg) {
@@ -121,15 +121,12 @@ inline LaneTicket Lane::post(void* ctx, std::uint64_t arg) {
   e.seq = sim_.mint_event_seq();
   e.ctx = ctx;
   e.arg = arg;
-  if (++live_ == 1) {
-    chain_.at = at;
-    chain_.seq = e.seq;
-    chain_.pending = 1;
-    sim_.arm_chain(&chain_);
-  } else {
-    // The head keeps its key: only the lane's share of pending moves.
-    sim_.retime_chain(&chain_, chain_.at, chain_.seq, live_);
+  // An empty lane has no tombstones left, so the new entry is its head;
+  // otherwise the head keeps its key.
+  if (live_++ == 0) {
+    sim_.lane_keys_[index_] = Simulator::lane_key(e.at_ns, e.seq);
   }
+  ++sim_.lane_pending_;
   return LaneTicket{this, pos};
 }
 

@@ -85,104 +85,12 @@ void Simulator::set_event_hook(std::uint64_t every_events,
   hook_ = std::move(hook);
 }
 
-void Simulator::arm_chain(ChainedEvent* chain) {
-  if (chain == nullptr || chain->fire == nullptr) {
-    throw SimError(SimErrc::kBadSchedule, "Simulator",
-                   "arm_chain: null chain or fire callback");
-  }
-  if (chain->at < now_) {
-    throw SimError(SimErrc::kBadSchedule, "Simulator",
-                   "arm_chain: time in the past (" + chain->at.to_string() +
-                       " < " + now_.to_string() + ")");
-  }
-  if (chain->armed()) {
-    throw SimError(SimErrc::kBadSchedule, "Simulator",
-                   "arm_chain: chain already armed (re-key it with "
-                   "retime_chain instead)");
-  }
-  // One chain per lane: the heap tops out at the number of distinct
-  // transmit and propagation durations, not at the packet count.
-  chains_.push_back(ChainSlot{});  // slowcc-lint: allow(no-hot-path-alloc) bounded by the lane count, not packet count
-  chain_pending_ += chain->pending;
-  sift_up(chains_.size() - 1,
-          ChainSlot{chain->at.as_nanos(), chain->seq, chain});
-}
-
-void Simulator::disarm_chain(ChainedEvent* chain) noexcept {
-  if (!chain->armed()) return;
-  const std::size_t slot = chain->heap_slot;
-  assert(slot < chains_.size() && chains_[slot].chain == chain);
-  chain->heap_slot = ChainedEvent::kNotArmed;
-  chain_pending_ -= chain->pending;
-  const ChainSlot last = chains_.back();
-  chains_.pop_back();
-  if (last.chain == chain) return;
-  // Refill the hole with the last leaf. It belongs either above the
-  // hole (earlier than the hole's parent, possible when it came from
-  // another subtree) or at or below it, never both: one sift.
-  if (slot > 0 && slot_before(last, chains_[(slot - 1) / 2])) {
-    sift_up(slot, last);
-  } else {
-    sift_down(slot, last);
-  }
-}
-
-void Simulator::throw_bad_retime(const ChainedEvent* chain, Time at) const {
-  if (!chain->armed()) {
-    throw SimError(SimErrc::kBadSchedule, "Simulator",
-                   "retime_chain: chain not armed (arm_chain first)");
-  }
-  throw SimError(SimErrc::kBadSchedule, "Simulator",
-                 "retime_chain: time in the past (" + at.to_string() + " < " +
-                     now_.to_string() + ")");
-}
-
-void Simulator::rekey_chain(ChainedEvent* chain, Time at,
-                            std::uint64_t seq) noexcept {
-  const ChainSlot old_key{chain->at.as_nanos(), chain->seq, chain};
-  const ChainSlot new_key{at.as_nanos(), seq, chain};
-  chain->at = at;
-  chain->seq = seq;
-  // The key moved one way, so the chain moves that way only.
-  if (slot_before(new_key, old_key)) {
-    sift_up(chain->heap_slot, new_key);
-  } else {
-    sift_down(chain->heap_slot, new_key);
-  }
-}
-
-void Simulator::sift_up(std::size_t slot, ChainSlot entry) noexcept {
-  while (slot > 0) {
-    const std::size_t parent = (slot - 1) / 2;
-    if (!slot_before(entry, chains_[parent])) break;
-    chains_[slot] = chains_[parent];
-    chains_[slot].chain->heap_slot = slot;
-    slot = parent;
-  }
-  chains_[slot] = entry;
-  entry.chain->heap_slot = slot;
-}
-
-void Simulator::sift_down(std::size_t slot, ChainSlot entry) noexcept {
-  const std::size_t n = chains_.size();
-  for (;;) {
-    std::size_t child = 2 * slot + 1;
-    if (child >= n) break;
-    // Branch-free pick of the earlier child.
-    if (child + 1 < n) {
-      child += static_cast<std::size_t>(
-          slot_before(chains_[child + 1], chains_[child]));
-    }
-    if (!slot_before(chains_[child], entry)) break;
-    chains_[slot] = chains_[child];
-    chains_[slot].chain->heap_slot = slot;
-    slot = child;
-  }
-  chains_[slot] = entry;
-  entry.chain->heap_slot = slot;
-}
-
 Lane& Simulator::acquire_lane(Time duration, LaneFire fire) {
+  if (fire == nullptr || duration.is_negative()) {
+    throw SimError(SimErrc::kBadSchedule, "Simulator",
+                   "acquire_lane: need a fire callback and a duration >= 0 "
+                   "(got " + duration.to_string() + ")");
+  }
   Lane* idle = nullptr;
   for (const std::unique_ptr<Lane>& lane : lanes_) {
     if (!lane->in_use()) {
@@ -197,7 +105,9 @@ Lane& Simulator::acquire_lane(Time duration, LaneFire fire) {
     // are re-purposed first, so the table tops out at the number of
     // durations in use at once.
     // slowcc-lint: allow(no-hot-path-alloc) one lane per distinct duration in use, re-purposed when idle
-    lanes_.push_back(std::unique_ptr<Lane>(new Lane(*this)));
+    lanes_.push_back(std::unique_ptr<Lane>(new Lane(*this, lanes_.size())));
+    // slowcc-lint: allow(no-hot-path-alloc) grows with the lane table above
+    lane_keys_.push_back(kEmptyLaneKey);
     idle = lanes_.back().get();
   }
   idle->duration_ = duration;
@@ -238,16 +148,11 @@ LaneStats Simulator::lane_stats() const noexcept {
 std::vector<Time> Simulator::pending_event_times(
     std::size_t max_entries) const {
   std::vector<Time> times = queue_.pending_times(max_entries);
-  if (!chains_.empty()) {
-    // A lane's chain stands in for every live entry of the lane, in
-    // order; any other chain stands in for its own key.
-    for (const ChainSlot& c : chains_) {
-      if (c.chain->fire == &Lane::fire_thunk) {
-        static_cast<const Lane*>(c.chain->ctx)
-            ->append_times(max_entries, &times);
-      } else {
-        times.push_back(Time::nanos(c.at_ns));
-      }
+  if (lane_pending_ != 0) {
+    // Each lane is in time order, so its first max_entries live entries
+    // are all it can contribute.
+    for (const std::unique_ptr<Lane>& lane : lanes_) {
+      lane->append_times(max_entries, &times);
     }
     std::sort(times.begin(), times.end());
     if (times.size() > max_entries) times.resize(max_entries);
@@ -270,25 +175,35 @@ void Simulator::run_until(Time deadline) {
   } dispatching(dispatching_);
   for (;;) {
     // Pick the global minimum by (at, seq) between the engine head and
-    // the chain heap's top. Seqs are minted from one per-queue
-    // counter, so the pair is a strict total order and the executed
-    // stream — what trace_digest() folds — is independent of whether a
-    // departure runs as an engine event or a chained sub-event.
-    bool use_chain;
+    // the lane heads. Seqs are minted from one per-queue counter, so
+    // the pair is a strict total order and the executed stream — what
+    // trace_digest() folds — does not depend on whether an event rides
+    // a lane or the engine. Each lane is sorted, so its head is its
+    // minimum: a branch-free scan of the inline head keys finds the
+    // earliest lane (empty lanes hold kEmptyLaneKey and never win). The
+    // array is re-read every event, since a fire may add a lane.
+    const LaneKey* const keys = lane_keys_.data();
+    const std::size_t lane_count = lane_keys_.size();
+    LaneKey next = kEmptyLaneKey;
+    std::size_t lane = 0;
+    for (std::size_t i = 0; i < lane_count; ++i) {
+      const bool earlier = keys[i] < next;
+      next = earlier ? keys[i] : next;
+      lane = earlier ? i : lane;
+    }
     PoppedEvent head;
+    bool use_lane = true;
     if (!queue_.empty()) {
       head = queue_.peek();
-      use_chain = !chains_.empty() &&
-                  slot_before(chains_.front(),
-                              ChainSlot{head.at.as_nanos(), head.seq, nullptr});
-    } else if (!chains_.empty()) {
-      use_chain = true;
-    } else {
+      const LaneKey engine = lane_key(head.at.as_nanos(), head.seq);
+      use_lane = next < engine;
+      next = use_lane ? next : engine;
+    } else if (next == kEmptyLaneKey) {
       break;
     }
-    if (use_chain) {
-      head = PoppedEvent{Time::nanos(chains_.front().at_ns),
-                         chains_.front().seq};
+    if (use_lane) {
+      head = PoppedEvent{Time::nanos(static_cast<std::int64_t>(next >> 64)),
+                         static_cast<std::uint64_t>(next)};
     }
     if (head.at > deadline) break;
     if (event_budget_ != 0 &&
@@ -306,11 +221,10 @@ void Simulator::run_until(Time deadline) {
     trace_digest_ = fnv1a_u64(
         fnv1a_u64(trace_digest_, static_cast<std::uint64_t>(head.at.as_nanos())),
         head.seq);
-    if (use_chain) {
-      // fire() may re-key the chain in place (next packet of the burst)
-      // or disarm it (queue drained / link down).
-      ChainedEvent* const chain = chains_.front().chain;
-      chain->fire(chain->ctx);
+    if (use_lane) {
+      // The lane pops its head and writes its next key before the
+      // callback, which may post into or revoke from any lane.
+      lanes_[lane]->fire_head();
     } else {
       // The engine head was just peeked, so this pops exactly it.
       auto cb = queue_.pop(nullptr);
@@ -318,8 +232,8 @@ void Simulator::run_until(Time deadline) {
     }
     // Poll after the callback so events and packets it just created are
     // charged to it. pending_events() counts live engine events plus
-    // the events armed chains stand in for — logical state, identical
-    // to a schedule with one engine event per entry.
+    // live lane entries — logical state, identical to a schedule with
+    // one engine event per entry.
     if (governor_.armed()) governor_.poll(pending_events());
     if (hook_countdown_ != 0 && --hook_countdown_ == 0) {
       // Re-arm before the call, so a hook that throws, clears itself or

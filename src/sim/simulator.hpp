@@ -28,43 +28,6 @@ struct LaneStats {
   std::size_t most_live = 0;  // the largest live count of any one lane
 };
 
-/// One pending sub-event of a batched drain chain (DESIGN.md §14). A
-/// chain source — a sim::Lane fronting a fixed-delay FIFO of pending
-/// events — keeps one of these armed while it holds entries instead of
-/// scheduling an engine event per entry. The run loop merges the
-/// chain into the engine's (at, seq) total order: when the chain is the
-/// global minimum it advances the clock, counts the event, folds the
-/// digest, and calls `fire(ctx)` directly — no engine storage, no
-/// std::function, no engine pop. Invariants the source must keep:
-///   - `seq` comes from Simulator::mint_event_seq() at exactly the point
-///     a one-event-per-entry schedule would have called schedule_*() —
-///     this is what keeps trace_digest() bit-identical to that schedule
-///   - while armed, `at`/`seq`/`pending` change only through
-///     Simulator::retime_chain (the heap keeps its own copy of
-///     (at, seq) as the sort key, and `pending` is the chain's share
-///     of pending_events()); re-timing re-mints the seq, exactly as a
-///     cancel+reschedule would
-///   - the chain is disarmed before `ctx` dies (Lanes die with their
-///     Simulator; other sources disarm in their destructor)
-struct ChainedEvent {
-  static constexpr std::size_t kNotArmed = static_cast<std::size_t>(-1);
-
-  Time at;
-  std::uint64_t seq = 0;
-  void (*fire)(void* ctx) = nullptr;
-  void* ctx = nullptr;
-  /// How many engine events this chain currently stands in for. A
-  /// Lane sets it to its live count, so pending_events() — and with it
-  /// the ResourceGovernor's event footprint and budget-abort points —
-  /// stay identical to a schedule with one engine event per entry.
-  std::uint64_t pending = 1;
-  /// Index in the Simulator's chain heap; kNotArmed while disarmed.
-  /// Owned by the Simulator.
-  std::size_t heap_slot = kNotArmed;
-
-  [[nodiscard]] bool armed() const noexcept { return heap_slot != kNotArmed; }
-};
-
 /// Discrete-event simulation driver.
 ///
 /// A `Simulator` owns the event queue and the simulation clock. All
@@ -96,41 +59,17 @@ class Simulator {
   void cancel(EventId id) { queue_.cancel(id); }
 
   /// Consume the next FIFO sequence number without storing an engine
-  /// event. Batched drain chains mint their sub-event seqs here (see
-  /// ChainedEvent above).
+  /// event. Lanes mint their entries' seqs here, so lane entries and
+  /// engine events share one (at, seq) total order.
   [[nodiscard]] std::uint64_t mint_event_seq() noexcept {
     return queue_.mint_seq();
-  }
-
-  /// Register / remove a drain chain, O(log armed chains). The
-  /// pointed-to event must stay valid while armed. Arming reads its
-  /// `at`/`seq`/`pending` and validates at >= now(); double-arming
-  /// throws SimError (kBadSchedule). disarm_chain is a no-op when not
-  /// armed. Both may be called from inside any fire().
-  void arm_chain(ChainedEvent* chain);
-  void disarm_chain(ChainedEvent* chain) noexcept;
-
-  /// Re-key an armed chain in place — the only way its `at`, `seq` or
-  /// `pending` may change while armed (a source re-arming for its next
-  /// packet from inside fire(), re-timing an in-flight packet, or
-  /// growing its FIFO). An unchanged (at, seq) only updates `pending`
-  /// and leaves the heap alone. Throws SimError (kBadSchedule) when the
-  /// chain is not armed or `at` < now().
-  void retime_chain(ChainedEvent* chain, Time at, std::uint64_t seq,
-                    std::uint64_t pending) {
-    if (!chain->armed() || at < now_) throw_bad_retime(chain, at);
-    chain_pending_ = chain_pending_ - chain->pending + pending;
-    chain->pending = pending;
-    // A post onto a non-empty lane keeps the head's key: nothing in the
-    // heap moves.
-    if (at == chain->at && seq == chain->seq) return;
-    rekey_chain(chain, at, seq);
   }
 
   /// The lane for events `duration` after their post that fire with
   /// `fire`, counting the caller as one more source pointing at it. An
   /// idle lane (no source, no entry) is re-purposed before a new one is
-  /// created. Pair with release_lane.
+  /// created. Pair with release_lane. Throws SimError (kBadSchedule) for
+  /// a null `fire` or a negative `duration`.
   Lane& acquire_lane(Time duration, LaneFire fire);
 
   /// Drop one source's claim on `lane`. Its pending entries still fire;
@@ -185,23 +124,16 @@ class Simulator {
     return event_budget_;
   }
 
-  /// Live engine events plus armed drain-chain sub-events, so the count
-  /// (and the governor's event footprint) matches the unbatched
-  /// schedule one-for-one — each chain reports how many pending events
-  /// it stands in for via ChainedEvent::pending.
-  /// O(1): the chains' share is kept as a running sum.
+  /// Live engine events plus live lane entries, so the count (and the
+  /// governor's event footprint) matches a schedule with one engine
+  /// event per entry one-for-one. O(1): the lanes' share is kept as a
+  /// running sum.
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return queue_.size() + static_cast<std::size_t>(chain_pending_);
-  }
-
-  /// Drain chains armed right now (diagnostics and tests).
-  [[nodiscard]] std::size_t armed_chains() const noexcept {
-    return chains_.size();
+    return queue_.size() + static_cast<std::size_t>(lane_pending_);
   }
 
   /// Timestamps of the earliest pending events (diagnostics), merged
-  /// across the engine, every live lane entry and any other armed
-  /// drain chain.
+  /// across the engine and every live lane entry.
   [[nodiscard]] std::vector<Time> pending_event_times(
       std::size_t max_entries) const;
 
@@ -261,31 +193,19 @@ class Simulator {
   }
 
  private:
-  // One chain-heap entry: the chain's (at, seq) key inline, so sifts
-  // compare contiguous memory instead of reading each chain's source.
-  struct ChainSlot {
-    std::int64_t at_ns;
-    std::uint64_t seq;
-    ChainedEvent* chain;
-  };
-  // One branch-free 128-bit compare: armed times are never negative
-  // (they are >= now() >= 0), so the unsigned (at, seq) concatenation
-  // orders exactly like the pair.
-  [[nodiscard]] static bool slot_before(const ChainSlot& a,
-                                        const ChainSlot& b) noexcept {
-    using Key = unsigned __int128;
-    const Key ka = Key{static_cast<std::uint64_t>(a.at_ns)} << 64 | a.seq;
-    const Key kb = Key{static_cast<std::uint64_t>(b.at_ns)} << 64 | b.seq;
-    return ka < kb;
+  friend class Lane;
+
+  // A lane head's (at, seq) as one unsigned 128-bit key: lane times are
+  // never negative (they are >= now() >= 0), so the concatenation
+  // orders exactly like the pair, in one branch-free compare.
+  using LaneKey = unsigned __int128;
+  // The key of an empty lane: later than every real key (no seq is
+  // all ones), so an empty lane never wins the merge.
+  static constexpr LaneKey kEmptyLaneKey = ~LaneKey{0};
+  [[nodiscard]] static LaneKey lane_key(std::int64_t at_ns,
+                                        std::uint64_t seq) noexcept {
+    return LaneKey{static_cast<std::uint64_t>(at_ns)} << 64 | seq;
   }
-  // retime_chain's out-of-line halves: the heap move for a changed key,
-  // and the kBadSchedule throw.
-  void rekey_chain(ChainedEvent* chain, Time at, std::uint64_t seq) noexcept;
-  [[noreturn]] void throw_bad_retime(const ChainedEvent* chain, Time at) const;
-  // Move `entry` from the hole at `slot` toward the root / the leaves
-  // until the heap order holds, then store it there.
-  void sift_up(std::size_t slot, ChainSlot entry) noexcept;
-  void sift_down(std::size_t slot, ChainSlot entry) noexcept;
 
   EventQueue queue_;
   Time now_;
@@ -302,18 +222,18 @@ class Simulator {
   // hook check is still to come (set_event_hook counts it).
   bool dispatching_ = false;
   std::function<void()> hook_;
-  // Armed drain chains as a binary min-heap on the inline (at, seq)
-  // keys; each chain records its own slot, so arm, disarm and re-key
-  // are O(log n) and the run loop reads the minimum at front(). Every
-  // link shares one lane per transmit or propagation duration, so the
-  // heap holds a handful of lanes (4 at most in a 64-flow dumbbell).
-  std::vector<ChainSlot> chains_;
-  // Sum of the armed chains' `pending`, so pending_events() — polled
-  // after every event in governed trials — needs no scan.
-  std::uint64_t chain_pending_ = 0;
   // Every lane ever created, in use or idle; unique_ptr keeps each
-  // lane (and its armed ChainedEvent) at a stable address.
+  // lane at a stable address. A lane keeps its index for life.
   std::vector<std::unique_ptr<Lane>> lanes_;
+  // lane_keys_[i] is lanes_[i]'s head key, or kEmptyLaneKey while it
+  // holds no live entry. The run loop merges the lanes by scanning
+  // this contiguous array: every link shares one lane per transmit or
+  // propagation duration, so it holds a handful of keys (4 in a
+  // 64-flow dumbbell, 8 with six transmission times and two delays).
+  std::vector<LaneKey> lane_keys_;
+  // Sum of the lanes' live counts, so pending_events() — polled after
+  // every event in governed trials — needs no scan.
+  std::uint64_t lane_pending_ = 0;
   ResourceGovernor governor_;
   // Declared last: guards (e.g. a Watchdog holding our hook slot) are
   // destroyed first, while the members they release are still alive.

@@ -145,7 +145,7 @@ TEST(Dumbbell, DestroyedMidRunReturnsEveryPacketHeldInSharedLanes) {
   EXPECT_EQ(pool.live(), 0u);
   EXPECT_EQ(sim.lane_stats().in_use, 0u);
   EXPECT_EQ(sim.lane_stats().most_live, 0u);
-  EXPECT_EQ(sim.armed_chains(), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
   sim.run_until(sim::Time::seconds(3));
 }
 

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <numeric>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "reference_scheduler.hpp"
+#include "sim/error.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/lane.hpp"
 #include "sim/rng.hpp"
@@ -118,16 +126,21 @@ TEST(Lane, RevokingEveryEntryDisarmsTheLane) {
   Lane& lane = sim.acquire_lane(Time::micros(5), &record);
   const LaneTicket a = lane.post(&rec, 1);
   const LaneTicket b = lane.post(&rec, 2);
-  EXPECT_EQ(sim.armed_chains(), 1u);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(sim.pending_event_times(4),
+            (std::vector<Time>{Time::micros(5), Time::micros(5)}));
   lane.revoke(b);
   lane.revoke(a);
-  EXPECT_EQ(sim.armed_chains(), 0u);
   EXPECT_EQ(sim.pending_events(), 0u);
-  // The emptied lane re-arms on the next post.
+  EXPECT_TRUE(sim.pending_event_times(4).empty());
+  EXPECT_EQ(sim.lane_stats().most_live, 0u);
+  // Nothing is left to fire, and the emptied lane takes the next post.
+  sim.run_until(Time::micros(10));
+  EXPECT_EQ(sim.events_executed(), 0u);
   lane.post(&rec, 3);
   sim.run();
   EXPECT_EQ(rec.args, (std::vector<std::uint64_t>{3}));
-  EXPECT_EQ(sim.now(), Time::micros(5));
+  EXPECT_EQ(sim.now(), Time::micros(15));
 }
 
 TEST(Lane, PendingEventsCountsPostRevokeAndFire) {
@@ -201,106 +214,267 @@ TEST(Lane, RevokeLaneEntriesTakesOnlyTheSourcesEntries) {
   EXPECT_EQ(other.args, (std::vector<std::uint64_t>{1, 3, 5, 11, 12, 14, 15}));
 }
 
-// ====================================================================
-// Differential: a random post/revoke/schedule/cancel/run script over
-// three lanes and the engine, checked against the ordered-map
-// reference scheduler. Every post and schedule draws the next seq, and
-// the reference numbers its events in the same order, so the fired
-// (at, seq) stream, pending counts, pending times and the trace digest
-// must all agree exactly.
+SimErrc error_code(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const SimError& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "expected SimError";
+  return SimErrc::kInvariantViolation;
+}
 
-struct Fired {
-  std::vector<std::uint64_t>* log;
-  std::uint64_t label;
-  void operator()() const { log->push_back(label); }
-};
-
-std::vector<std::uint64_t>* g_lane_log = nullptr;
-
-void log_lane(void* /*ctx*/, std::uint64_t arg) { g_lane_log->push_back(arg); }
-
-std::string run_random_lane_script(std::uint64_t seed) {
-  std::vector<std::uint64_t> sim_log;
-  std::vector<std::uint64_t> ref_log;
-  g_lane_log = &sim_log;
+TEST(Lane, AcquireRejectsNullCallbackAndNegativeDuration) {
   Simulator sim;
-  test::ReferenceScheduler ref;
-  const Time durations[] = {Time(), Time::micros(3), Time::micros(17)};
-  Lane* lanes[3];
-  for (int i = 0; i < 3; ++i) lanes[i] = &sim.acquire_lane(durations[i], &log_lane);
+  EXPECT_EQ(error_code([&] {
+              (void)sim.acquire_lane(Time::micros(10), nullptr);
+            }),
+            SimErrc::kBadSchedule);
+  EXPECT_EQ(error_code([&] {
+              (void)sim.acquire_lane(Time::nanos(-1), &record);
+            }),
+            SimErrc::kBadSchedule);
+  EXPECT_EQ(sim.lane_stats().allocated, 0u);
+  // A zero duration is valid: the entry fires at the time it is posted.
+  Recorder rec{&sim, {}, {}};
+  sim.run_until(Time::micros(3));
+  sim.acquire_lane(Time(), &record).post(&rec, 9);
+  sim.run();
+  EXPECT_EQ(rec.args, (std::vector<std::uint64_t>{9}));
+  EXPECT_EQ(rec.times, (std::vector<Time>{Time::micros(3)}));
+}
 
-  struct Posted {
-    bool on_lane;
+// ====================================================================
+// Differential rig: lanes and engine events against the ordered-map
+// reference scheduler. Every post and schedule draws the next seq on
+// both sides in the same order, so both must fire the same labels under
+// the same (at, seq) and agree on pending_events(),
+// pending_event_times(), now() and the trace digest. A label may carry
+// an action that runs when it fires, once on each side, so posts and
+// revokes from inside a fire are mirrored too.
+
+enum Side : int { kSimSide = 0, kRefSide = 1 };
+
+class LaneRig {
+ public:
+  using Action = std::function<void(LaneRig&, Side)>;
+
+  LaneRig() = default;
+  LaneRig(const LaneRig&) = delete;
+  LaneRig& operator=(const LaneRig&) = delete;
+
+  Simulator& sim() { return sim_; }
+
+  // Claims the lane for `duration`; returns the rig's index for it.
+  int add_lane(Time duration) {
+    durations_.push_back(duration);
+    lanes_.push_back(&sim_.acquire_lane(duration, &LaneRig::fire));
+    note_duration(lanes_.back(), duration);
+    return static_cast<int>(lanes_.size()) - 1;
+  }
+
+  // Drops index k's claim and points it at the lane for `duration`. The
+  // old lane's entries still fire; once it drains and no index points
+  // at it, it is idle and the next new duration re-purposes it.
+  void repurpose(int k, Time duration) {
+    sim_.release_lane(*lanes_[k]);
+    durations_[k] = duration;
+    lanes_[k] = &sim_.acquire_lane(duration, &LaneRig::fire);
+    note_duration(lanes_[k], duration);
+  }
+
+  // Lanes that have carried more than one duration.
+  [[nodiscard]] std::size_t lanes_repurposed() const {
+    std::size_t n = 0;
+    for (const auto& [lane, seen] : durations_seen_) n += seen.size() > 1;
+    return n;
+  }
+
+  std::uint64_t post(int k, const Action& action = nullptr) {
+    const std::uint64_t label = post_on(kSimSide, k, action);
+    post_on(kRefSide, k, action);
+    return label;
+  }
+  std::uint64_t schedule_in(Time delay, const Action& action = nullptr) {
+    const std::uint64_t label = schedule_in_on(kSimSide, delay, action);
+    schedule_in_on(kRefSide, delay, action);
+    return label;
+  }
+  void revoke(std::uint64_t label) {
+    revoke_on(kSimSide, label);
+    revoke_on(kRefSide, label);
+  }
+
+  // The one-sided halves, for actions (which run once per side). Both
+  // sides number their labels in the same order.
+  std::uint64_t post_on(Side side, int k, const Action& action = nullptr) {
+    const std::uint64_t label = take_label(side, action);
+    if (side == kSimSide) {
+      handles_[label] = Handle{true, lanes_[k]->post(this, label), EventId{}};
+    } else {
+      ref_ids_[label] = ref_.schedule(
+          ref_now_ + durations_[k], [this, label] { fired(kRefSide, label); });
+    }
+    return label;
+  }
+  std::uint64_t schedule_in_on(Side side, Time delay,
+                               const Action& action = nullptr) {
+    const std::uint64_t label = take_label(side, action);
+    if (side == kSimSide) {
+      handles_[label] = Handle{
+          false, LaneTicket{},
+          sim_.schedule_in(delay, [this, label] { fired(kSimSide, label); })};
+    } else {
+      ref_ids_[label] = ref_.schedule(
+          ref_now_ + delay, [this, label] { fired(kRefSide, label); });
+    }
+    return label;
+  }
+  void revoke_on(Side side, std::uint64_t label) {
+    if (side == kRefSide) {
+      ref_.cancel(ref_ids_.at(label));
+      return;
+    }
+    const Handle& h = handles_.at(label);
+    if (h.on_lane) {
+      h.ticket.lane->revoke(h.ticket);
+    } else {
+      sim_.cancel(h.id);
+    }
+  }
+
+  void run_until(Time deadline) {
+    sim_.run_until(deadline);
+    while (ref_.size() != 0 && ref_.next_time() <= deadline) {
+      PoppedEvent e;
+      auto cb = ref_.pop(&e);
+      ref_now_ = e.at;
+      ref_digest_ = fnv1a_u64(
+          fnv1a_u64(ref_digest_, static_cast<std::uint64_t>(e.at.as_nanos())),
+          e.seq);
+      cb();
+    }
+    if (deadline != Time::max() && ref_now_ < deadline) ref_now_ = deadline;
+  }
+  void run() { run_until(Time::max()); }
+
+  // Labels handed out so far (the same on both sides between runs).
+  [[nodiscard]] std::uint64_t labels() const { return next_label_[kSimSide]; }
+
+  // Labels the Simulator fired, in order, and the clock at each.
+  [[nodiscard]] const std::vector<std::uint64_t>& fired() const {
+    return log_[kSimSide];
+  }
+  [[nodiscard]] const std::vector<Time>& fire_times() const {
+    return sim_times_;
+  }
+
+  // Empty when both sides agree on everything observable so far.
+  [[nodiscard]] std::string mismatch() const {
+    if (log_[kSimSide] != log_[kRefSide]) return "fired labels differ";
+    if (sim_.now() != ref_now_) {
+      return "now " + sim_.now().to_string() + " vs " + ref_now_.to_string();
+    }
+    if (sim_.pending_events() != ref_.size()) {
+      return "pending " + std::to_string(sim_.pending_events()) + " vs " +
+             std::to_string(ref_.size());
+    }
+    if (sim_.pending_event_times(kTimes) != ref_.pending_times(kTimes)) {
+      return "pending_event_times differ";
+    }
+    if (sim_.trace_digest() != ref_digest_) return "trace digest differs";
+    return {};
+  }
+
+ private:
+  static constexpr std::size_t kTimes = 16;
+
+  struct Handle {
+    bool on_lane = false;
     LaneTicket ticket;
     EventId id;
-    test::ReferenceScheduler::Id ref_id;
   };
-  std::vector<Posted> posted;
-  Rng rng(seed);
-  std::uint64_t ref_digest = kFnvOffsetBasis;
-  std::uint64_t label = 0;
-  int ctx_token = 0;
 
+  static void fire(void* rig, std::uint64_t label) {
+    static_cast<LaneRig*>(rig)->fired(kSimSide, label);
+  }
+
+  void fired(Side side, std::uint64_t label) {
+    log_[side].push_back(label);
+    if (side == kSimSide) sim_times_.push_back(sim_.now());
+    const auto it = actions_.find(label);
+    if (it != actions_.end()) it->second(*this, side);
+  }
+
+  std::uint64_t take_label(Side side, const Action& action) {
+    const std::uint64_t label = next_label_[side]++;
+    if (action) actions_[label] = action;
+    return label;
+  }
+
+  void note_duration(const Lane* lane, Time duration) {
+    durations_seen_[lane].insert(duration.as_nanos());
+  }
+
+  Simulator sim_;
+  test::ReferenceScheduler ref_;
+  Time ref_now_;
+  std::uint64_t ref_digest_ = kFnvOffsetBasis;
+  std::vector<Lane*> lanes_;
+  std::vector<Time> durations_;
+  std::map<const Lane*, std::set<std::int64_t>> durations_seen_;
+  std::array<std::uint64_t, 2> next_label_{};
+  std::array<std::vector<std::uint64_t>, 2> log_;
+  std::vector<Time> sim_times_;
+  std::map<std::uint64_t, Action> actions_;
+  std::map<std::uint64_t, Handle> handles_;
+  std::map<std::uint64_t, test::ReferenceScheduler::Id> ref_ids_;
+};
+
+// A random post/revoke/schedule/cancel/run script over a wide lane
+// table whose lanes keep changing duration, checked against the
+// reference after every op. Twelve lanes are claimed at any time, from
+// a pool of twenty durations, so the merge scans more lanes than any
+// workload has; re-pointing a claim leaves the old lane to drain, go
+// idle and be re-purposed mid-run with its slot in the key array.
+std::string run_random_lane_script(std::uint64_t seed) {
+  LaneRig rig;
+  Rng rng(seed);
+  constexpr int kClaimed = 12;
+  constexpr int kDurations = 20;
+  const auto duration = [](std::uint64_t i) {
+    return Time::nanos(static_cast<std::int64_t>(i) * 1'700);
+  };
+  for (int k = 0; k < kClaimed; ++k) rig.add_lane(duration(k));
   for (int op = 0; op < 3000; ++op) {
     const double roll = rng.uniform();
-    if (roll < 0.45) {
-      const int k = static_cast<int>(rng.uniform_int(3));
-      Posted p{true, lanes[k]->post(&ctx_token, label), EventId{},
-               ref.schedule(sim.now() + durations[k],
-                            Fired{&ref_log, label})};
-      posted.push_back(p);
-      ++label;
-    } else if (roll < 0.60) {
-      const Time delay = Time::micros(static_cast<std::int64_t>(rng.uniform_int(25)));
-      Posted p{false, LaneTicket{},
-               sim.schedule_in(delay, Fired{&sim_log, label}),
-               ref.schedule(sim.now() + delay, Fired{&ref_log, label})};
-      posted.push_back(p);
-      ++label;
-    } else if (roll < 0.80) {
-      if (posted.empty()) continue;
-      const Posted& p = posted[rng.uniform_int(posted.size())];
-      if (p.on_lane) {
-        p.ticket.lane->revoke(p.ticket);
-      } else {
-        sim.cancel(p.id);
-      }
-      ref.cancel(p.ref_id);
+    if (roll < 0.42) {
+      rig.post(static_cast<int>(rng.uniform_int(kClaimed)));
+    } else if (roll < 0.57) {
+      rig.schedule_in(
+          Time::micros(static_cast<std::int64_t>(rng.uniform_int(25))));
+    } else if (roll < 0.74) {
+      if (rig.labels() == 0) continue;
+      rig.revoke(rng.uniform_int(rig.labels()));
+    } else if (roll < 0.79) {
+      rig.repurpose(static_cast<int>(rng.uniform_int(kClaimed)),
+                    duration(rng.uniform_int(kDurations)));
     } else {
-      const Time deadline =
-          sim.now() + Time::micros(static_cast<std::int64_t>(rng.uniform_int(12)));
-      sim.run_until(deadline);
-      while (ref.size() != 0 && ref.next_time() <= deadline) {
-        PoppedEvent e;
-        auto cb = ref.pop(&e);
-        ref_digest = fnv1a_u64(
-            fnv1a_u64(ref_digest, static_cast<std::uint64_t>(e.at.as_nanos())),
-            e.seq);
-        cb();
-      }
+      const auto step = static_cast<std::int64_t>(rng.uniform_int(12));
+      rig.run_until(rig.sim().now() + Time::micros(step));
     }
-    if (sim.pending_events() != ref.size()) {
-      return "op " + std::to_string(op) + ": pending " +
-             std::to_string(sim.pending_events()) + " vs reference " +
-             std::to_string(ref.size());
-    }
-    if (sim.pending_event_times(8) != ref.pending_times(8)) {
-      return "op " + std::to_string(op) + ": pending_event_times differ";
-    }
+    std::string why = rig.mismatch();
+    if (!why.empty()) return "op " + std::to_string(op) + ": " + why;
   }
-  sim.run();
-  while (ref.size() != 0) {
-    PoppedEvent e;
-    auto cb = ref.pop(&e);
-    ref_digest = fnv1a_u64(
-        fnv1a_u64(ref_digest, static_cast<std::uint64_t>(e.at.as_nanos())),
-        e.seq);
-    cb();
+  rig.run();
+  std::string why = rig.mismatch();
+  if (!why.empty()) return "after the final run: " + why;
+  if (rig.sim().pending_events() != 0 ||
+      rig.sim().lane_stats().most_live != 0) {
+    return "a lane kept entries after draining";
   }
-  g_lane_log = nullptr;
-  if (sim_log != ref_log) return "fired order differs from the reference";
-  if (sim.trace_digest() != ref_digest) return "trace digest differs";
-  if (sim.armed_chains() != 0) return "a lane stayed armed after draining";
+  if (rig.sim().lane_stats().allocated < kClaimed) return "too few lanes";
+  if (rig.lanes_repurposed() == 0) return "no idle lane was re-purposed";
   return {};
 }
 
@@ -309,6 +483,321 @@ TEST(Lane, RandomScriptsMatchReferenceScheduler) {
     const std::uint64_t seed = derive_seed(0x1a4e5ULL, trial);
     EXPECT_EQ(run_random_lane_script(seed), "") << "seed " << seed;
   }
+}
+
+// ====================================================================
+// The run loop's lane merge (DESIGN.md §14.3): every lane keeps its
+// head key in the Simulator, the run loop takes the earliest of those
+// and the engine head, and an empty lane holds the +infinity key.
+
+TEST(SimulatorLanes, ManyLanesPostedOutOfOrderFireSortedByAtSeq) {
+  LaneRig rig;
+  constexpr int kLanes = 16;
+  // Durations 1..16 ms, a permutation of them across the lane indices.
+  for (int k = 0; k < kLanes; ++k) {
+    rig.add_lane(Time::millis(1 + (k * 7) % kLanes));
+  }
+  // Three rounds a millisecond apart, each posting into every lane in a
+  // shuffled order: heads arrive in no key order, and the rounds' fire
+  // times collide across lanes, so seq decides many ties.
+  std::vector<int> order(kLanes);
+  std::iota(order.begin(), order.end(), 0);
+  Rng shuffle_rng(12345);
+  for (int round = 0; round < 3; ++round) {
+    rig.run_until(Time::millis(round));
+    for (std::size_t i = order.size() - 1; i > 0; --i) {
+      std::swap(order[i], order[shuffle_rng.uniform_int(i + 1)]);
+    }
+    for (int k : order) rig.post(k);
+    EXPECT_EQ(rig.mismatch(), "");
+  }
+  rig.run();
+  EXPECT_EQ(rig.mismatch(), "");
+  EXPECT_EQ(rig.fired().size(), 48u);
+  EXPECT_TRUE(std::is_sorted(rig.fire_times().begin(), rig.fire_times().end()));
+  EXPECT_EQ(rig.sim().now(), Time::millis(18));
+}
+
+TEST(SimulatorLanes, LanesMergeWithEngineEventsByAtSeq) {
+  LaneRig rig;
+  for (int k = 0; k < 5; ++k) rig.add_lane(Time::millis(5 - k));
+  // Lane posts and engine schedules alternate on the one seq counter,
+  // at colliding times.
+  for (int i = 0; i < 64; ++i) {
+    rig.post((i * 7) % 5);
+    rig.schedule_in(Time::millis(1 + (i * 3) % 5));
+  }
+  EXPECT_EQ(rig.mismatch(), "");
+  rig.run();
+  EXPECT_EQ(rig.mismatch(), "");
+  EXPECT_EQ(rig.fired().size(), 128u);
+  EXPECT_TRUE(std::is_sorted(rig.fire_times().begin(), rig.fire_times().end()));
+}
+
+TEST(SimulatorLanes, HeadRevokeMovesTheLaneKeyLater) {
+  LaneRig rig;
+  const int slow = rig.add_lane(Time::millis(10));
+  const int fast = rig.add_lane(Time::millis(7));
+  const std::uint64_t a0 = rig.post(slow);  // 10 ms
+  rig.run_until(Time::millis(1));
+  const std::uint64_t a1 = rig.post(slow);  // 11 ms
+  const std::uint64_t a2 = rig.post(slow);  // 11 ms, after a1
+  rig.run_until(Time::millis(2));
+  const std::uint64_t a3 = rig.post(slow);  // 12 ms
+  rig.run_until(Time::millis(3));
+  const std::uint64_t b0 = rig.post(fast);  // 10 ms, after a0
+  rig.run_until(Time::millis(4));
+  const std::uint64_t b1 = rig.post(fast);  // 11 ms, after a1 and a2
+  // Revoking the slow lane's head moves its key from 10 to 11 ms, so
+  // the fast lane's head leads.
+  rig.revoke(a0);
+  EXPECT_EQ(rig.sim().pending_event_times(2),
+            (std::vector<Time>{Time::millis(10), Time::millis(11)}));
+  rig.run_until(Time::millis(10));
+  EXPECT_EQ(rig.fired(), (std::vector<std::uint64_t>{b0}));
+  // A revoke behind the head leaves the key alone...
+  rig.revoke(a2);
+  EXPECT_EQ(rig.sim().pending_event_times(1),
+            (std::vector<Time>{Time::millis(11)}));
+  EXPECT_EQ(rig.mismatch(), "");
+  // ...and revoking the head skips it and the tombstone behind it, to
+  // 12 ms: b1 (11 ms) now comes first although a1 held a smaller seq.
+  rig.revoke(a1);
+  EXPECT_EQ(rig.sim().pending_event_times(4),
+            (std::vector<Time>{Time::millis(11), Time::millis(12)}));
+  rig.run();
+  EXPECT_EQ(rig.mismatch(), "");
+  EXPECT_EQ(rig.fired(), (std::vector<std::uint64_t>{b0, b1, a3}));
+}
+
+TEST(SimulatorLanes, PostAndRevokeFromInsideFire) {
+  LaneRig rig;
+  const int burst = rig.add_lane(Time::millis(2));
+  const int other = rig.add_lane(Time::millis(3));
+  const int quick = rig.add_lane(Time::micros(500));
+  // A burst entry posts the next one into its own lane, which its fire
+  // has just emptied: at 2, 4, 6 and 8 ms.
+  std::array<int, 2> burst_left{3, 3};
+  LaneRig::Action again;
+  again = [&](LaneRig& r, Side side) {
+    if (burst_left[side]-- > 0) r.post_on(side, burst, again);
+  };
+  rig.post(burst, again);
+  // o1 revokes the next entry of its own lane (the head its fire just
+  // uncovered) and posts into a shorter lane, ahead of every other head.
+  std::uint64_t o2 = 0;
+  rig.post(other, [&](LaneRig& r, Side side) {
+    r.revoke_on(side, o2);
+    r.post_on(side, quick);  // 3.5 ms
+  });
+  o2 = rig.post(other);
+  rig.post(other);  // 3 ms, uncovered by o2's revoke
+  // An engine event posts into two lanes; at 8 ms its post into `other`
+  // precedes the burst's last entry, minted later at 6 ms.
+  rig.schedule_in(Time::millis(5), [&](LaneRig& r, Side side) {
+    r.post_on(side, quick);  // 5.5 ms
+    r.post_on(side, other);  // 8 ms
+  });
+  rig.run();
+  EXPECT_EQ(rig.mismatch(), "");
+  const std::vector<Time> expected = {
+      Time::millis(2),  Time::millis(3), Time::millis(3),
+      Time::micros(3500), Time::millis(4), Time::millis(5),
+      Time::micros(5500), Time::millis(6), Time::millis(8),
+      Time::millis(8)};
+  EXPECT_EQ(rig.fire_times(), expected);
+  EXPECT_EQ(std::count(rig.fired().begin(), rig.fired().end(), o2), 0);
+  EXPECT_EQ(rig.sim().pending_events(), 0u);
+}
+
+TEST(SimulatorLanes, RevokeMidLaneAndFromInsideFire) {
+  LaneRig rig;
+  for (int k = 0; k < 10; ++k) rig.add_lane(Time::millis(1 + k));
+  std::vector<std::uint64_t> labels;
+  // The first entry to fire revokes the head of another lane and an
+  // entry in the middle of its own.
+  labels.push_back(rig.post(0, [&](LaneRig& r, Side side) {
+    r.revoke_on(side, labels[5]);
+    r.revoke_on(side, labels[90]);
+  }));
+  for (int i = 1; i < 100; ++i) labels.push_back(rig.post(i % 10));
+  // Revoke from the middle of two lanes, once twice (a no-op).
+  rig.revoke(labels[41]);
+  rig.revoke(labels[41]);
+  rig.revoke(labels[77]);
+  EXPECT_EQ(rig.sim().pending_events(), 98u);
+  EXPECT_EQ(rig.mismatch(), "");
+  rig.run();
+  EXPECT_EQ(rig.mismatch(), "");
+  EXPECT_EQ(rig.fired().size(), 96u);
+  for (int gone : {41, 77, 5, 90}) {
+    EXPECT_EQ(
+        std::count(rig.fired().begin(), rig.fired().end(), labels[gone]), 0)
+        << gone;
+  }
+  EXPECT_TRUE(std::is_sorted(rig.fired().begin(), rig.fired().end(),
+                             [](std::uint64_t a, std::uint64_t b) {
+                               return a % 10 < b % 10;
+                             }));
+  EXPECT_EQ(rig.sim().pending_events(), 0u);
+}
+
+TEST(SimulatorLanes, RandomPostRevokeMatchesReferenceScheduler) {
+  LaneRig rig;
+  constexpr int kLanes = 24;
+  for (int k = 0; k < kLanes; ++k) rig.add_lane(Time::micros(1 + (k * 5) % 37));
+  Rng rng(2024);
+  for (int step = 0; step < 4000; ++step) {
+    const int k = static_cast<int>(rng.uniform_int(kLanes));
+    switch (rng.uniform_int(6)) {
+      case 0:
+      case 1:
+        rig.post(k);
+        break;
+      case 2: {
+        // An entry whose fire posts into another lane and revokes an
+        // earlier label, or itself (a no-op once it went).
+        const int into = static_cast<int>(rng.uniform_int(kLanes));
+        const std::uint64_t victim = rng.uniform_int(rig.labels() + 1);
+        rig.post(k, [into, victim](LaneRig& r, Side side) {
+          r.post_on(side, into);
+          r.revoke_on(side, victim);
+        });
+        break;
+      }
+      case 3:
+        if (rig.labels() != 0) rig.revoke(rng.uniform_int(rig.labels()));
+        break;
+      case 4:
+        rig.schedule_in(
+            Time::micros(static_cast<std::int64_t>(rng.uniform_int(30))));
+        break;
+      case 5: {
+        const auto step = static_cast<std::int64_t>(rng.uniform_int(8));
+        rig.run_until(rig.sim().now() + Time::micros(step));
+        break;
+      }
+    }
+    ASSERT_EQ(rig.mismatch(), "") << "step " << step;
+  }
+  rig.run();
+  EXPECT_EQ(rig.mismatch(), "");
+  EXPECT_EQ(rig.sim().pending_events(), 0u);
+}
+
+TEST(SimulatorLanes, PostOntoNonEmptyLaneOnlyMovesPending) {
+  LaneRig rig;
+  for (int k = 0; k < 8; ++k) rig.add_lane(Time::millis(8 - k));
+  std::vector<std::vector<std::uint64_t>> by_lane(8);
+  for (int k = 0; k < 8; ++k) by_lane[k].push_back(rig.post(k));
+  const std::vector<Time> heads = rig.sim().pending_event_times(8);
+  // More posts onto every non-empty lane, at the same time: each lane's
+  // head keeps its key, and only the pending count moves.
+  std::size_t pending = 8;
+  for (int k = 0; k < 8; ++k) {
+    for (int extra = 0; extra <= k; ++extra) {
+      by_lane[k].push_back(rig.post(k));
+      EXPECT_EQ(rig.sim().pending_events(), ++pending);
+      EXPECT_EQ(rig.sim().pending_event_times(1).front(), heads.front());
+    }
+  }
+  rig.run();
+  EXPECT_EQ(rig.mismatch(), "");
+  // Earliest lane first, each lane in post order.
+  std::vector<std::uint64_t> expected;
+  for (int k = 7; k >= 0; --k) {
+    expected.insert(expected.end(), by_lane[k].begin(), by_lane[k].end());
+  }
+  EXPECT_EQ(rig.fired(), expected);
+  EXPECT_EQ(rig.sim().pending_events(), 0u);
+}
+
+TEST(SimulatorLanes, EmptiedLaneRefillsAheadOfEveryOtherHead) {
+  LaneRig rig;
+  // Eleven lanes; the short one sits in the middle of the key array.
+  constexpr int kShort = 5;
+  for (int k = 0; k < 11; ++k) {
+    rig.add_lane(k == kShort ? Time::micros(100) : Time::millis(10 + k));
+  }
+  for (int k = 0; k < 11; ++k) {
+    if (k != kShort) rig.post(k);
+  }
+  const std::uint64_t s1 = rig.post(kShort);  // 0.1 ms
+  rig.run_until(Time::millis(1));
+  EXPECT_EQ(rig.fired(), (std::vector<std::uint64_t>{s1}));
+  // Emptied by its fire, the lane refills with a key earlier than every
+  // other head; emptied again by revokes, it refills once more.
+  const std::uint64_t s2 = rig.post(kShort);  // 1.1 ms
+  const std::uint64_t s3 = rig.post(kShort);  // 1.1 ms
+  EXPECT_EQ(rig.sim().pending_event_times(1),
+            (std::vector<Time>{Time::micros(1100)}));
+  rig.revoke(s2);
+  rig.revoke(s3);
+  EXPECT_EQ(rig.sim().pending_event_times(1),
+            (std::vector<Time>{Time::millis(10)}));
+  rig.run_until(Time::millis(2));
+  EXPECT_EQ(rig.fired().size(), 1u);
+  const std::uint64_t s4 = rig.post(kShort);  // 2.1 ms
+  // Lanes appended behind it grow the key array.
+  for (int k = 0; k < 4; ++k) rig.post(rig.add_lane(Time::millis(30 + k)));
+  EXPECT_EQ(rig.mismatch(), "");
+  rig.run_until(Time::millis(3));
+  EXPECT_EQ(rig.fired(), (std::vector<std::uint64_t>{s1, s4}));
+  rig.run();
+  EXPECT_EQ(rig.mismatch(), "");
+  EXPECT_EQ(rig.fired().size(), 16u);
+}
+
+TEST(SimulatorLanes, PastScheduleAndNegativeLaneDurationThrowBadSchedule) {
+  Simulator sim;
+  Recorder rec{&sim, {}, {}};
+  Lane& lane = sim.acquire_lane(Time::millis(20), &record);
+  lane.post(&rec, 0);
+  sim.schedule_at(Time::millis(10), [] {});
+  sim.run_until(Time::millis(10));
+  EXPECT_EQ(error_code([&] { sim.schedule_at(Time::millis(5), [] {}); }),
+            SimErrc::kBadSchedule);
+  EXPECT_EQ(error_code([&] { sim.schedule_in(Time::millis(-1), [] {}); }),
+            SimErrc::kBadSchedule);
+  EXPECT_EQ(error_code([&] {
+              (void)sim.acquire_lane(Time::millis(-1), &record);
+            }),
+            SimErrc::kBadSchedule);
+  // The rejected calls left the lane and the table as they were.
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.pending_event_times(4), (std::vector<Time>{Time::millis(20)}));
+  EXPECT_EQ(sim.lane_stats().allocated, 1u);
+  sim.run();
+  EXPECT_EQ(rec.args, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(sim.now(), Time::millis(20));
+}
+
+TEST(SimulatorLanes, PendingEventsCountsEngineEventsPlusLiveLaneEntries) {
+  LaneRig rig;
+  for (int i = 0; i < 5; ++i) rig.schedule_in(Time::millis(1 + i));
+  std::vector<std::vector<std::uint64_t>> entries(3);
+  const std::size_t counts[] = {1, 4, 7};
+  for (int k = 0; k < 3; ++k) {
+    const int lane = rig.add_lane(Time::millis(10 + k));
+    for (std::size_t n = 0; n < counts[k]; ++n) {
+      entries[k].push_back(rig.post(lane));
+    }
+  }
+  EXPECT_EQ(rig.sim().pending_events(), 5u + 1 + 4 + 7);
+  rig.revoke(entries[1][0]);
+  rig.revoke(entries[1][2]);
+  EXPECT_EQ(rig.sim().pending_events(), 5u + 1 + 2 + 7);
+  for (std::uint64_t label : entries[2]) rig.revoke(label);
+  EXPECT_EQ(rig.sim().pending_events(), 5u + 1 + 2);
+  rig.run_until(Time::millis(3));  // three engine events
+  EXPECT_EQ(rig.sim().pending_events(), 2u + 1 + 2);
+  rig.run_until(Time::millis(10));  // the rest, and lane 0's entry
+  EXPECT_EQ(rig.sim().pending_events(), 2u);
+  EXPECT_EQ(rig.mismatch(), "");
+  rig.run();
+  EXPECT_EQ(rig.sim().pending_events(), 0u);
+  EXPECT_EQ(rig.fired().size(), 5u + 1 + 2);
+  EXPECT_EQ(rig.mismatch(), "");
 }
 
 }  // namespace

@@ -811,6 +811,27 @@ void Stack::pop() { items_.push_back(0); }
   }
 }
 
+// The lane fire is the fourth root: nearly every packet-level event
+// runs through it. Only the Lane's own fire_head roots the walk.
+TEST(LintHotPathAlloc, FlagsAllocationsReachableFromLaneFireHead) {
+  const auto findings = lint_one("src/sim/lane.cpp", R"cpp(
+void Lane::fire_head() {
+  settle_head();
+  fire_(ctx_, arg_);
+}
+void Lane::settle_head() { keys_.push_back(0); }
+void Valve::fire_head() { log_.push_back(0); }
+)cpp");
+  ASSERT_EQ(count_rule(findings, "no-hot-path-alloc"), 1);
+  for (const auto& f : findings) {
+    if (f.rule == "no-hot-path-alloc") {
+      EXPECT_FALSE(f.advisory);
+      EXPECT_EQ(f.line, 6);  // settle_head()'s push_back, not Valve's
+      EXPECT_NE(f.message.find("Lane::fire_head"), std::string::npos);
+    }
+  }
+}
+
 TEST(LintHotPathAlloc, SeesCallEdgesAcrossFilesInTheBatch) {
   const std::vector<SourceFile> sources = {
       {"src/net/q.cpp", R"cpp(

@@ -167,7 +167,8 @@ const std::vector<RuleInfo>& all_rules() {
        "boundary"},
       {"no-hot-path-alloc",
        "heap allocation or container growth in code reachable from "
-       "Queue::enqueue / deliver / EventQueue::pop (call-table walk); "
+       "Queue::enqueue / deliver / EventQueue::pop / Lane::fire_head "
+       "(call-table walk); "
        "pre-size or pool on the per-packet path"},
       {"no-unguarded-shared-write",
        "raw ofstream/fopen/::open writes in src/exp/ shared checkpoint "

@@ -4,16 +4,19 @@
 
 #include "lint/rules/rules.hpp"
 
-// Hot-path rule family (advisory). The per-packet path — enqueue at a
-// queue, delivery at a link/node, event pop in the EventQueue — runs
+// Hot-path rule family. The per-packet path — enqueue at a queue,
+// delivery at a link/node, event pop in the EventQueue, and the lane
+// fire that carries nearly every transmit-complete and delivery — runs
 // millions of times per trial; a stray `new`, `make_shared`, or
 // unreserved container growth there is the difference between the
-// paper's sweep finishing overnight or not (ROADMAP tracks pooled
-// packet allocation). The rule walks the cross-TU call table from the
-// hot-path roots and flags allocation sites in everything reachable
-// within a few hops. Name-based call resolution over-approximates, so
-// the rule is advisory: it points a reviewer at the packet path, it
-// does not gate the build.
+// paper's sweep finishing overnight or not. The rule walks the
+// cross-TU call table from the hot-path roots and flags allocation
+// sites in everything reachable within a few hops. Name-based call
+// resolution over-approximates, so a site that only runs at warm-up or
+// set-up carries a reasoned `allow(no-hot-path-alloc)`; with those,
+// the rule is enforced with an empty baseline. It cannot follow a call
+// through a function pointer, so the lane fire's walk stops at the
+// lane and does not enter the callback it invokes.
 
 namespace slowcc::lint::rules::detail {
 
@@ -23,7 +26,8 @@ constexpr int kMaxDepth = 3;  // hops from a hot-path root
 
 bool hot_path_root(const FuncDef& def) {
   if (def.name == "enqueue" || def.name == "deliver") return true;
-  return def.name == "pop" && def.cls == "EventQueue";
+  if (def.name == "pop" && def.cls == "EventQueue") return true;
+  return def.name == "fire_head" && def.cls == "Lane";
 }
 
 std::string root_label(const FuncDef& def) {
