@@ -36,16 +36,6 @@ std::unique_ptr<TcpAgent> TcpAgent::make_sqrt(sim::Simulator& sim,
       std::make_unique<BinomialPolicy>(BinomialPolicy::sqrt_policy(b)));
 }
 
-std::unique_ptr<TcpAgent> TcpAgent::make_iiad(sim::Simulator& sim,
-                                              net::Node& local,
-                                              net::NodeId peer_node,
-                                              net::PortId peer_port,
-                                              net::FlowId flow) {
-  return std::make_unique<TcpAgent>(
-      sim, local, peer_node, peer_port, flow,
-      std::make_unique<BinomialPolicy>(BinomialPolicy::iiad_policy()));
-}
-
 void TcpAgent::start() {
   if (running_ || complete_) return;
   running_ = true;

@@ -54,11 +54,6 @@ class TcpAgent final : public Agent {
       sim::Simulator& sim, net::Node& local, net::NodeId peer_node,
       net::PortId peer_port, net::FlowId flow, double b = 0.5);
 
-  /// IIAD: binomial k = 1, l = 0.
-  [[nodiscard]] static std::unique_ptr<TcpAgent> make_iiad(
-      sim::Simulator& sim, net::Node& local, net::NodeId peer_node,
-      net::PortId peer_port, net::FlowId flow);
-
   void start() override;
   void stop() override;
   void handle_packet(const net::Packet& p) override;

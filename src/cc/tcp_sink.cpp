@@ -47,7 +47,7 @@ void TcpSink::handle_packet(const net::Packet& p) {
       send_ack();
     } else {
       ack_pending_ = true;
-      delack_timer_.schedule_in(delack_timeout_);
+      delack_timer_.schedule_in(kDelackTimeout);
     }
     return;
   }

@@ -37,7 +37,6 @@ class TcpSink final : public SinkBase {
   /// Enable RFC 1122 delayed acknowledgments (default off, matching
   /// the paper: "TCP without delayed acknowledgments").
   void set_delayed_acks(bool on) noexcept { delayed_acks_ = on; }
-  void set_delack_timeout(sim::Time t) noexcept { delack_timeout_ = t; }
   [[nodiscard]] std::uint64_t acks_sent() const noexcept { return acks_sent_; }
 
  private:
@@ -55,7 +54,7 @@ class TcpSink final : public SinkBase {
   std::int64_t ack_size_ = 40;
 
   bool delayed_acks_ = false;
-  sim::Time delack_timeout_ = sim::Time::millis(200);
+  static constexpr sim::Time kDelackTimeout = sim::Time::millis(200);
   sim::Timer delack_timer_;
   bool ack_pending_ = false;   // one unacknowledged in-order segment held
   std::uint64_t acks_sent_ = 0;

@@ -97,7 +97,7 @@ void TfrcSink::send_feedback() {
   fb.dst_node = sender_node_;
   fb.dst_port = sender_port_;
   fb.flow = flow_;
-  fb.size_bytes = feedback_size_;
+  fb.size_bytes = kFeedbackSize;
   fb.sent_at = sim_.now();
   fb.echo = last_packet_stamp_;
   fb.feedback.loss_event_rate = history_.loss_event_rate();

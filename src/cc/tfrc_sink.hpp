@@ -28,17 +28,13 @@ class TfrcSink final : public SinkBase {
   }
   [[nodiscard]] TfrcLossHistory& history() noexcept { return history_; }
 
-  void set_feedback_size(std::int64_t bytes) noexcept {
-    feedback_size_ = bytes;
-  }
-
  private:
   void send_feedback();
   void on_feedback_timer();
 
   TfrcLossHistory history_;
   sim::Timer feedback_timer_;
-  std::int64_t feedback_size_ = 40;
+  static constexpr std::int64_t kFeedbackSize = 40;  // bytes
 
   bool saw_packet_ = false;
   net::NodeId sender_node_ = net::kInvalidNode;

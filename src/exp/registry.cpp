@@ -16,6 +16,7 @@
 #include "scenario/stabilization_experiment.hpp"
 #include "net/drop_tail_queue.hpp"
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "sim/error.hpp"
 #include "sim/simulator.hpp"
 
@@ -311,9 +312,11 @@ Row run_membomb(const TrialDesc& d) {
 
   sim::Simulator sim;  // picks up any ambient trial budget
   // Declared after `sim` so it is destroyed first, releasing its
-  // residue to the still-alive governor (the balance-to-zero test
-  // leans on this ordering, same as every scenario driver's).
+  // residue to the still-alive governor and pool (the balance-to-zero
+  // test leans on this ordering, same as every scenario driver's).
   net::DropTailQueue queue(std::size_t{1} << 30);
+  net::PacketPool& pool = net::PacketPool::of(sim);
+  queue.attach_pool(&pool);
   queue.attach_governor(&sim.governor());
 
   std::function<void()> tick = [&] {
@@ -323,7 +326,8 @@ Row run_membomb(const TrialDesc& d) {
         net::Packet p;
         p.size_bytes = 1500;
         p.uid = sim.next_packet_uid();
-        (void)queue.enqueue(std::move(p));
+        const net::PacketHandle h = pool.acquire(std::move(p));
+        if (queue.enqueue(h).has_value()) pool.release(h);
       }
       // Two children per event: the live-event count grows too, so the
       // bomb stresses both halves of the governor's model.

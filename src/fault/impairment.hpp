@@ -49,9 +49,6 @@ class WireImpairment final : public net::WireModel {
   [[nodiscard]] std::uint64_t duplicated() const noexcept {
     return duplicated_;
   }
-  [[nodiscard]] const GilbertElliott* loss_channel() const noexcept {
-    return loss_ ? &*loss_ : nullptr;
-  }
 
  private:
   ImpairmentConfig config_;

@@ -307,8 +307,10 @@ void Link::set_down() {
     drop_packet(pool_.get(h), DropReason::kLinkDown);
     pool_.release(h);
   }
-  while (auto head = queue_->dequeue()) {
-    drop_packet(*head, DropReason::kLinkDown);
+  for (PacketHandle h = queue_->dequeue_handle(); h.valid();
+       h = queue_->dequeue_handle()) {
+    const Packet p = pool_.take(h);
+    drop_packet(p, DropReason::kLinkDown);
   }
   notify_state_change();
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -33,14 +32,10 @@ enum class DropReason : std::uint8_t {
 /// so steady-state enqueue/dequeue never allocates — implementations
 /// contribute only the `admit` policy.
 ///
-/// Two enqueue/dequeue surfaces share that storage:
-///  * the handle API (`enqueue(PacketHandle)` / `dequeue_handle()`)
-///    moves nothing — `net::Link` uses it end to end;
-///  * the value API (`enqueue(Packet&&)` / `dequeue()`) round-trips
-///    through the pool for callers that own packets by value (tests,
-///    the test-only reference link, standalone experiment queues).
-/// On rejection neither surface consumes the packet: the caller's
-/// Packet (or handle) stays valid for drop observers.
+/// Packets enter and leave as PacketHandles into the pool attached with
+/// `attach_pool` (a queue used before one is attached throws
+/// SimError(kBadConfig)). On rejection the queue does not consume the
+/// handle: the caller still owns it for drop observers.
 class Queue {
  public:
   /// Releases any residue still charged to an attached governor — and
@@ -53,27 +48,6 @@ class Queue {
     }
     while (count_ != 0) pool_ref().release(take_front());
   }
-
-  // -- value API ------------------------------------------------------
-
-  /// Try to admit `p`. On success the queue takes ownership and returns
-  /// nullopt; on failure returns the drop reason and leaves `p` intact.
-  [[nodiscard]] std::optional<DropReason> enqueue(Packet&& p) {
-    auto reason = admit(p);
-    if (reason.has_value()) return reason;
-    const std::int64_t size = p.size_bytes;
-    store(pool_ref().acquire(std::move(p)), size);
-    return std::nullopt;
-  }
-
-  /// Remove and return the head packet, or nullopt when empty.
-  [[nodiscard]] std::optional<Packet> dequeue() {
-    const PacketHandle h = dequeue_handle();
-    if (!h.valid()) return std::nullopt;
-    return pool_ref().take(h);
-  }
-
-  // -- handle API -----------------------------------------------------
 
   /// Try to admit the pooled packet behind `h` (admission may mutate
   /// it: RED marks ECN-capable packets instead of dropping). On success
@@ -110,9 +84,9 @@ class Queue {
   /// Hard buffer limit (admission policies reject beyond this).
   [[nodiscard]] std::size_t limit_packets() const noexcept { return limit_; }
 
-  /// Buffer handles in `pool` instead of a private one. The link layer
-  /// attaches its simulation's shared pool at construction so handles
-  /// pass through untouched; the pool must outlive the queue (it does
+  /// The pool the buffered handles belong to. The link layer attaches
+  /// its simulation's shared pool at construction so handles pass
+  /// through untouched; the pool must outlive the queue (it does
   /// whenever components die before their Simulator, the ordering every
   /// scenario driver uses). Only callable while empty — handles cannot
   /// migrate between pools.
@@ -123,7 +97,6 @@ class Queue {
                           "handles cannot migrate between pools)");
     }
     pool_ = pool;
-    if (pool_ != nullptr) owned_pool_.reset();
   }
 
   [[nodiscard]] PacketPool* pool() const noexcept { return pool_; }
@@ -169,8 +142,7 @@ class Queue {
 
   /// The admission policy: nullopt admits `p` (which may be mutated —
   /// ECN marking), a reason rejects it untouched. Called exactly once
-  /// per enqueue on either surface, so policies that consume randomness
-  /// (RED) behave identically whichever surface the caller uses.
+  /// per enqueue.
   [[nodiscard]] virtual std::optional<DropReason> admit(Packet& p) = 0;
 
   /// Invoked after each successful dequeue (RED tracks when the buffer
@@ -228,13 +200,10 @@ class Queue {
     --count_;
     return h;
   }
-  [[nodiscard]] PacketPool& pool_ref() {
+  [[nodiscard]] PacketPool& pool_ref() const {
     if (pool_ == nullptr) {
-      // One-time lazy setup for standalone queues (tests, membomb);
-      // link-owned queues get the simulation pool attached at
-      // construction and never reach this branch.
-      owned_pool_ = std::make_unique<PacketPool>();  // slowcc-lint: allow(no-hot-path-alloc) first-use setup, once per standalone queue
-      pool_ = owned_pool_.get();
+      throw sim::SimError(sim::SimErrc::kBadConfig, "Queue",
+                          "no packet pool attached (call attach_pool)");
     }
     return *pool_;
   }
@@ -251,9 +220,6 @@ class Queue {
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::int64_t bytes_ = 0;
-  // Standalone queues (tests, membomb experiments) buffer into a lazily
-  // created private pool; link-owned queues share the simulation's.
-  std::unique_ptr<PacketPool> owned_pool_;
   PacketPool* pool_ = nullptr;
   sim::ResourceGovernor* governor_ = nullptr;
   std::uint64_t governed_packets_ = 0;

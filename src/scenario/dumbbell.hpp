@@ -137,9 +137,10 @@ class Dumbbell {
   }
   [[nodiscard]] net::Topology& topology() noexcept { return topo_; }
 
-  /// Throughput of flow `f` in bits/sec, measured at the receiver over
-  /// [t0, t1). Requires bookkeeping via `snapshot_bytes` at t0; for
-  /// simplicity this measures cumulative bytes / elapsed when t0 = 0.
+  /// Goodput of flow `f` in bits/sec: the bytes its sink has received
+  /// since the start of the run, divided by `duration` (0 when
+  /// `duration` is not positive). It is a since-start average, so pass
+  /// the time elapsed from t = 0.
   [[nodiscard]] double flow_goodput_bps(const Flow& f,
                                         sim::Time duration) const;
 

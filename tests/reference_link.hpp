@@ -2,8 +2,8 @@
 
 // Reference link: the differential oracle for net::Link.
 //
-// The by-value packet path written down directly: the queue holds
-// packets by value (its value API), the transmitter holds the packet
+// The by-value packet path written down directly: packets go through
+// the queue by value (queue_values.hpp), the transmitter holds the packet
 // being serialized, and every transmit-complete, delivery and
 // duplicate is its own engine event whose closure carries the packet.
 // It mints seqs at exactly the points net::Link posts a lane entry or
@@ -22,6 +22,7 @@
 #include "net/packet_filter.hpp"
 #include "net/packet_pool.hpp"
 #include "net/queue.hpp"
+#include "queue_values.hpp"
 #include "sim/simulator.hpp"
 
 namespace slowcc::test {
@@ -54,7 +55,9 @@ class ReferenceLink {
     ++stats_.arrivals;
     if (!up_) return drop(net::DropReason::kLinkDown);
     if (forced_drop_ && forced_drop_(p)) return drop(net::DropReason::kForced);
-    if (auto reason = queue_->enqueue(std::move(p))) return drop(*reason);
+    if (auto reason = enqueue_value(*queue_, std::move(p))) {
+      return drop(*reason);
+    }
     if (!transmitting()) start_transmission();
   }
 
@@ -81,7 +84,7 @@ class ReferenceLink {
       in_flight_.reset();
       drop(net::DropReason::kLinkDown);
     }
-    while (queue_->dequeue()) drop(net::DropReason::kLinkDown);
+    while (dequeue_value(*queue_)) drop(net::DropReason::kLinkDown);
   }
 
   void set_up() {
@@ -114,7 +117,7 @@ class ReferenceLink {
   }
 
   void start_transmission() {
-    in_flight_ = queue_->dequeue();
+    in_flight_ = dequeue_value(*queue_);
     if (!in_flight_) return;
     const sim::Time tx =
         sim::transmission_time(in_flight_->size_bytes, bandwidth_);

@@ -1,6 +1,6 @@
 // slowcc_lint rule-engine tests: one positive and one negative fixture
 // per rule, run against small in-memory sources, plus suppression
-// parsing and JSON-reporter escaping. The fixtures use repo-shaped
+// parsing and the text reporter. The fixtures use repo-shaped
 // paths ("src/...", "tools/...") because rule scoping keys off them.
 
 #include "lint/lint.hpp"
@@ -11,6 +11,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "lint/lexer/lexer.hpp"
 
 namespace {
 
@@ -225,7 +227,6 @@ struct Entry {
   const auto findings = lint_one("src/sim/fancy_scheduler.hpp", engine);
   EXPECT_EQ(count_rule(findings, "no-std-function-hot-path"), 1);
   EXPECT_EQ(findings[0].line, 5);
-  EXPECT_FALSE(findings[0].advisory);  // enforced since the fn-pointer hot path
   // v2 widened the scope to src/net/ — packet delivery is as hot as the
   // event loop. Paths outside both stay exempt.
   EXPECT_EQ(count_rule(lint_one("src/net/foo.hpp", engine),
@@ -241,7 +242,7 @@ struct Entry {
 
 TEST(LintStdFunctionHotPath, IgnoresCommentsAndIsSuppressible) {
   const auto clean = lint_one("src/sim/notes.cpp", R"cpp(
-// std::function in a comment must not trip the advisory rule.
+// std::function in a comment must not trip the rule.
 int x = 1;
 )cpp");
   EXPECT_EQ(count_rule(clean, "no-std-function-hot-path"), 0);
@@ -264,11 +265,9 @@ void f() {
 )cpp");
   ASSERT_EQ(count_rule(findings, "no-std-function-hot-path"), 1);
   ASSERT_EQ(count_rule(findings, "no-raw-rand"), 1);
-  // Both hot-path rules were promoted to enforced alongside the pooled
-  // packet path (DESIGN.md §14); nothing in this fixture is advisory.
-  for (const auto& f : findings) {
-    EXPECT_FALSE(f.advisory) << f.rule;
-  }
+  // Every rule gates (DESIGN.md §8): the hot-path finding counts the
+  // same as the PRNG one, so the fixture reports exactly both.
+  EXPECT_EQ(findings.size(), 2u);
 }
 
 TEST(LintUnguardedSharedWrite, FlagsRawWritePathsOnlyUnderSrcExp) {
@@ -282,13 +281,6 @@ void dump(const char* path) {
 )cpp";
   const auto findings = lint_one("src/exp/scratch_sink.cpp", writer);
   EXPECT_EQ(count_rule(findings, "no-unguarded-shared-write"), 3);
-  for (const auto& f : findings) {
-    if (f.rule == "no-unguarded-shared-write") {
-      // Promoted from advisory to enforced: an unsuppressed raw write
-      // in src/exp/ now fails the lint gate.
-      EXPECT_FALSE(f.advisory) << f.message;
-    }
-  }
   // The same code outside the shared-checkpoint layer is fine.
   EXPECT_EQ(count_rule(lint_one("src/sim/dump.cpp", writer),
                        "no-unguarded-shared-write"),
@@ -388,43 +380,80 @@ TEST(LintRules, RegistryKnowsEveryRule) {
   EXPECT_TRUE(slowcc::lint::is_known_rule("governor-charge-release"));
   EXPECT_FALSE(slowcc::lint::is_known_rule("bad-suppression"));
   EXPECT_FALSE(slowcc::lint::is_known_rule(""));
-  // Every rule is enforced: the hot-path pair graduated from advisory
-  // when the packet path went pooled + fn-pointer (DESIGN.md §14), and
-  // enforced rules must never silently flip back.
+}
+
+struct RuleFixture {
+  std::string rule;
+  SourceFile source;
+};
+
+TEST(LintRules, EveryRuleHasAFiringFixture) {
+  // One minimal violating source per rule. A rule added to all_rules()
+  // without an entry here fails the test, so no rule can sit in the
+  // registry without a fixture that proves it fires.
+  const std::vector<RuleFixture> fixtures = {
+      {"no-wall-clock",
+       {"src/net/clock.cpp",
+        "void f() { auto t = std::chrono::steady_clock::now(); }\n"}},
+      {"no-raw-rand", {"src/net/jitter.cpp", "int f() { return rand(); }\n"}},
+      {"no-unordered-iteration",
+       {"src/net/table.cpp",
+        "std::unordered_map<int, double> table;\n"
+        "double sum() {\n"
+        "  double s = 0;\n"
+        "  for (const auto& [k, v] : table) s += v;\n"
+        "  return s;\n"
+        "}\n"}},
+      {"no-iteration-order-leak",
+       {"src/net/dump.cpp",
+        "std::unordered_map<int, int> stats;\n"
+        "void dump() {\n"
+        "  for (const auto& kv : stats) std::cout << kv.second;\n"
+        "}\n"}},
+      {"no-unseeded-container-hash",
+       {"src/net/hash.cpp", "std::unordered_map<Flow*, int> by_flow;\n"}},
+      {"no-time-arith-overflow",
+       {"src/sim/deadline.cpp",
+        "long next_deadline(long pad) { return INT64_MAX + pad; }\n"}},
+      {"error-taxonomy",
+       {"src/net/fail.cpp",
+        "void f() { throw std::runtime_error(\"nope\"); }\n"}},
+      {"no-float-time",
+       {"src/net/start.cpp", "void f() { double start_time = 3.0; }\n"}},
+      {"header-hygiene", {"src/net/bare.hpp", "struct Bare {};\n"}},
+      {"no-std-function-hot-path",
+       {"src/sim/hot.cpp", "std::function<void()> pending_cb;\n"}},
+      {"no-hot-path-alloc",
+       {"src/net/queue.cpp",
+        "class ScratchQueue {\n"
+        " public:\n"
+        "  void enqueue(int v) { slot_ = new int(v); }\n"
+        "  int* slot_ = nullptr;\n"
+        "};\n"}},
+      {"no-unguarded-shared-write",
+       {"src/exp/sink.cpp",
+        "void dump(const char* path) { std::ofstream out(path); }\n"}},
+      {"governor-charge-release",
+       {"src/net/leaky.cpp",
+        "class LeakyQueue {\n"
+        " public:\n"
+        "  void enqueue(int n) { gov_.note_packet_admitted(n); }\n"
+        "  int gov_;\n"
+        "};\n"}},
+  };
   for (const auto& rule : slowcc::lint::all_rules()) {
-    EXPECT_FALSE(rule.advisory) << rule.name;
+    const auto entry = std::find_if(
+        fixtures.begin(), fixtures.end(),
+        [&](const RuleFixture& f) { return f.rule == rule.name; });
+    ASSERT_NE(entry, fixtures.end()) << "no fixture for rule " << rule.name;
+    const auto findings = slowcc::lint::run({entry->source});
+    EXPECT_GE(count_rule(findings, entry->rule), 1)
+        << entry->rule << " did not fire on " << entry->source.path;
   }
-}
-
-TEST(LintJson, EscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(slowcc::lint::json_escape("plain"), "plain");
-  EXPECT_EQ(slowcc::lint::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(slowcc::lint::json_escape("x\n\t\r"), "x\\n\\t\\r");
-  EXPECT_EQ(slowcc::lint::json_escape(std::string("\x01", 1)), "\\u0001");
-}
-
-TEST(LintJson, ReporterEmitsEscapedFindings) {
-  std::vector<Finding> findings = {
-      {"src/a \"b\".cpp", 3, "no-raw-rand", "message with \"quotes\"\n",
-       "hint\\path"}};
-  std::ostringstream out;
-  slowcc::lint::report_json(findings, out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
-  EXPECT_NE(json.find("src/a \\\"b\\\".cpp"), std::string::npos);
-  EXPECT_NE(json.find("\"advisory\": false"), std::string::npos);
-  EXPECT_NE(json.find("message with \\\"quotes\\\"\\n"), std::string::npos);
-  EXPECT_NE(json.find("hint\\\\path"), std::string::npos);
-}
-
-TEST(LintJson, ReporterMarksAdvisoryFindings) {
-  // No built-in rule is advisory anymore; the reporter field is kept
-  // for future rule rollouts, so exercise it with a synthetic finding.
-  std::vector<Finding> findings = {{"src/sim/hot.cpp", 1, "future-rule",
-                                    "message", "hint", /*advisory=*/true}};
-  std::ostringstream out;
-  slowcc::lint::report_json(findings, out);
-  EXPECT_NE(out.str().find("\"advisory\": true"), std::string::npos);
+  // And no fixture names a rule the registry does not know.
+  for (const RuleFixture& fixture : fixtures) {
+    EXPECT_TRUE(slowcc::lint::is_known_rule(fixture.rule)) << fixture.rule;
+  }
 }
 
 TEST(LintText, ReporterPrintsFileLineRuleAndHint) {
@@ -481,16 +510,6 @@ void f() { auto t = std::chrono::steady_clock::now(); }
 )cpp"),
                        "no-wall-clock"),
             1);
-}
-
-TEST(LintText, ReporterTagsAdvisoryFindingsInTheRuleBracket) {
-  // Advisory tagging is exercised with a synthetic finding now that
-  // every built-in rule is enforced.
-  std::vector<Finding> findings = {{"src/sim/hot.cpp", 1, "future-rule",
-                                    "message", "hint", /*advisory=*/true}};
-  std::ostringstream out;
-  slowcc::lint::report_text(findings, out);
-  EXPECT_NE(out.str().find("[future-rule (advisory)]"), std::string::npos);
 }
 
 // ====================================================================
@@ -659,7 +678,6 @@ std::unordered_set<const Flow*> live;
 )cpp");
   ASSERT_EQ(count_rule(findings, "no-unseeded-container-hash"), 2);
   EXPECT_EQ(findings[0].line, 5);
-  EXPECT_FALSE(findings[0].advisory);
 }
 
 TEST(LintContainerHash, AllowsValueKeysAndCustomHashers) {
@@ -784,7 +802,6 @@ int* cold_path() { return new int(0); }
   ASSERT_EQ(count_rule(findings, "no-hot-path-alloc"), 1);
   for (const auto& f : findings) {
     if (f.rule == "no-hot-path-alloc") {
-      EXPECT_FALSE(f.advisory);  // enforced since the pooled packet path
       EXPECT_EQ(f.line, 6);  // the `new` in fill(), not cold_path()'s
       EXPECT_NE(f.message.find("enqueue"), std::string::npos);
     }
@@ -825,7 +842,6 @@ void Valve::fire_head() { log_.push_back(0); }
   ASSERT_EQ(count_rule(findings, "no-hot-path-alloc"), 1);
   for (const auto& f : findings) {
     if (f.rule == "no-hot-path-alloc") {
-      EXPECT_FALSE(f.advisory);
       EXPECT_EQ(f.line, 6);  // settle_head()'s push_back, not Valve's
       EXPECT_NE(f.message.find("Lane::fire_head"), std::string::npos);
     }
@@ -885,7 +901,6 @@ class LeakyQueue {
 )cpp");
   ASSERT_EQ(count_rule(findings, "governor-charge-release"), 1);
   EXPECT_EQ(findings[0].line, 4);
-  EXPECT_FALSE(findings[0].advisory);
   EXPECT_NE(findings[0].message.find("LeakyQueue"), std::string::npos);
 }
 
@@ -960,104 +975,6 @@ TEST(LintIncludeGraph, AcyclicIncludesAreClean) {
       {"src/net/base.hpp", "#pragma once\nstruct Base {};\n"},
   };
   EXPECT_EQ(count_rule(slowcc::lint::run(sources), "header-hygiene"), 0);
-}
-
-// ====================================================================
-// SARIF reporter, baseline round-trip, facts round-trip.
-// ====================================================================
-
-TEST(LintSarif, EmitsVersionedRunWithRuleAndLocation) {
-  std::vector<Finding> findings = {
-      {"src/x.cpp", 7, "no-raw-rand", "seeded jitter", "use sim::Rng"},
-      {"src/y.cpp", 3, "no-hot-path-alloc", "heap allocation", "preallocate",
-       /*advisory=*/true}};
-  std::ostringstream out;
-  slowcc::lint::report_sarif(findings, out);
-  const std::string sarif = out.str();
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\": \"slowcc_lint\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"no-raw-rand\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"uri\": \"src/x.cpp\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 7"), std::string::npos);
-  // Enforced findings are "error"; advisory ones are "note".
-  EXPECT_NE(sarif.find("\"level\": \"error\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"level\": \"note\""), std::string::npos);
-}
-
-TEST(LintBaseline, FingerprintsRoundTripAndIgnoreLines) {
-  std::vector<Finding> findings = {
-      {"src/x.cpp", 7, "no-raw-rand", "seeded jitter", "use sim::Rng"}};
-  std::ostringstream out;
-  slowcc::lint::write_baseline(findings, out);
-  std::istringstream in(out.str());
-  const auto baseline = slowcc::lint::parse_baseline(in);
-  EXPECT_EQ(baseline.count(slowcc::lint::finding_fingerprint(findings[0])),
-            1u);
-  // Fingerprints are line-free: the same finding shifted by an edit
-  // elsewhere in the file still matches.
-  Finding moved = findings[0];
-  moved.line = 99;
-  EXPECT_EQ(slowcc::lint::finding_fingerprint(moved),
-            slowcc::lint::finding_fingerprint(findings[0]));
-  // Comment lines and blanks in the file are skipped.
-  std::istringstream noisy("# comment\n\n" +
-                           slowcc::lint::finding_fingerprint(findings[0]) +
-                           "\n");
-  EXPECT_EQ(slowcc::lint::parse_baseline(noisy).size(), 1u);
-}
-
-TEST(LintFacts, SerializeDeserializeRoundTrips) {
-  const auto facts = slowcc::lint::extract_facts({"src/net/rt.cpp", R"cpp(
-#include "net/link.hpp"
-#include <unordered_map>
-std::unordered_map<int, int> stats;
-class Q {
- public:
-  void enqueue(int v) { buf_.push_back(v); helper(v); }
- private:
-  void helper(int v);
-  std::vector<int> buf_;
-};
-void dump() {
-  // slowcc-lint: allow(no-unordered-iteration) test fixture
-  for (const auto& kv : stats) consume(kv);
-}
-int bad() { return rand(); }
-)cpp"});
-  const std::string blob = slowcc::lint::serialize_facts(facts);
-  slowcc::lint::FileFacts back;
-  ASSERT_TRUE(slowcc::lint::deserialize_facts(blob, &back));
-  EXPECT_EQ(back.path, facts.path);
-  EXPECT_EQ(back.unordered_symbols, facts.unordered_symbols);
-  EXPECT_EQ(back.includes, facts.includes);
-  EXPECT_EQ(back.functions.size(), facts.functions.size());
-  EXPECT_EQ(back.iteration_sites.size(), facts.iteration_sites.size());
-  EXPECT_EQ(back.line_allow, facts.line_allow);
-  EXPECT_EQ(back.local_findings.size(), facts.local_findings.size());
-  // Round-tripped facts re-serialize byte-identically — the cache can
-  // be rewritten from memory without drift.
-  EXPECT_EQ(slowcc::lint::serialize_facts(back), blob);
-  // And the rule engine produces identical findings from either copy.
-  const auto direct = slowcc::lint::run_from_facts({facts});
-  const auto cached = slowcc::lint::run_from_facts({back});
-  ASSERT_EQ(direct.size(), cached.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(direct[i].rule, cached[i].rule);
-    EXPECT_EQ(direct[i].line, cached[i].line);
-  }
-}
-
-TEST(LintFacts, DeserializeRejectsUnknownTags) {
-  slowcc::lint::FileFacts out;
-  EXPECT_FALSE(slowcc::lint::deserialize_facts("zz|mystery\n", &out));
-}
-
-TEST(LintFacts, FingerprintChangesWithRuleSet) {
-  // The cache header embeds this; it just has to be stable and
-  // non-empty within one build.
-  EXPECT_FALSE(slowcc::lint::rules_fingerprint().empty());
-  EXPECT_NE(slowcc::lint::rules_fingerprint().find("slowcc-lint"),
-            std::string::npos);
 }
 
 }  // namespace

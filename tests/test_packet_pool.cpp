@@ -4,6 +4,7 @@
 
 #include "net/drop_tail_queue.hpp"
 #include "net/packet_pool.hpp"
+#include "queue_values.hpp"
 #include "sim/error.hpp"
 #include "sim/simulator.hpp"
 
@@ -128,12 +129,14 @@ TEST(PacketPool, QueueTeardownBalancesPoolAndGovernorToZero) {
     queue.attach_pool(&pool);
     queue.attach_governor(&sim.governor());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_FALSE(queue.enqueue(make_packet(i)).has_value());
+      ASSERT_FALSE(test::enqueue_value(queue, make_packet(i)).has_value());
     }
     EXPECT_EQ(pool.live(), 10u);
     EXPECT_EQ(sim.governor().live_packets(), 10u);
     // Dequeue a few by value (round-trips out of the pool)...
-    for (int i = 0; i < 4; ++i) ASSERT_TRUE(queue.dequeue().has_value());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(test::dequeue_value(queue).has_value());
+    }
     EXPECT_EQ(pool.live(), 6u);
     EXPECT_EQ(sim.governor().live_packets(), 6u);
     // ...and let the destructor release the residue.
@@ -148,7 +151,7 @@ TEST(PacketPool, RejectedEnqueueLeavesTheCallerOwningTheHandle) {
   PacketPool& pool = PacketPool::of(sim);
   DropTailQueue queue(1);
   queue.attach_pool(&pool);
-  ASSERT_FALSE(queue.enqueue(make_packet(0)).has_value());
+  ASSERT_FALSE(test::enqueue_value(queue, make_packet(0)).has_value());
   const PacketHandle h = pool.acquire(make_packet(1));
   const auto reason = queue.enqueue(h);
   ASSERT_TRUE(reason.has_value());

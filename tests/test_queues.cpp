@@ -5,11 +5,17 @@
 #include <tuple>
 
 #include "net/drop_tail_queue.hpp"
+#include "net/packet_pool.hpp"
 #include "net/red_queue.hpp"
+#include "queue_values.hpp"
+#include "sim/error.hpp"
 #include "sim/simulator.hpp"
 
 namespace slowcc::net {
 namespace {
+
+using test::dequeue_value;
+using test::enqueue_value;
 
 Packet make_packet(std::int64_t seq = 0, std::int64_t size = 1000) {
   Packet p;
@@ -19,34 +25,69 @@ Packet make_packet(std::int64_t seq = 0, std::int64_t size = 1000) {
 }
 
 TEST(DropTail, FifoOrder) {
+  PacketPool pool;
   DropTailQueue q(10);
-  for (int i = 0; i < 5; ++i) ASSERT_FALSE(q.enqueue(make_packet(i)));
+  q.attach_pool(&pool);
+  for (int i = 0; i < 5; ++i) ASSERT_FALSE(enqueue_value(q, make_packet(i)));
   for (int i = 0; i < 5; ++i) {
-    auto p = q.dequeue();
+    auto p = dequeue_value(q);
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(p->seq, i);
   }
-  EXPECT_FALSE(q.dequeue().has_value());
+  EXPECT_FALSE(dequeue_value(q).has_value());
 }
 
 TEST(DropTail, OverflowDropsExactlyAtLimit) {
+  PacketPool pool;
   DropTailQueue q(3);
-  EXPECT_FALSE(q.enqueue(make_packet(0)));
-  EXPECT_FALSE(q.enqueue(make_packet(1)));
-  EXPECT_FALSE(q.enqueue(make_packet(2)));
-  auto reason = q.enqueue(make_packet(3));
+  q.attach_pool(&pool);
+  EXPECT_FALSE(enqueue_value(q, make_packet(0)));
+  EXPECT_FALSE(enqueue_value(q, make_packet(1)));
+  EXPECT_FALSE(enqueue_value(q, make_packet(2)));
+  auto reason = enqueue_value(q, make_packet(3));
   ASSERT_TRUE(reason.has_value());
   EXPECT_EQ(*reason, DropReason::kOverflow);
   EXPECT_EQ(q.length_packets(), 3u);
 }
 
 TEST(DropTail, ByteAccounting) {
+  PacketPool pool;
   DropTailQueue q(10);
-  ASSERT_FALSE(q.enqueue(make_packet(0, 100)));
-  ASSERT_FALSE(q.enqueue(make_packet(1, 250)));
+  q.attach_pool(&pool);
+  ASSERT_FALSE(enqueue_value(q, make_packet(0, 100)));
+  ASSERT_FALSE(enqueue_value(q, make_packet(1, 250)));
   EXPECT_EQ(q.length_bytes(), 350);
-  (void)q.dequeue();
+  (void)dequeue_value(q);
   EXPECT_EQ(q.length_bytes(), 250);
+}
+
+TEST(DropTail, RejectedPacketComesBackIntact) {
+  PacketPool pool;
+  DropTailQueue q(1);
+  q.attach_pool(&pool);
+  ASSERT_FALSE(enqueue_value(q, make_packet(0)));
+  Packet p = make_packet(7, 640);
+  p.uid = 42;
+  EXPECT_EQ(enqueue_value(q, std::move(p)), DropReason::kOverflow);
+  EXPECT_EQ(p.seq, 7);
+  EXPECT_EQ(p.size_bytes, 640);
+  EXPECT_EQ(p.uid, 42u);
+  EXPECT_EQ(pool.live(), 1u) << "the rejected packet left the pool";
+}
+
+TEST(Queue, UseBeforeAttachPoolIsABadConfig) {
+  DropTailQueue q(4);
+  PacketPool pool;
+  const PacketHandle h = pool.acquire(make_packet(0));
+  try {
+    (void)q.enqueue(h);
+    FAIL() << "enqueue without a pool must throw";
+  } catch (const sim::SimError& e) {
+    EXPECT_EQ(e.code(), sim::SimErrc::kBadConfig);
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_THROW((void)enqueue_value(q, make_packet(1)), sim::SimError);
+  pool.release(h);
 }
 
 TEST(DropTail, ZeroLimitRejected) {
@@ -65,10 +106,11 @@ RedConfig small_red() {
 TEST(Red, NoDropsWhileAverageBelowMinThresh) {
   sim::Simulator sim;
   RedQueue q(sim, small_red());
+  q.attach_pool(&PacketPool::of(sim));
   // Enqueue/dequeue alternating keeps the queue length at 0-1.
   for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(q.enqueue(make_packet(i)).has_value());
-    (void)q.dequeue();
+    EXPECT_FALSE(enqueue_value(q, make_packet(i)).has_value());
+    (void)dequeue_value(q);
   }
 }
 
@@ -77,9 +119,10 @@ TEST(Red, HardLimitAlwaysDrops) {
   RedConfig cfg = small_red();
   cfg.limit_packets = 10;
   RedQueue q(sim, cfg);
+  q.attach_pool(&PacketPool::of(sim));
   int accepted = 0;
   for (int i = 0; i < 50; ++i) {
-    if (!q.enqueue(make_packet(i))) ++accepted;
+    if (!enqueue_value(q, make_packet(i))) ++accepted;
   }
   EXPECT_LE(accepted, 10);
   EXPECT_EQ(q.length_packets(), static_cast<std::size_t>(accepted));
@@ -88,9 +131,10 @@ TEST(Red, HardLimitAlwaysDrops) {
 TEST(Red, SustainedOverloadTriggersEarlyDrops) {
   sim::Simulator sim;
   RedQueue q(sim, small_red());
+  q.attach_pool(&PacketPool::of(sim));
   int early = 0;
   for (int i = 0; i < 80; ++i) {
-    auto r = q.enqueue(make_packet(i));
+    auto r = enqueue_value(q, make_packet(i));
     if (r == DropReason::kEarly) ++early;
   }
   EXPECT_GT(early, 0) << "average queue well above max_thresh must drop";
@@ -99,21 +143,23 @@ TEST(Red, SustainedOverloadTriggersEarlyDrops) {
 TEST(Red, AverageTracksQueue) {
   sim::Simulator sim;
   RedQueue q(sim, small_red());
-  for (int i = 0; i < 20; ++i) (void)q.enqueue(make_packet(i));
+  q.attach_pool(&PacketPool::of(sim));
+  for (int i = 0; i < 20; ++i) (void)enqueue_value(q, make_packet(i));
   EXPECT_GT(q.average_queue(), 5.0);
 }
 
 TEST(Red, IdlePeriodDecaysAverage) {
   sim::Simulator sim;
   RedQueue q(sim, small_red());
-  for (int i = 0; i < 20; ++i) (void)q.enqueue(make_packet(i));
-  while (q.dequeue().has_value()) {
+  q.attach_pool(&PacketPool::of(sim));
+  for (int i = 0; i < 20; ++i) (void)enqueue_value(q, make_packet(i));
+  while (dequeue_value(q).has_value()) {
   }
   const double avg_before = q.average_queue();
   // Let simulated time pass while the queue sits empty.
   sim.schedule_at(sim::Time::seconds(10.0), [] {});
   sim.run();
-  (void)q.enqueue(make_packet(99));
+  (void)enqueue_value(q, make_packet(99));
   EXPECT_LT(q.average_queue(), avg_before * 0.5);
 }
 
@@ -122,14 +168,15 @@ TEST(Red, EcnMarksInsteadOfDroppingWhenEnabled) {
   RedConfig cfg = small_red();
   cfg.ecn_marking = true;
   RedQueue q(sim, cfg);
+  q.attach_pool(&PacketPool::of(sim));
   int marked = 0;
   int dropped = 0;
   for (int i = 0; i < 80; ++i) {
     Packet p = make_packet(i);
     p.ecn_capable = true;
-    if (q.enqueue(std::move(p)).has_value()) ++dropped;
+    if (enqueue_value(q, std::move(p)).has_value()) ++dropped;
   }
-  while (auto p = q.dequeue()) {
+  while (auto p = dequeue_value(q)) {
     if (p->ecn_marked) ++marked;
   }
   EXPECT_GT(marked, 0);
@@ -141,9 +188,10 @@ TEST(Red, NonEcnPacketsStillDropWithMarkingEnabled) {
   RedConfig cfg = small_red();
   cfg.ecn_marking = true;
   RedQueue q(sim, cfg);
+  q.attach_pool(&PacketPool::of(sim));
   int dropped = 0;
   for (int i = 0; i < 80; ++i) {
-    if (q.enqueue(make_packet(i)).has_value()) ++dropped;
+    if (enqueue_value(q, make_packet(i)).has_value()) ++dropped;
   }
   EXPECT_GT(dropped, 0);
 }
@@ -174,9 +222,10 @@ TEST(Red, DeterministicForSameSeed) {
     RedConfig cfg = small_red();
     cfg.seed = seed;
     RedQueue q(sim, cfg);
+    q.attach_pool(&PacketPool::of(sim));
     std::vector<bool> outcome;
     for (int i = 0; i < 60; ++i) {
-      outcome.push_back(q.enqueue(make_packet(i)).has_value());
+      outcome.push_back(enqueue_value(q, make_packet(i)).has_value());
     }
     return outcome;
   };
@@ -191,14 +240,20 @@ class RingAtLimit
  protected:
   std::unique_ptr<Queue> make(sim::Simulator& sim) const {
     const auto [red, limit] = GetParam();
-    if (!red) return std::make_unique<DropTailQueue>(limit);
-    RedConfig cfg;
-    cfg.limit_packets = limit;
-    // Thresholds past the limit: the average never reaches them, so
-    // only the hard limit rejects.
-    cfg.min_thresh = 2.0 * static_cast<double>(limit);
-    cfg.max_thresh = 3.0 * static_cast<double>(limit);
-    return std::make_unique<RedQueue>(sim, cfg);
+    std::unique_ptr<Queue> q;
+    if (!red) {
+      q = std::make_unique<DropTailQueue>(limit);
+    } else {
+      RedConfig cfg;
+      cfg.limit_packets = limit;
+      // Thresholds past the limit: the average never reaches them, so
+      // only the hard limit rejects.
+      cfg.min_thresh = 2.0 * static_cast<double>(limit);
+      cfg.max_thresh = 3.0 * static_cast<double>(limit);
+      q = std::make_unique<RedQueue>(sim, cfg);
+    }
+    q->attach_pool(&PacketPool::of(sim));
+    return q;
   }
 };
 
@@ -214,13 +269,13 @@ TEST_P(RingAtLimit, RejectsAtLimitAndKeepsFifoAcrossGrowthAndWrap) {
   auto size_of = [](std::int64_t seq) { return 40 + (seq * 37) % 1461; };
   auto push = [&] {
     const std::int64_t size = size_of(next_in);
-    ASSERT_FALSE(q->enqueue(make_packet(next_in, size)).has_value())
+    ASSERT_FALSE(enqueue_value(*q, make_packet(next_in, size)).has_value())
         << "seq " << next_in << " at length " << q->length_packets();
     ++next_in;
     bytes += size;
   };
   auto pop = [&] {
-    auto p = q->dequeue();
+    auto p = dequeue_value(*q);
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(p->seq, next_out);
     EXPECT_EQ(p->size_bytes, size_of(next_out));
@@ -229,7 +284,7 @@ TEST_P(RingAtLimit, RejectsAtLimitAndKeepsFifoAcrossGrowthAndWrap) {
   };
   auto expect_full = [&] {
     EXPECT_EQ(q->length_packets(), limit);
-    EXPECT_EQ(q->enqueue(make_packet(-1)), DropReason::kOverflow);
+    EXPECT_EQ(enqueue_value(*q, make_packet(-1)), DropReason::kOverflow);
     EXPECT_EQ(q->length_packets(), limit);
   };
   // Advance the head a little, then grow with the head off slot 0, so
@@ -255,7 +310,7 @@ TEST_P(RingAtLimit, RejectsAtLimitAndKeepsFifoAcrossGrowthAndWrap) {
   EXPECT_EQ(bytes, 0);
   EXPECT_EQ(gov.live_packets(), 0u);
   EXPECT_EQ(gov.queued_bytes(), 0u);
-  EXPECT_FALSE(q->dequeue().has_value());
+  EXPECT_FALSE(dequeue_value(*q).has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -269,8 +324,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Queue, DequeueHandleReportsTheSizeItRead) {
+  PacketPool pool;
   DropTailQueue q(4);
-  ASSERT_FALSE(q.enqueue(make_packet(0, 321)).has_value());
+  q.attach_pool(&pool);
+  ASSERT_FALSE(enqueue_value(q, make_packet(0, 321)).has_value());
   std::int64_t size = 0;
   const PacketHandle h = q.dequeue_handle(&size);
   ASSERT_TRUE(h.valid());

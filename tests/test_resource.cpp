@@ -13,6 +13,8 @@
 
 #include "net/drop_tail_queue.hpp"
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
+#include "queue_values.hpp"
 #include "sim/error.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -20,6 +22,9 @@
 
 namespace slowcc::sim {
 namespace {
+
+using test::dequeue_value;
+using test::enqueue_value;
 
 net::Packet make_packet(Simulator& sim, std::int64_t size_bytes) {
   net::Packet p;
@@ -37,7 +42,7 @@ void arm_bomb(Simulator& sim, net::Queue& queue,
               std::int64_t bytes) {
   *tick = [&sim, &queue, weak = std::weak_ptr(tick), pkts, bytes] {
     for (int i = 0; i < pkts; ++i) {
-      (void)queue.enqueue(make_packet(sim, bytes));
+      (void)enqueue_value(queue, make_packet(sim, bytes));
     }
     const auto self = weak.lock();
     if (!self) return;
@@ -71,6 +76,7 @@ TEST(ResourceGovernor, RejectsWatermarkFractionOutsideUnitInterval) {
 TEST(ResourceGovernor, CeilingAbortThrowsResourceExhausted) {
   Simulator sim;
   net::DropTailQueue queue(std::size_t{1} << 20);
+  queue.attach_pool(&net::PacketPool::of(sim));
   queue.attach_governor(&sim.governor());
   sim.governor().set_budget(64 * 1024);
 
@@ -91,6 +97,7 @@ TEST(ResourceGovernor, AbortEventIsDeterministic) {
   const auto events_at_abort = [] {
     Simulator sim;
     net::DropTailQueue queue(std::size_t{1} << 20);
+    queue.attach_pool(&net::PacketPool::of(sim));
     queue.attach_governor(&sim.governor());
     sim.governor().set_budget(64 * 1024);
     auto tick = std::make_shared<std::function<void()>>();
@@ -110,6 +117,7 @@ TEST(ResourceGovernor, AbortEventIsDeterministic) {
 TEST(ResourceGovernor, WatermarkFiresOnceAndBeforeTheCeiling) {
   Simulator sim;
   net::DropTailQueue queue(std::size_t{1} << 20);
+  queue.attach_pool(&net::PacketPool::of(sim));
   queue.attach_governor(&sim.governor());
 
   constexpr std::uint64_t kBudget = 64 * 1024;
@@ -140,6 +148,7 @@ TEST(ResourceGovernor, WatermarkFiresOnceAndBeforeTheCeiling) {
 TEST(ResourceGovernor, WatermarkSheddingCanAvertTheAbort) {
   Simulator sim;
   net::DropTailQueue queue(std::size_t{1} << 20);
+  queue.attach_pool(&net::PacketPool::of(sim));
   queue.attach_governor(&sim.governor());
 
   // The callback drains the queue and tells the producer to back off —
@@ -150,7 +159,7 @@ TEST(ResourceGovernor, WatermarkSheddingCanAvertTheAbort) {
   bool shed = false;
   sim.governor().set_budget(64 * 1024, 0.5, [&](const ResourceUsage&) {
     shed = true;
-    while (queue.dequeue().has_value()) {
+    while (dequeue_value(queue).has_value()) {
     }
   });
 
@@ -158,7 +167,7 @@ TEST(ResourceGovernor, WatermarkSheddingCanAvertTheAbort) {
   std::function<void()> tick = [&] {
     if (!shed) {
       for (int i = 0; i < 16; ++i) {
-        (void)queue.enqueue(make_packet(sim, 1500));
+        (void)enqueue_value(queue, make_packet(sim, 1500));
       }
     }
     if (++ticks < 64) sim.schedule_in(Time::millis(1), tick);
@@ -172,12 +181,13 @@ TEST(ResourceGovernor, CountersBalanceToZeroAfterACleanTrial) {
   Simulator sim;
   {
     net::DropTailQueue queue(1024);
+    queue.attach_pool(&net::PacketPool::of(sim));
     queue.attach_governor(&sim.governor());
     for (int i = 0; i < 40; ++i) {
-      (void)queue.enqueue(make_packet(sim, 1000));
+      (void)enqueue_value(queue, make_packet(sim, 1000));
     }
     for (int i = 0; i < 40; ++i) {
-      ASSERT_TRUE(queue.dequeue().has_value());
+      ASSERT_TRUE(dequeue_value(queue).has_value());
     }
     EXPECT_EQ(sim.governor().live_packets(), 0u);
     EXPECT_EQ(sim.governor().queued_bytes(), 0u);
@@ -191,9 +201,10 @@ TEST(ResourceGovernor, QueueDestroyedHoldingPacketsReleasesItsResidue) {
   Simulator sim;
   {
     net::DropTailQueue queue(1024);
+    queue.attach_pool(&net::PacketPool::of(sim));
     queue.attach_governor(&sim.governor());
     for (int i = 0; i < 17; ++i) {
-      (void)queue.enqueue(make_packet(sim, 1500));
+      (void)enqueue_value(queue, make_packet(sim, 1500));
     }
     EXPECT_EQ(sim.governor().live_packets(), 17u);
     EXPECT_EQ(sim.governor().queued_bytes(), 17u * 1500u);
@@ -205,8 +216,9 @@ TEST(ResourceGovernor, QueueDestroyedHoldingPacketsReleasesItsResidue) {
 TEST(ResourceGovernor, AttachChargesExistingContentsAndDetachReleases) {
   Simulator sim;
   net::DropTailQueue queue(1024);
+  queue.attach_pool(&net::PacketPool::of(sim));
   for (int i = 0; i < 5; ++i) {
-    (void)queue.enqueue(make_packet(sim, 200));
+    (void)enqueue_value(queue, make_packet(sim, 200));
   }
   queue.attach_governor(&sim.governor());
   EXPECT_EQ(sim.governor().live_packets(), 5u);
@@ -222,6 +234,7 @@ TEST(ResourceGovernor, ThreadPeaksSurviveTheSimulatorAndReset) {
   {
     Simulator sim;
     net::DropTailQueue queue(std::size_t{1} << 20);
+    queue.attach_pool(&net::PacketPool::of(sim));
     queue.attach_governor(&sim.governor());
     sim.governor().set_budget(64 * 1024);
     auto tick = std::make_shared<std::function<void()>>();
@@ -240,11 +253,12 @@ TEST(ResourceGovernor, ThreadPeaksSurviveTheSimulatorAndReset) {
 TEST(ResourceGovernor, DisarmedGovernorNeverAborts) {
   Simulator sim;
   net::DropTailQueue queue(std::size_t{1} << 20);
+  queue.attach_pool(&net::PacketPool::of(sim));
   queue.attach_governor(&sim.governor());
   int ticks = 0;
   std::function<void()> tick = [&] {
     for (int i = 0; i < 16; ++i) {
-      (void)queue.enqueue(make_packet(sim, 1500));
+      (void)enqueue_value(queue, make_packet(sim, 1500));
     }
     if (++ticks < 128) sim.schedule_in(Time::millis(1), tick);
   };

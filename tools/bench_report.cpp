@@ -140,8 +140,8 @@ std::vector<Sample> parse_benchmark_json(const std::string& text) {
 
 /// Wall-clock of one full slowcc_lint run over the tree, in ms. The
 /// linter sits on the edit-compile loop and in every CI run, so its
-/// latency is tracked next to the engine numbers (cold, uncached — the
-/// worst case a developer sees). Returns -1 when the run cannot start.
+/// latency is tracked next to the engine numbers (every run is a cold
+/// full-tree scan). Returns -1 when the run cannot start.
 double time_lint_run(const std::string& lint_bin,
                      const std::string& lint_root) {
   const std::string cmd = lint_bin + " --root " + lint_root +

@@ -8,15 +8,12 @@
 namespace slowcc::lint {
 
 /// One diagnostic: where, which rule, what, and how to fix it.
-/// Advisory findings are informational — reporters mark them and the
-/// CLI does not count them toward its exit code.
 struct Finding {
   std::string file;
   int line = 0;
   std::string rule;
   std::string message;
   std::string hint;
-  bool advisory = false;
 };
 
 /// A source file handed to the engine. `path` is repo-relative with

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <cstdlib>
 
 namespace slowcc::lint {
 
@@ -326,168 +324,6 @@ std::vector<std::vector<std::string>> find_include_cycles(
   }
   std::sort(cycles.begin(), cycles.end());
   return cycles;
-}
-
-// ---------------------------------------------------------------------------
-// Facts serialization (cache format). Line-oriented; free text fields
-// are percent-escaped so '|' and newlines survive.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::string esc(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '%' || c == '|' || c == '\n' || c == '\r') {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02X",
-                    static_cast<unsigned char>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string unesc(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      const std::string hex(s.substr(i + 1, 2));
-      out += static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> split_fields(std::string_view line) {
-  std::vector<std::string> fields;
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i <= line.size(); ++i) {
-    if (i == line.size() || line[i] == '|') {
-      fields.emplace_back(line.substr(begin, i - begin));
-      begin = i + 1;
-    }
-  }
-  return fields;
-}
-
-}  // namespace
-
-std::string serialize_facts(const FileFacts& facts) {
-  std::string out;
-  out += "p " + esc(facts.path) + "\n";
-  for (const std::string& sym : facts.unordered_symbols) {
-    out += "u " + esc(sym) + "\n";
-  }
-  for (const std::string& inc : facts.includes) {
-    out += "i " + esc(inc) + "\n";
-  }
-  for (const FuncDef& fn : facts.functions) {
-    out += "F " + esc(fn.cls) + "|" + esc(fn.name) + "|" +
-           std::to_string(fn.line) + "\n";
-    for (const CallSite& call : fn.calls) {
-      out += "C " + esc(call.callee) + "|" + std::to_string(call.line) + "|" +
-             (call.member_call ? "1" : "0") + "\n";
-    }
-    for (const AllocSite& alloc : fn.allocs) {
-      out += "A " + esc(alloc.what) + "|" + std::to_string(alloc.line) + "\n";
-    }
-  }
-  for (const IterationSite& site : facts.iteration_sites) {
-    out += "I " + std::to_string(site.line) + "|" + esc(site.base) + "|" +
-           (site.leaks_output ? "1" : "0") + "\n";
-  }
-  for (const std::string& rule : facts.file_allow) {
-    out += "sf " + esc(rule) + "\n";
-  }
-  for (const auto& [line, rule] : facts.line_allow) {
-    out += "sl " + std::to_string(line) + "|" + esc(rule) + "\n";
-  }
-  for (const Finding& f : facts.local_findings) {
-    out += "L " + esc(f.rule) + "|" + std::to_string(f.line) + "|" +
-           (f.advisory ? "1" : "0") + "|" + esc(f.file) + "|" +
-           esc(f.message) + "|" + esc(f.hint) + "\n";
-  }
-  return out;
-}
-
-bool deserialize_facts(std::string_view text, FileFacts* out) {
-  *out = FileFacts();
-  std::size_t pos = 0;
-  FuncDef* fn = nullptr;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.empty()) continue;
-    const std::size_t sp = line.find(' ');
-    if (sp == std::string_view::npos) return false;
-    const std::string_view tag = line.substr(0, sp);
-    const std::string_view rest = line.substr(sp + 1);
-    const std::vector<std::string> fields = split_fields(rest);
-    if (tag == "p") {
-      out->path = unesc(rest);
-    } else if (tag == "u") {
-      out->unordered_symbols.push_back(unesc(rest));
-    } else if (tag == "i") {
-      out->includes.push_back(unesc(rest));
-    } else if (tag == "F") {
-      if (fields.size() != 3) return false;
-      FuncDef def;
-      def.cls = unesc(fields[0]);
-      def.name = unesc(fields[1]);
-      def.line = std::atoi(fields[2].c_str());
-      out->functions.push_back(std::move(def));
-      fn = &out->functions.back();
-    } else if (tag == "C") {
-      if (fn == nullptr || fields.size() != 3) return false;
-      fn->calls.push_back(
-          {unesc(fields[0]), std::atoi(fields[1].c_str()), fields[2] == "1"});
-    } else if (tag == "A") {
-      if (fn == nullptr || fields.size() != 2) return false;
-      fn->allocs.push_back({std::atoi(fields[1].c_str()), unesc(fields[0])});
-    } else if (tag == "I") {
-      if (fields.size() != 3) return false;
-      out->iteration_sites.push_back(
-          {std::atoi(fields[0].c_str()), unesc(fields[1]), fields[2] == "1"});
-    } else if (tag == "sf") {
-      out->file_allow.push_back(unesc(rest));
-    } else if (tag == "sl") {
-      if (fields.size() != 2) return false;
-      out->line_allow.emplace_back(std::atoi(fields[0].c_str()),
-                                   unesc(fields[1]));
-    } else if (tag == "L") {
-      if (fields.size() != 6) return false;
-      Finding f;
-      f.rule = unesc(fields[0]);
-      f.line = std::atoi(fields[1].c_str());
-      f.advisory = fields[2] == "1";
-      f.file = unesc(fields[3]);
-      f.message = unesc(fields[4]);
-      f.hint = unesc(fields[5]);
-      out->local_findings.push_back(std::move(f));
-    } else {
-      return false;  // unknown tag: stale format, force re-extraction
-    }
-  }
-  return !out->path.empty();
-}
-
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 }  // namespace slowcc::lint

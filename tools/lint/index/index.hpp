@@ -3,18 +3,14 @@
 // slowcc-lint program indices — per-file facts extracted from the token
 // stream, and the cross-TU indices built from a whole batch of facts.
 //
-// Facts are the unit of caching: everything the global rules need from
-// a file (function/call/alloc structure, unordered-container symbols,
+// A file's facts are everything the global rules need from it
+// (function/call/alloc structure, unordered-container symbols,
 // iteration sites, includes, suppressions, and the file's local
-// findings) is captured here and can be serialized to the on-disk
-// content-hash cache, so an incremental run re-lexes only changed
-// files and still runs every cross-file rule over the full program.
+// findings), so the cross-file rules run over facts, not tokens.
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -99,13 +95,5 @@ struct ProgramIndex {
 /// paths on the cycle. Deterministic.
 [[nodiscard]] std::vector<std::vector<std::string>> find_include_cycles(
     const ProgramIndex& index);
-
-// -- facts (de)serialization for the content-hash cache --------------
-
-[[nodiscard]] std::string serialize_facts(const FileFacts& facts);
-[[nodiscard]] bool deserialize_facts(std::string_view text, FileFacts* out);
-
-/// FNV-1a 64-bit — cache keys for file contents and paths.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view data);
 
 }  // namespace slowcc::lint

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <istream>
 #include <map>
 #include <ostream>
 #include <set>
 #include <sstream>
 
+#include "lint/index/index.hpp"
 #include "lint/lexer/lexer.hpp"
 #include "lint/rules/rules.hpp"
 
@@ -123,11 +122,22 @@ void parse_suppressions(const std::string& path, const lex::LexedSource& lx,
   }
 }
 
-bool rule_is_advisory(std::string_view name) {
-  for (const auto& rule : all_rules()) {
-    if (rule.name == name) return rule.advisory;
+/// Lex + analyze one file: structure (functions/calls/allocs),
+/// unordered symbols, iteration sites, quoted includes, suppressions,
+/// and all single-file findings (pre-suppression).
+FileFacts extract_facts(const SourceFile& source) {
+  const lex::LexedSource lx = lex::lex(source.content);
+  FileFacts facts;
+  facts.path = source.path;
+  analyze_structure(lx, &facts);
+  rules::run_local(source.path, lx, &facts);
+  parse_suppressions(source.path, lx, &facts);
+  for (const lex::Directive& dir : lx.directives) {
+    if (dir.keyword == "include" && dir.quoted_include) {
+      facts.includes.push_back(dir.include_target);
+    }
   }
-  return false;
+  return facts;
 }
 
 }  // namespace
@@ -188,35 +198,18 @@ bool is_known_rule(std::string_view name) {
   return false;
 }
 
-std::string_view rules_fingerprint() {
-  // Bump the version stamp whenever lexing, facts extraction, or rule
-  // semantics change: cached facts from another fingerprint are
-  // discarded, so stale caches can never hide (or invent) findings.
-  return "slowcc-lint-v2.0-r14";
-}
-
 // ---------------------------------------------------------------------------
 // Engine.
 // ---------------------------------------------------------------------------
 
-FileFacts extract_facts(const SourceFile& source) {
-  const lex::LexedSource lx = lex::lex(source.content);
-  FileFacts facts;
-  facts.path = source.path;
-  analyze_structure(lx, &facts);
-  rules::run_local(source.path, lx, &facts);
-  parse_suppressions(source.path, lx, &facts);
-  for (const lex::Directive& dir : lx.directives) {
-    if (dir.keyword == "include" && dir.quoted_include) {
-      facts.includes.push_back(dir.include_target);
-    }
+std::vector<Finding> run(const std::vector<SourceFile>& sources) {
+  std::vector<FileFacts> facts;
+  facts.reserve(sources.size());
+  for (const SourceFile& source : sources) {
+    facts.push_back(extract_facts(source));
   }
-  return facts;
-}
-
-std::vector<Finding> run_from_facts(const std::vector<FileFacts>& facts) {
   // Deterministic batch order regardless of how the caller collected
-  // the files (thread completion order, directory order, ...).
+  // the files.
   std::vector<const FileFacts*> sorted;
   sorted.reserve(facts.size());
   for (const FileFacts& file : facts) sorted.push_back(&file);
@@ -238,21 +231,18 @@ std::vector<Finding> run_from_facts(const std::vector<FileFacts>& facts) {
   for (const FileFacts* file : sorted) by_path.emplace(file->path, file);
   std::vector<Finding> findings;
   for (Finding& finding : merged) {
-    if (finding.rule != kBadSuppression) {
-      const auto it = by_path.find(finding.file);
-      if (it != by_path.end()) {
-        const FileFacts* file = it->second;
-        if (std::find(file->file_allow.begin(), file->file_allow.end(),
-                      finding.rule) != file->file_allow.end()) {
-          continue;
-        }
-        const std::pair<int, std::string> key{finding.line, finding.rule};
-        if (std::find(file->line_allow.begin(), file->line_allow.end(), key) !=
-            file->line_allow.end()) {
-          continue;
-        }
+    const auto it = by_path.find(finding.file);
+    if (finding.rule != kBadSuppression && it != by_path.end()) {
+      const FileFacts* file = it->second;
+      if (std::find(file->file_allow.begin(), file->file_allow.end(),
+                    finding.rule) != file->file_allow.end()) {
+        continue;
       }
-      finding.advisory = rule_is_advisory(finding.rule);
+      const std::pair<int, std::string> key{finding.line, finding.rule};
+      if (std::find(file->line_allow.begin(), file->line_allow.end(), key) !=
+          file->line_allow.end()) {
+        continue;
+      }
     }
     findings.push_back(std::move(finding));
   }
@@ -266,146 +256,16 @@ std::vector<Finding> run_from_facts(const std::vector<FileFacts>& facts) {
   return findings;
 }
 
-std::vector<Finding> run(const std::vector<SourceFile>& sources) {
-  std::vector<FileFacts> facts;
-  facts.reserve(sources.size());
-  for (const SourceFile& source : sources) {
-    facts.push_back(extract_facts(source));
-  }
-  return run_from_facts(facts);
-}
-
 // ---------------------------------------------------------------------------
-// Baselines.
+// Reporter.
 // ---------------------------------------------------------------------------
-
-std::string finding_fingerprint(const Finding& finding) {
-  // Line-free on purpose: unrelated edits above a known finding must
-  // not turn it into a "new" one. rule|file|message is stable until
-  // the finding itself changes.
-  return finding.rule + "|" + finding.file + "|" + finding.message;
-}
-
-std::set<std::string> parse_baseline(std::istream& in) {
-  std::set<std::string> fingerprints;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string entry = trim(line);
-    if (entry.empty() || entry[0] == '#') continue;
-    fingerprints.insert(entry);
-  }
-  return fingerprints;
-}
-
-void write_baseline(const std::vector<Finding>& findings, std::ostream& out) {
-  out << "# slowcc-lint baseline — one fingerprint (rule|file|message) per "
-         "line.\n"
-      << "# The CI gate fails only on enforced findings absent from this "
-         "file;\n"
-      << "# regenerate with: slowcc_lint --write-baseline <path> ...\n";
-  std::set<std::string> fingerprints;
-  for (const Finding& finding : findings) {
-    fingerprints.insert(finding_fingerprint(finding));
-  }
-  for (const std::string& fingerprint : fingerprints) {
-    out << fingerprint << "\n";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Reporters.
-// ---------------------------------------------------------------------------
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const unsigned char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
 
 void report_text(const std::vector<Finding>& findings, std::ostream& out) {
   for (const auto& finding : findings) {
     out << finding.file << ":" << finding.line << ": [" << finding.rule
-        << (finding.advisory ? " (advisory)" : "") << "] " << finding.message
-        << "\n";
+        << "] " << finding.message << "\n";
     if (!finding.hint.empty()) out << "    hint: " << finding.hint << "\n";
   }
-}
-
-void report_json(const std::vector<Finding>& findings, std::ostream& out) {
-  out << "{\"count\": " << findings.size() << ", \"findings\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    if (i != 0) out << ", ";
-    out << "{\"file\": \"" << json_escape(f.file)
-        << "\", \"line\": " << f.line << ", \"rule\": \""
-        << json_escape(f.rule) << "\", \"advisory\": "
-        << (f.advisory ? "true" : "false") << ", \"message\": \""
-        << json_escape(f.message) << "\", \"hint\": \"" << json_escape(f.hint)
-        << "\"}";
-  }
-  out << "]}\n";
-}
-
-void report_sarif(const std::vector<Finding>& findings, std::ostream& out) {
-  out << "{\"$schema\": "
-         "\"https://json.schemastore.org/sarif-2.1.0.json\", "
-         "\"version\": \"2.1.0\", \"runs\": [{\"tool\": {\"driver\": "
-         "{\"name\": \"slowcc_lint\", \"rules\": [";
-  const std::vector<RuleInfo>& rules = all_rules();
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    if (i != 0) out << ", ";
-    out << "{\"id\": \"" << json_escape(rules[i].name)
-        << "\", \"shortDescription\": {\"text\": \""
-        << json_escape(rules[i].summary) << "\"}}";
-  }
-  out << "]}}, \"results\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    if (i != 0) out << ", ";
-    std::string text = f.message;
-    if (!f.hint.empty()) text += " — " + f.hint;
-    out << "{\"ruleId\": \"" << json_escape(f.rule) << "\", \"level\": \""
-        << (f.advisory ? "note" : "error") << "\", \"message\": {\"text\": \""
-        << json_escape(text)
-        << "\"}, \"locations\": [{\"physicalLocation\": "
-           "{\"artifactLocation\": {\"uri\": \""
-        << json_escape(f.file) << "\"}, \"region\": {\"startLine\": "
-        << (f.line > 0 ? f.line : 1) << "}}}]}";
-  }
-  out << "]}]}\n";
 }
 
 }  // namespace slowcc::lint

@@ -4,7 +4,7 @@
 // project's determinism, resource-pairing, and error-taxonomy
 // invariants (see DESIGN.md §8).
 //
-// v2 architecture (tools/lint/):
+// Architecture (tools/lint/):
 //   lexer/   a preprocessor-aware C++ lexer: comments, string/char/raw
 //            string literals, line splices, digraphs, and `#if 0`
 //            regions are handled as translation phases, not masking
@@ -12,8 +12,7 @@
 //   index/   per-file facts (functions, calls, allocation sites,
 //            unordered-container symbols, iteration sites,
 //            suppressions) + the cross-TU program index built from
-//            them: an include graph and a symbol/call table. Facts
-//            serialize to the on-disk content-hash cache.
+//            them: an include graph and a symbol/call table
 //   rules/   rule families over tokens + index:
 //            core          v1 rule ports (clocks, PRNGs, taxonomy,
 //                          float time, header hygiene + include
@@ -24,13 +23,11 @@
 //                          no-time-arith-overflow
 //            hot-path      no-hot-path-alloc (call-table reachability
 //                          from Queue::enqueue / Link or Node deliver /
-//                          EventQueue::pop)
+//                          EventQueue::pop / Lane::fire_head)
 //            resource      governor-charge-release pairing
 //
-// Enforced rules gate the build; advisory rules are reported (and
-// suppressible) like any other but do not fail the lint gate — the CLI
-// exits non-zero only when an enforced finding survives suppression
-// and, when a baseline is given, is not in the committed baseline.
+// Every rule gates: the CLI exits non-zero when any finding survives
+// suppression.
 //
 // Suppression syntax (a reason is mandatory, rule names must be known,
 // and the directive must open its comment):
@@ -42,20 +39,17 @@
 // be suppressed.
 
 #include <iosfwd>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "lint/finding.hpp"
-#include "lint/index/index.hpp"
 
 namespace slowcc::lint {
 
 struct RuleInfo {
   std::string_view name;
   std::string_view summary;
-  bool advisory = false;
 };
 
 /// Every rule the engine knows, in stable order (for --list-rules and
@@ -65,58 +59,15 @@ struct RuleInfo {
 /// True if `name` names a real rule.
 [[nodiscard]] bool is_known_rule(std::string_view name);
 
-/// Lex + analyze one file into its cacheable facts: structure
-/// (functions/calls/allocs), unordered symbols, iteration sites,
-/// quoted includes, suppressions, and all single-file findings
-/// (pre-suppression). Pure function of (path, content) — this is the
-/// unit the content-hash cache stores.
-[[nodiscard]] FileFacts extract_facts(const SourceFile& source);
-
-/// Run the cross-file rules over a batch of facts (fresh or from the
-/// cache), merge with each file's local findings, apply suppressions,
-/// and mark advisory rules. Findings are ordered by file, line, rule.
-[[nodiscard]] std::vector<Finding> run_from_facts(
-    const std::vector<FileFacts>& facts);
-
-/// extract_facts + run_from_facts over a batch of sources. Cross-file
-/// state (symbol table, call table, include graph) is built from the
-/// whole batch, so pass every file of interest in one call.
+/// Lint a batch of sources: lex and analyze each file, run the
+/// cross-file rules, and apply suppressions. Cross-file state (symbol
+/// table, call table, include graph) is built from the whole batch, so
+/// pass every file of interest in one call. Findings are ordered by
+/// file, line, rule.
 [[nodiscard]] std::vector<Finding> run(const std::vector<SourceFile>& sources);
 
-/// Engine + rule-set version stamp. Cached facts recorded under a
-/// different fingerprint are discarded, so rule changes invalidate the
-/// cache without a manual wipe.
-[[nodiscard]] std::string_view rules_fingerprint();
-
-// -- baselines -------------------------------------------------------
-//
-// A baseline is a committed set of finding fingerprints; the CLI gates
-// on findings *absent* from it, so a rule rollout can land before the
-// tree is fully clean. Fingerprints are line-free (rule|file|message),
-// which keeps them stable across unrelated edits to the same file.
-
-[[nodiscard]] std::string finding_fingerprint(const Finding& finding);
-[[nodiscard]] std::set<std::string> parse_baseline(std::istream& in);
-void write_baseline(const std::vector<Finding>& findings, std::ostream& out);
-
-// -- reporters -------------------------------------------------------
-
-/// JSON string-escaping used by the JSON/SARIF reporters ("\&quot;",
-/// \\n, \uXXXX for other control characters). Exposed for tests.
-[[nodiscard]] std::string json_escape(std::string_view text);
-
 /// `file:line: [rule] message` + indented fix hint, one finding per
-/// block; advisory findings render as `[rule (advisory)]`. Emits
-/// nothing for an empty list.
+/// block. Emits nothing for an empty list.
 void report_text(const std::vector<Finding>& findings, std::ostream& out);
-
-/// `{"count": N, "findings": [{file, line, rule, advisory, message,
-/// hint}, ...]}`.
-void report_json(const std::vector<Finding>& findings, std::ostream& out);
-
-/// Minimal SARIF 2.1.0: one run, driver `slowcc_lint` with rule
-/// metadata, one result per finding (enforced -> "error", advisory ->
-/// "note") with a physicalLocation. Uploadable as a CI artifact.
-void report_sarif(const std::vector<Finding>& findings, std::ostream& out);
 
 }  // namespace slowcc::lint

@@ -1,60 +1,35 @@
 // slowcc_lint — CLI driver for the determinism & resource-invariant
 // linter.
 //
-//   slowcc_lint [--root DIR] [--format text|json|sarif] [--output FILE]
-//               [--baseline FILE] [--write-baseline FILE]
-//               [--cache DIR] [--jobs N] [--list-rules] [paths...]
+//   slowcc_lint [--root DIR] [--list-rules] [paths...]
 //
 // Walks the given paths (default: src bench tools examples) under
-// --root, lints every .cpp/.cc/.hpp/.h, and prints findings. Exit code:
-// 0 clean, 1 enforced findings (absent from --baseline when given),
-// 2 usage or I/O error — suitable for CI and for the `lint` CMake
-// target. Advisory findings are reported but do not affect the exit
-// code. Rules, scoping, and the inline suppression syntax are
-// documented in tools/lint/lint.hpp and DESIGN.md §8.
-//
-// --cache DIR keeps per-file facts keyed by content hash + rule-set
-// fingerprint: an incremental re-run re-lexes only changed files while
-// the cross-TU rules still see the whole program (facts, not findings,
-// are cached). --jobs N scans files with N worker threads; results are
-// slot-ordered, so output is identical at any job count.
+// --root, lints every .cpp/.cc/.hpp/.h, and prints findings as text.
+// Exit code: 0 clean, 1 findings, 2 usage or I/O error — suitable for
+// CI and for the `lint` CMake target. Rules, scoping, and the inline
+// suppression syntax are documented in tools/lint/lint.hpp and
+// DESIGN.md §8.
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "lint/lint.hpp"
 
 namespace fs = std::filesystem;
-using slowcc::lint::FileFacts;
 using slowcc::lint::Finding;
 using slowcc::lint::SourceFile;
 
 namespace {
 
 int usage(std::ostream& out, int code) {
-  out << "usage: slowcc_lint [--root DIR] [--format text|json|sarif]\n"
-         "                   [--output FILE] [--baseline FILE]\n"
-         "                   [--write-baseline FILE] [--cache DIR]\n"
-         "                   [--jobs N] [--list-rules] [paths...]\n"
+  out << "usage: slowcc_lint [--root DIR] [--list-rules] [paths...]\n"
          "  --root DIR      repo root paths are resolved against "
          "(default: .)\n"
-         "  --format FMT    'text' (default), 'json', or 'sarif'\n"
-         "  --output FILE   write the report to FILE instead of stdout\n"
-         "  --baseline FILE fail only on enforced findings absent from "
-         "FILE\n"
-         "  --write-baseline FILE  write current findings as the new "
-         "baseline\n"
-         "  --cache DIR     per-file facts cache (content-hash keyed)\n"
-         "  --jobs N        scan files with N threads (default 1)\n"
          "  --list-rules    print every rule with a summary and exit\n"
          "  paths           files or directories relative to --root\n"
          "                  (default: src bench tools examples)\n";
@@ -83,82 +58,10 @@ bool read_file(const fs::path& file, std::string* out) {
   return true;
 }
 
-std::string hex64(std::uint64_t value) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
-
-/// Facts cache. One file per source path; invalidated by content hash
-/// and by the engine's rules_fingerprint, so a rule change never
-/// resurrects stale facts. All misses are silent — the cache is an
-/// optimization, never a correctness dependency.
-class FactsCache {
- public:
-  explicit FactsCache(fs::path dir) : dir_(std::move(dir)) {
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    enabled_ = !ec && fs::is_directory(dir_, ec);
-  }
-
-  [[nodiscard]] bool load(const std::string& path, const std::string& content,
-                          FileFacts* out) const {
-    if (!enabled_) return false;
-    std::string text;
-    if (!read_file(entry(path), &text)) return false;
-    const std::size_t eol = text.find('\n');
-    if (eol == std::string::npos) return false;
-    const std::string expected = header(content);
-    if (text.compare(0, eol, expected) != 0) return false;
-    return slowcc::lint::deserialize_facts(
-        std::string_view(text).substr(eol + 1), out);
-  }
-
-  void store(const std::string& path, const std::string& content,
-             const FileFacts& facts) const {
-    if (!enabled_) return;
-    const fs::path target = entry(path);
-    const fs::path tmp = target.string() + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) return;
-      out << header(content) << "\n" << slowcc::lint::serialize_facts(facts);
-      if (!out) return;
-    }
-    std::error_code ec;
-    fs::rename(tmp, target, ec);
-    if (ec) fs::remove(tmp, ec);
-  }
-
- private:
-  [[nodiscard]] fs::path entry(const std::string& path) const {
-    return dir_ / (hex64(slowcc::lint::fnv1a64(path)) + ".facts");
-  }
-
-  [[nodiscard]] static std::string header(const std::string& content) {
-    return "slowcc-lint-facts " +
-           std::string(slowcc::lint::rules_fingerprint()) + " " +
-           hex64(slowcc::lint::fnv1a64(content));
-  }
-
-  fs::path dir_;
-  bool enabled_ = false;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   fs::path root = ".";
-  std::string format = "text";
-  std::string output_file;
-  std::string baseline_file;
-  std::string write_baseline_file;
-  std::string cache_dir;
-  int jobs = 1;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
@@ -166,36 +69,13 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") return usage(std::cout, 0);
     if (arg == "--list-rules") {
       for (const auto& rule : slowcc::lint::all_rules()) {
-        std::cout << rule.name << (rule.advisory ? " (advisory)" : "")
-                  << "\n    " << rule.summary << "\n";
+        std::cout << rule.name << "\n    " << rule.summary << "\n";
       }
       return 0;
     }
     if (arg == "--root") {
       if (++i >= argc) return usage(std::cerr, 2);
       root = argv[i];
-    } else if (arg == "--format") {
-      if (++i >= argc) return usage(std::cerr, 2);
-      format = argv[i];
-      if (format != "text" && format != "json" && format != "sarif") {
-        return usage(std::cerr, 2);
-      }
-    } else if (arg == "--output") {
-      if (++i >= argc) return usage(std::cerr, 2);
-      output_file = argv[i];
-    } else if (arg == "--baseline") {
-      if (++i >= argc) return usage(std::cerr, 2);
-      baseline_file = argv[i];
-    } else if (arg == "--write-baseline") {
-      if (++i >= argc) return usage(std::cerr, 2);
-      write_baseline_file = argv[i];
-    } else if (arg == "--cache") {
-      if (++i >= argc) return usage(std::cerr, 2);
-      cache_dir = argv[i];
-    } else if (arg == "--jobs") {
-      if (++i >= argc) return usage(std::cerr, 2);
-      jobs = std::atoi(argv[i]);
-      if (jobs < 1 || jobs > 256) return usage(std::cerr, 2);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "slowcc_lint: unknown option '" << arg << "'\n";
       return usage(std::cerr, 2);
@@ -238,106 +118,9 @@ int main(int argc, char** argv) {
     sources.push_back(std::move(source));
   }
 
-  // Facts extraction: cache-aware and parallel. Each worker claims the
-  // next source index and fills its slot, so the batch order (and with
-  // it every downstream report) is independent of thread scheduling.
-  const FactsCache* cache = nullptr;
-  FactsCache cache_storage{fs::path(cache_dir)};
-  if (!cache_dir.empty()) cache = &cache_storage;
-
-  std::vector<FileFacts> facts(sources.size());
-  {
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&] {
-      for (std::size_t i = next.fetch_add(1); i < sources.size();
-           i = next.fetch_add(1)) {
-        const SourceFile& source = sources[i];
-        if (cache != nullptr &&
-            cache->load(source.path, source.content, &facts[i])) {
-          continue;
-        }
-        facts[i] = slowcc::lint::extract_facts(source);
-        if (cache != nullptr) {
-          cache->store(source.path, source.content, facts[i]);
-        }
-      }
-    };
-    const int workers =
-        std::min<int>(jobs, static_cast<int>(sources.size()) + 1);
-    if (workers <= 1) {
-      worker();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-      for (std::thread& t : pool) t.join();
-    }
-  }
-
-  const std::vector<Finding> findings = slowcc::lint::run_from_facts(facts);
-
-  if (!write_baseline_file.empty()) {
-    std::ofstream out(write_baseline_file, std::ios::trunc);
-    if (!out) {
-      std::cerr << "slowcc_lint: cannot write baseline "
-                << write_baseline_file << "\n";
-      return 2;
-    }
-    slowcc::lint::write_baseline(findings, out);
-    std::cerr << "slowcc_lint: wrote baseline (" << findings.size()
-              << " finding(s)) to " << write_baseline_file << "\n";
-    return 0;
-  }
-
-  std::set<std::string> baseline;
-  if (!baseline_file.empty()) {
-    std::ifstream in(baseline_file);
-    if (!in) {
-      std::cerr << "slowcc_lint: cannot read baseline " << baseline_file
-                << "\n";
-      return 2;
-    }
-    baseline = slowcc::lint::parse_baseline(in);
-  }
-
-  long advisory = 0;
-  long enforced = 0;
-  long baselined = 0;
-  for (const Finding& finding : findings) {
-    if (finding.advisory) {
-      ++advisory;
-    } else if (!baseline_file.empty() &&
-               baseline.count(slowcc::lint::finding_fingerprint(finding)) !=
-                   0) {
-      ++baselined;
-    } else {
-      ++enforced;
-    }
-  }
-
-  std::ofstream file_out;
-  if (!output_file.empty()) {
-    file_out.open(output_file, std::ios::trunc);
-    if (!file_out) {
-      std::cerr << "slowcc_lint: cannot write " << output_file << "\n";
-      return 2;
-    }
-  }
-  std::ostream& out = output_file.empty() ? std::cout : file_out;
-  if (format == "json") {
-    slowcc::lint::report_json(findings, out);
-  } else if (format == "sarif") {
-    slowcc::lint::report_sarif(findings, out);
-  } else {
-    slowcc::lint::report_text(findings, out);
-  }
-  if (format == "text" || !output_file.empty()) {
-    std::cerr << "slowcc_lint: " << sources.size() << " files, " << enforced
-              << " finding(s), " << advisory << " advisory";
-    if (!baseline_file.empty()) {
-      std::cerr << ", " << baselined << " baselined";
-    }
-    std::cerr << "\n";
-  }
-  return enforced == 0 ? 0 : 1;
+  const std::vector<Finding> findings = slowcc::lint::run(sources);
+  slowcc::lint::report_text(findings, std::cout);
+  std::cerr << "slowcc_lint: " << sources.size() << " files, "
+            << findings.size() << " finding(s)\n";
+  return findings.empty() ? 0 : 1;
 }

@@ -16,7 +16,7 @@
 // Local checks append pre-suppression findings (and facts: unordered
 // symbols, iteration sites) to one file's FileFacts; global checks see
 // the whole batch plus the ProgramIndex. The engine (lint.cpp) owns
-// suppression filtering, advisory marking, and ordering.
+// suppression filtering and ordering.
 
 #include <map>
 #include <string>

@@ -14,7 +14,7 @@
 // sites in everything reachable within a few hops. Name-based call
 // resolution over-approximates, so a site that only runs at warm-up or
 // set-up carries a reasoned `allow(no-hot-path-alloc)`; with those,
-// the rule is enforced with an empty baseline. It cannot follow a call
+// the tree lints clean under the rule. It cannot follow a call
 // through a function pointer, so the lane fire's walk stops at the
 // lane and does not enter the callback it invokes.
 

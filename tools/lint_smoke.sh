@@ -2,10 +2,8 @@
 # Tier-1 gate for slowcc_lint (see tools/lint/): the real tree must lint
 # clean, and synthetic violations seeded into a scratch tree must fail
 # with the rule name and file:line in the output — one fixture per
-# enforced v2 rule family (determinism, resource-pairing, and the
-# hot-path family promoted alongside the pooled packet path). Also sanity-checks the JSON and SARIF
-# reporters, the baseline-delta gate, and the facts cache (a warm run
-# must produce byte-identical output).
+# rule family (determinism, resource-pairing, hot-path). Options the
+# CLI does not know are usage errors (exit 2).
 #
 # Usage: tools/lint_smoke.sh /path/to/slowcc_lint /path/to/repo-root
 set -euo pipefail
@@ -54,16 +52,8 @@ if ! grep -q "src/scratch.cpp:1" <<<"$out" \
   fail "finding lacks rule name or file:line"
 fi
 
-# 3. The JSON reporter must agree and be non-empty.
-json="$("$lint" --root "$scratch" --format json src || true)"
-if ! grep -q '"rule": "no-raw-rand"' <<<"$json"; then
-  fail "JSON reporter missing the finding: $json"
-fi
-
-# 4. The hot-path dispatch rule is enforced: a std::function seeded
-# into src/sim/ trips no-std-function-hot-path and fails the gate
-# (promoted from advisory once the engine hot path went fn-pointer,
-# DESIGN.md §14).
+# 3. The hot-path dispatch rule: a std::function seeded into src/sim/
+# trips no-std-function-hot-path and fails the gate (DESIGN.md §14).
 mkdir -p "$scratch/src/sim"
 cat > "$scratch/src/sim/hot.cpp" <<'EOF'
 std::function<void()> pending_cb;
@@ -75,7 +65,7 @@ fi
 grep -q "no-std-function-hot-path" <<<"$out" \
   || fail "hot-path std::function was not reported: $out"
 
-# 5. One synthetic violation per new enforced rule family must exit 1
+# 4. One synthetic violation per determinism/resource rule must exit 1
 # with the rule name in the output.
 family="$scratch/family"
 mkdir -p "$family/src/sim"
@@ -112,9 +102,8 @@ void dump() {
 EOF
 expect_finding "no-iteration-order-leak" --root "$family" src
 
-# 6. The hot-path allocation family is enforced: a `new` reachable
-# from an enqueue fails the gate (promoted from advisory once the
-# packet path went pooled, DESIGN.md §14).
+# 5. The hot-path allocation rule: a `new` reachable from an enqueue
+# fails the gate (DESIGN.md §14).
 cat > "$family/src/sim/hash.cpp" <<'EOF'
 class ScratchQueue {
  public:
@@ -126,37 +115,11 @@ class ScratchQueue {
 EOF
 expect_finding "no-hot-path-alloc" --root "$family" src
 
-# 7. SARIF reporter: versioned shape with ruleId + physicalLocation, so
-# the CI artifact upload stays consumable.
-sarif="$("$lint" --root "$scratch" --format sarif src || true)"
-for want in '"version": "2.1.0"' '"ruleId": "no-raw-rand"' \
-            '"startLine": 1' '"uri": "src/scratch.cpp"'; do
-  grep -qF "$want" <<<"$sarif" || fail "SARIF reporter missing $want: $sarif"
+# 6. Options the CLI does not know exit 2 before any file is read.
+for option in --cache --jobs --baseline --write-baseline --format --output; do
+  rc=0
+  "$lint" --root "$scratch" "$option" x src >/dev/null 2>&1 || rc=$?
+  [[ "$rc" == 2 ]] || fail "$option exited $rc, want 2 (usage error)"
 done
-
-# 8. Baseline-delta gate: baselining the known violation makes the run
-# pass; a *new* violation on top still fails.
-"$lint" --root "$scratch" --write-baseline "$scratch/baseline.txt" src \
-  >/dev/null 2>&1
-if ! "$lint" --root "$scratch" --baseline "$scratch/baseline.txt" src \
-     >/dev/null 2>&1; then
-  fail "baselined finding still failed the gate"
-fi
-cat > "$scratch/src/fresh.cpp" <<'EOF'
-int more_jitter() { return rand() % 11; }
-EOF
-if "$lint" --root "$scratch" --baseline "$scratch/baseline.txt" src \
-     >/dev/null 2>&1; then
-  fail "new finding slipped past the baseline gate"
-fi
-
-# 9. Facts cache: a warm re-run must be byte-identical to the cold run
-# (the cache stores facts, not findings — cross-file rules still run).
-cold="$("$lint" --root "$root" --cache "$scratch/cache" \
-        src bench tools examples 2>/dev/null || true)"
-warm="$("$lint" --root "$root" --cache "$scratch/cache" \
-        src bench tools examples 2>/dev/null || true)"
-[[ "$cold" == "$warm" ]] || fail "cache changed the findings"
-[[ -n "$(ls "$scratch/cache" 2>/dev/null)" ]] || fail "cache dir left empty"
 
 echo "lint_smoke: PASS"
