@@ -89,52 +89,8 @@ bool parse_row_json(const std::string& line, const TrialDesc& desc,
   return true;
 }
 
-JournalMerge merge_journals(const std::vector<TrialDesc>& trials,
-                            const std::vector<JsonlLoad>& journals,
-                            bool rerun_failures) {
-  JournalMerge merge;
-
-  // Last journal line per trial id wins (re-runs append duplicates;
-  // shards are scanned in the order given, so later journals shadow
-  // earlier ones — irrelevant for correctness since rows are
-  // deterministic per trial, but it keeps the scan single-pass).
-  std::map<std::uint64_t, const std::string*> latest;
-  for (const JsonlLoad& journal : journals) {
-    merge.torn_tail = merge.torn_tail || journal.torn_tail;
-    merge.journal_lines += journal.lines.size();
-    for (const std::string& line : journal.lines) {
-      std::vector<std::pair<std::string, JsonScalar>> fields;
-      if (!parse_flat_json(line, fields)) continue;
-      for (const auto& [key, value] : fields) {
-        if (key == "trial_id") {
-          latest[value.as_u64()] = &line;
-          break;
-        }
-      }
-    }
-  }
-
-  for (const TrialDesc& d : trials) {
-    Row row;
-    const auto it = latest.find(d.trial_id);
-    if (it != latest.end() && parse_row_json(*it->second, d, &row) &&
-        (row.outcome.ok || !rerun_failures)) {
-      merge.rows.push_back(std::move(row));
-      merge.lines.push_back(*it->second);
-    } else {
-      merge.pending.push_back(d);
-    }
-  }
-  return merge;
-}
-
-Checkpoint::Checkpoint(std::string dir, std::string journal_name)
-    : dir_(std::move(dir)), journal_name_(std::move(journal_name)) {
+Checkpoint::Checkpoint(std::string dir) : dir_(std::move(dir)) {
   if (dir_.empty()) bad("empty checkpoint directory");
-  if (journal_name_.empty() ||
-      journal_name_.find('/') != std::string::npos) {
-    bad("journal name must be a bare filename: '" + journal_name_ + "'");
-  }
 }
 
 Checkpoint::~Checkpoint() = default;
@@ -143,7 +99,7 @@ std::string Checkpoint::path(const std::string& name) const {
   return dir_ + "/" + name;
 }
 
-std::string Checkpoint::journal_path() const { return path(journal_name_); }
+std::string Checkpoint::journal_path() const { return path("journal.jsonl"); }
 
 bool Checkpoint::open(const SweepSpec& spec, const std::string& policy_text,
                       std::string* policy_warning) {
@@ -185,13 +141,34 @@ bool Checkpoint::open(const SweepSpec& spec, const std::string& policy_text,
 
 Checkpoint::Plan Checkpoint::plan(
     const std::vector<TrialDesc>& trials) const {
-  JournalMerge merge = merge_journals(trials, {load_jsonl(journal_path())},
-                                      /*rerun_failures=*/true);
+  const JsonlLoad journal = load_jsonl(journal_path());
   Plan plan;
-  plan.pending = std::move(merge.pending);
-  plan.recovered = std::move(merge.rows);
-  plan.journal_lines = merge.journal_lines;
-  plan.torn_tail = merge.torn_tail;
+  plan.journal_lines = journal.lines.size();
+  plan.torn_tail = journal.torn_tail;
+
+  // Last journal line per trial id wins (a resume appends re-runs
+  // after the failures they replace).
+  std::map<std::uint64_t, const std::string*> latest;
+  for (const std::string& line : journal.lines) {
+    std::vector<std::pair<std::string, JsonScalar>> fields;
+    if (!parse_flat_json(line, fields)) continue;
+    for (const auto& [key, value] : fields) {
+      if (key == "trial_id") {
+        latest[value.as_u64()] = &line;
+        break;
+      }
+    }
+  }
+  for (const TrialDesc& d : trials) {
+    Row row;
+    const auto it = latest.find(d.trial_id);
+    if (it != latest.end() && parse_row_json(*it->second, d, &row) &&
+        row.outcome.ok) {
+      plan.recovered.push_back(std::move(row));
+    } else {
+      plan.pending.push_back(d);
+    }
+  }
 
   std::map<std::string, std::pair<std::size_t, std::size_t>> cells;
   for (const TrialDesc& d : trials) ++cells[d.cell_key()].first;

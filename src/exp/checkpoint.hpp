@@ -20,33 +20,6 @@ namespace slowcc::exp {
 [[nodiscard]] bool parse_row_json(const std::string& line,
                                   const TrialDesc& desc, Row* out);
 
-/// Last-valid-line-wins merge of one or more journals against a sweep
-/// expansion — the shared core of single-process resume
-/// (Checkpoint::plan) and the fleet's multi-shard drain. Rows are
-/// matched to trials by id and validated via parse_row_json; the raw
-/// journal line of every accepted row rides along so a fleet
-/// compaction can rewrite the canonical journal byte-identically to
-/// what a --jobs 1 run would have produced (one line per trial, id
-/// order).
-struct JournalMerge {
-  std::vector<Row> rows;           // accepted rows, trial-id order
-  std::vector<std::string> lines;  // raw journal line per accepted row
-  std::vector<TrialDesc> pending;  // trials with no accepted row
-  std::size_t journal_lines = 0;   // lines inspected across journals
-  bool torn_tail = false;          // any journal ended mid-line
-};
-
-/// `rerun_failures` selects the resume contract. true — the
-/// single-process contract: failure rows count as pending so a fresh
-/// invocation retries them. false — the fleet drain contract: any
-/// journaled row (ok or failed) is complete, so a deterministic
-/// failure cannot livelock N workers into re-claiming it forever
-/// (rows are deterministic per trial, so either choice preserves
-/// byte-identity; only termination differs).
-[[nodiscard]] JournalMerge merge_journals(
-    const std::vector<TrialDesc>& trials,
-    const std::vector<JsonlLoad>& journals, bool rerun_failures);
-
 /// Crash-safe sweep state in one directory.
 ///
 /// Layout:
@@ -57,7 +30,8 @@ struct JournalMerge {
 ///                  but previously-journaled rows keep their flags)
 ///   journal.jsonl  one row JSON line per completed trial, appended
 ///                  and flushed as trials finish (crash-tolerant;
-///                  duplicates allowed, last line wins)
+///                  duplicates allowed, the last valid line per trial
+///                  wins)
 ///   trials.*/cells.*/manifest.jsonl   final outputs, written
 ///                  atomically (tmp + rename) by finalize()
 ///
@@ -69,12 +43,7 @@ struct JournalMerge {
 /// policy, and any --jobs value.
 class Checkpoint {
  public:
-  /// `journal_name` is the append-target inside `dir`: the canonical
-  /// "journal.jsonl" for single-process runs, a per-worker shard
-  /// ("journal.worker-<id>.jsonl") for fleet workers so N processes
-  /// never interleave appends into one file.
-  explicit Checkpoint(std::string dir,
-                      std::string journal_name = "journal.jsonl");
+  explicit Checkpoint(std::string dir);
   ~Checkpoint();
 
   Checkpoint(const Checkpoint&) = delete;
@@ -101,7 +70,10 @@ class Checkpoint {
   };
 
   /// Read the journal and split `trials` (the spec's full expansion)
-  /// into recovered successes and pending re-runs.
+  /// into recovered successes and pending re-runs. Rows match trials
+  /// by id; the last line per id wins, and it counts as recovered
+  /// only if it parses against its TrialDesc (parse_row_json) and
+  /// records a success — a failure row is retried by the resume.
   [[nodiscard]] Plan plan(const std::vector<TrialDesc>& trials) const;
 
   /// Append one finished row to the journal (call under the runner's
@@ -122,7 +94,6 @@ class Checkpoint {
 
  private:
   std::string dir_;
-  std::string journal_name_;
   std::unique_ptr<JsonlAppender> journal_;
 };
 

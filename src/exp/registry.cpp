@@ -295,7 +295,7 @@ Row run_poison(const TrialDesc& d) {
 ///                        invocations terminate instead of eating the
 ///                        machine
 ///   sleep_ms=T        -> hold the worker first (smoke tests kill a
-///                        fleet worker mid-bomb)
+///                        --resume run mid-bomb)
 Row run_membomb(const TrialDesc& d) {
   const double sleep_ms = d.param("sleep_ms", 0.0);
   if (sleep_ms > 0.0) {

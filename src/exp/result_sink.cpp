@@ -208,10 +208,10 @@ std::string atomic_staging_name(const std::string& path, long pid,
 
 bool write_file_atomic(const std::string& path, const std::string& content,
                        std::string* error) {
-  // Pid+sequence staging name: two fleet workers finalizing the same
-  // file concurrently must not truncate each other's tmp mid-write —
-  // the pid separates processes, the counter separates threads (e.g.
-  // two in-process FleetWorkers) that share one.
+  // Pid+sequence staging name: two writers of the same file must not
+  // truncate each other's tmp mid-write — the pid separates processes
+  // (two sweeps pointed at one directory), the counter separates
+  // threads that share one.
   static std::atomic<std::uint64_t> seq{0};
   const std::string tmp = atomic_staging_name(
       path, static_cast<long>(::getpid()), seq.fetch_add(1));
@@ -240,32 +240,6 @@ bool write_file_atomic(const std::string& path, const std::string& content,
   // right here can roll the directory entry back to the old file (or
   // to nothing, for a first write) on journaling filesystems.
   return fsync_parent_dir(path, error);
-}
-
-ExclusiveWrite write_file_exclusive(const std::string& path,
-                                    const std::string& content,
-                                    std::string* error) {
-  // slowcc-lint: allow(no-unguarded-shared-write) this IS the sanctioned O_EXCL claim helper
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-  if (fd < 0) {
-    if (errno == EEXIST) return ExclusiveWrite::kExists;
-    if (error) *error = "cannot create " + path;
-    return ExclusiveWrite::kError;
-  }
-  const bool ok = write_all(fd, content) && ::fsync(fd) == 0;
-  ::close(fd);
-  if (!ok) {
-    if (error) *error = "write failed: " + path;
-    // Leave the (torn) file in place: we DID win the claim; a torn
-    // lease ages out via the staleness TTL like any dead owner's.
-    return ExclusiveWrite::kError;
-  }
-  std::string dir_err;
-  if (!fsync_parent_dir(path, &dir_err)) {
-    if (error) *error = dir_err;
-    return ExclusiveWrite::kError;
-  }
-  return ExclusiveWrite::kCreated;
 }
 
 JsonlAppender::JsonlAppender(const std::string& path) : path_(path) {

@@ -51,34 +51,16 @@ void write_manifest_jsonl(std::ostream& out, const std::vector<Row>& rows);
                                               long pid, std::uint64_t seq);
 
 /// Crash-safe whole-file write: the content goes to a process- and
-/// call-unique temporary (see atomic_staging_name — concurrent fleet
-/// workers finalizing the same file cannot tear each other's staging
-/// copy), is fsync'd, and is renamed over `path`; the parent directory
-/// is then
-/// fsync'd so a power loss immediately after the rename cannot drop
-/// the directory entry on journaling filesystems. A reader (or a
+/// call-unique temporary (see atomic_staging_name — two writers of the
+/// same file cannot tear each other's staging copy), is fsync'd, and
+/// is renamed over `path`; the parent directory is then fsync'd so a
+/// power loss immediately after the rename cannot drop the directory
+/// entry on journaling filesystems. A reader (or a
 /// resumed sweep) sees either the old file or the complete new one,
 /// never a torn prefix. Returns false (with `*error` set) on failure.
 [[nodiscard]] bool write_file_atomic(const std::string& path,
                                      const std::string& content,
                                      std::string* error = nullptr);
-
-/// Result of an O_EXCL claim attempt (see write_file_exclusive).
-enum class ExclusiveWrite {
-  kCreated,  // this call created the file — the claim is ours
-  kExists,   // someone else holds it (file already present)
-  kError,    // I/O failure (shared filesystem trouble)
-};
-
-/// Atomic create-if-absent — the lease-claim primitive. Creates `path`
-/// with O_CREAT|O_EXCL and writes `content`; exactly one of N racing
-/// callers observes kCreated. The parent directory is fsync'd after a
-/// successful create. A crash mid-write leaves a short/torn file,
-/// which lease readers treat as held-but-unreadable (it ages out via
-/// the staleness TTL like any dead owner's lease).
-[[nodiscard]] ExclusiveWrite write_file_exclusive(
-    const std::string& path, const std::string& content,
-    std::string* error = nullptr);
 
 /// fsync the directory containing `path` (or `path` itself when it is
 /// a directory) so a completed rename/create within it survives a

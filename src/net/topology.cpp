@@ -6,7 +6,9 @@ namespace slowcc::net {
 
 Node& Topology::add_node(std::string name) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  if (name.empty()) name = "n" + std::to_string(id);
+  // Not `"n" + std::to_string(id)`: GCC 12 flags that with a
+  // -Wrestrict false positive in Release builds.
+  if (name.empty()) name = std::to_string(id).insert(0, 1, 'n');
   nodes_.push_back(std::make_unique<Node>(id, std::move(name)));
   return *nodes_.back();
 }

@@ -20,12 +20,6 @@ const char* to_string(SimErrc code) noexcept {
       return "deadline-exceeded";
     case SimErrc::kTrialAborted:
       return "trial-aborted";
-    case SimErrc::kLeaseLost:
-      return "lease-lost";
-    case SimErrc::kLeaseExpired:
-      return "lease-expired";
-    case SimErrc::kFleetDegraded:
-      return "fleet-degraded";
     case SimErrc::kBadSpec:
       return "bad-spec";
     case SimErrc::kResourceExhausted:
@@ -53,7 +47,15 @@ namespace {
 
 std::string format_what(SimErrc code, const std::string& component,
                         const std::string& detail) {
-  return "[" + std::string(to_string(code)) + "] " + component + ": " + detail;
+  // Appended piecewise: `"literal" + std::string&&` trips a GCC 12
+  // -Wrestrict false positive in Release builds.
+  std::string what = "[";
+  what += to_string(code);
+  what += "] ";
+  what += component;
+  what += ": ";
+  what += detail;
+  return what;
 }
 
 }  // namespace

@@ -26,13 +26,6 @@ enum class SimErrc {
                         // clock) turned a hung simulation into an error
   kTrialAborted,        // a trial was cancelled or failed by injection
                         // (chaos self-test, poison experiment)
-  kLeaseLost,           // a fleet worker's trial lease was broken by a
-                        // sibling (the worker looked dead); its result
-                        // is discarded, the breaker's stands
-  kLeaseExpired,        // a trial lease went stale past its TTL; the
-                        // break-cap variant quarantines the trial
-  kFleetDegraded,       // a fleet worker lost its shared directory or
-                        // was asked to stop and exited early
   kBadSpec,             // a declarative scenario spec failed to parse,
                         // validate, or compile (src/spec/); the message
                         // carries file:line and the offending key
@@ -53,9 +46,8 @@ inline constexpr SimErrc kAllSimErrcs[] = {
     SimErrc::kBadConfig,     SimErrc::kBadSchedule,
     SimErrc::kBadTopology,   SimErrc::kInvariantViolation,
     SimErrc::kBudgetExceeded, SimErrc::kDeadlineExceeded,
-    SimErrc::kTrialAborted,  SimErrc::kLeaseLost,
-    SimErrc::kLeaseExpired,  SimErrc::kFleetDegraded,
-    SimErrc::kBadSpec,       SimErrc::kResourceExhausted,
+    SimErrc::kTrialAborted,  SimErrc::kBadSpec,
+    SimErrc::kResourceExhausted,
 };
 static_assert(sizeof(kAllSimErrcs) / sizeof(kAllSimErrcs[0]) ==
                   static_cast<std::size_t>(SimErrc::kCount_),

@@ -42,9 +42,9 @@ struct ResourceUsage {
 ///
 /// The model is intentionally coarse — the point is not byte-accurate
 /// RSS accounting but a deterministic proxy that
-/// aborts the same trial at the same event on every run. Process-level
-/// defense (real RSS vs /proc/meminfo) lives in the fleet's admission
-/// control, not here.
+/// aborts the same trial at the same event on every run. It does not
+/// watch the process's real RSS; the per-trial budget and the
+/// runner's admission weights are the only memory defense.
 class ResourceGovernor {
  public:
   using WatermarkCallback = std::function<void(const ResourceUsage&)>;

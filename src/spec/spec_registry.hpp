@@ -3,8 +3,8 @@
 // Binds compiled scenario specs into the exp:: registry so a
 // `specs/*.toml` file is a first-class experiment: sweepable over
 // algorithms / bandwidth / RTT / its declared [params], with derived
-// seeds, retries, checkpoints, and fleet execution inherited from the
-// ordinary trial machinery for free.
+// seeds, retries, checkpoints, and parallel execution inherited from
+// the ordinary trial machinery for free.
 
 #include <memory>
 #include <string>

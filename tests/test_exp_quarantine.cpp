@@ -342,9 +342,9 @@ TEST(ResourceBudget, PolicyValidationRejectsBadGovernanceKnobs) {
 }
 
 TEST(ResultSink, AtomicStagingNamesSeparateProcessesAndCalls) {
-  // Regression for the cross-process staging collision: two fleet
-  // workers finalizing the same file must never share a staging name,
-  // and neither must two writes from one process.
+  // Regression for the cross-process staging collision: two processes
+  // finalizing the same file must never share a staging name, and
+  // neither must two writes from one process.
   EXPECT_EQ(atomic_staging_name("dir/trials.jsonl", 42, 7),
             "dir/trials.jsonl.tmp.42.7");
   EXPECT_NE(atomic_staging_name("f", 100, 0), atomic_staging_name("f", 101, 0));
@@ -367,19 +367,6 @@ TEST(ResultSink, AtomicWriteLeavesNoTempFile) {
     EXPECT_EQ(e.path().filename().string(), "out.jsonl");
   }
   EXPECT_EQ(entries, 1u);
-}
-
-TEST(ResultSink, ExclusiveWriteClaimsExactlyOnce) {
-  TempDir dir;
-  const std::string path = dir.path() + "/trial-7.lease";
-  std::string err;
-  EXPECT_EQ(write_file_exclusive(path, "a\n", &err), ExclusiveWrite::kCreated)
-      << err;
-  EXPECT_EQ(write_file_exclusive(path, "b\n", &err), ExclusiveWrite::kExists);
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content, "a\n");  // the loser did not clobber the winner
 }
 
 TEST(ResultSink, LoaderReportsTornTrailingLine) {
@@ -500,6 +487,51 @@ TEST(Checkpoint, PartialTornJournalRecoversCompletedTrials) {
     EXPECT_TRUE(d.trial_id % 2 == 1 ||
                 d.cell_key().find("boom=1") != std::string::npos);
   }
+}
+
+TEST(Checkpoint, LastValidJournalLinePerTrialWins) {
+  const SweepSpec spec = poison_spec();
+  const auto trials = spec.expand();
+  ParallelRunner runner(1);
+  const std::vector<Row> rows = runner.run(trials);
+  ASSERT_TRUE(rows[0].outcome.ok);
+  ASSERT_TRUE(rows[1].outcome.ok);
+  ASSERT_FALSE(rows[4].outcome.ok);  // boom=1: the poison cell fails
+
+  Row failed_again = rows[1];  // an ok trial whose re-run failed
+  failed_again.error = "retry failed";
+  failed_again.outcome.ok = false;
+  failed_again.outcome.error_kind = "trial-aborted";
+  Row healed = rows[4];  // a failed trial whose re-run succeeded
+  healed.error.clear();
+  healed.outcome = TrialOutcome{};
+
+  TempDir dir;
+  Checkpoint ck(dir.path());
+  EXPECT_FALSE(ck.open(spec, "p\n"));
+  ck.record(rows[0]);
+  ck.record(rows[1]);
+  ck.record(rows[4]);
+  ck.record(rows[0]);  // duplicate: collapses to one recovered row
+  ck.record(failed_again);
+  ck.record(healed);
+  ck.record(rows[2]);
+  {  // a corrupt (non-JSON) line mid-journal is skipped, not trusted
+    std::ofstream out(ck.journal_path(), std::ios::binary | std::ios::app);
+    out << "{\"trial_id\":2,\"exper\n";
+  }
+
+  const Checkpoint::Plan plan = ck.plan(trials);
+  EXPECT_EQ(plan.journal_lines, 8u);
+  EXPECT_FALSE(plan.torn_tail);
+  std::vector<std::uint64_t> recovered;
+  for (const Row& r : plan.recovered) recovered.push_back(r.trial_id);
+  EXPECT_EQ(recovered, (std::vector<std::uint64_t>{0, 2, 4}));
+  EXPECT_EQ(plan.recovered[0].to_json(), rows[0].to_json());
+  EXPECT_EQ(plan.recovered[1].to_json(), rows[2].to_json());
+  EXPECT_EQ(plan.recovered[2].to_json(), healed.to_json());
+  ASSERT_EQ(plan.pending.size(), trials.size() - 3u);
+  EXPECT_EQ(plan.pending[0].trial_id, 1u);  // its last line is a failure
 }
 
 TEST(Checkpoint, ResumeUnderDifferentSpecIsRefused) {

@@ -304,8 +304,8 @@ void drive(Checkpoint& cp, const SweepSpec& spec) {
 
 TEST(LintUnguardedSharedWrite, IsSuppressibleWithReason) {
   const auto findings = lint_one("src/exp/result_sink_fixture.cpp", R"cpp(
-int claim(const char* path) {
-  // slowcc-lint: allow(no-unguarded-shared-write) this IS the O_EXCL primitive
+int stage(const char* path) {
+  // slowcc-lint: allow(no-unguarded-shared-write) this IS the tmp+rename primitive
   return ::open(path, 0);
 }
 )cpp");
@@ -846,6 +846,31 @@ void Valve::fire_head() { log_.push_back(0); }
       EXPECT_NE(f.message.find("Lane::fire_head"), std::string::npos);
     }
   }
+}
+
+// The lane fires its callback through a function pointer; the walk
+// follows every function whose address reaches acquire_lane.
+TEST(LintHotPathAlloc, FollowsTheLaneFireIntoAcquiredCallbacks) {
+  const auto findings = lint_one("src/net/pipe.cpp", R"cpp(
+void Lane::fire_head() { fire_(ctx_, arg_); }
+void Pipe::arm(Simulator& sim) {
+  tx_ = &sim.acquire_lane(d_, &Pipe::on_sent);
+  rx_ = &sim.acquire_lane(d_, &on_arrived);
+}
+void Pipe::on_sent(void* ctx, int arg) { log_.push_back(arg); }
+void on_arrived(void* ctx, int arg) { seen_.push_back(arg); }
+void Pipe::cold(int arg) { log_.push_back(arg); }
+)cpp");
+  ASSERT_EQ(count_rule(findings, "no-hot-path-alloc"), 2);
+  std::vector<int> lines;
+  for (const auto& f : findings) {
+    if (f.rule == "no-hot-path-alloc") {
+      lines.push_back(f.line);
+      EXPECT_NE(f.message.find("Lane::fire_head"), std::string::npos);
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(lines, (std::vector<int>{7, 8}));  // not cold()'s push_back
 }
 
 TEST(LintHotPathAlloc, SeesCallEdgesAcrossFilesInTheBatch) {

@@ -37,15 +37,6 @@ TEST(SimError, TaxonomyIncludesTheDeadlineAndAbortCodes) {
   EXPECT_EQ(errc_from_string("trial-aborted"), SimErrc::kTrialAborted);
 }
 
-TEST(SimError, FleetCodesRoundTrip) {
-  EXPECT_STREQ(to_string(SimErrc::kLeaseLost), "lease-lost");
-  EXPECT_STREQ(to_string(SimErrc::kLeaseExpired), "lease-expired");
-  EXPECT_STREQ(to_string(SimErrc::kFleetDegraded), "fleet-degraded");
-  EXPECT_EQ(errc_from_string("lease-lost"), SimErrc::kLeaseLost);
-  EXPECT_EQ(errc_from_string("lease-expired"), SimErrc::kLeaseExpired);
-  EXPECT_EQ(errc_from_string("fleet-degraded"), SimErrc::kFleetDegraded);
-}
-
 TEST(SimError, SpecCodeRoundTrips) {
   EXPECT_STREQ(to_string(SimErrc::kBadSpec), "bad-spec");
   EXPECT_EQ(errc_from_string("bad-spec"), SimErrc::kBadSpec);

@@ -4,17 +4,20 @@
 #
 #   1. configure with warnings-as-errors (SLOWCC_WERROR=ON)
 #   2. full build
-#   3. slowcc_lint over the tree (the `lint` target)
-#   4. clang-tidy (`tidy` target; no-op when clang-tidy is absent)
-#   5. ctest tier-1 suite (includes fleet_chaos_smoke: multi-process
-#      --fleet workers SIGKILLed/SIGSTOPped/SIGTERMed mid-grid must
-#      converge to the --jobs 1 golden output byte-for-byte; and
-#      spec_smoke: the specs/ library vs its committed golden digests
-#      plus spec-driven sweep determinism; and overload_smoke: a
-#      memory-bomb trial under --trial-max-bytes must quarantine as
-#      resource-exhausted with peak-usage fields while the canonical
-#      outputs stay byte-identical across --jobs 1/--jobs 4/--fleet)
-#   6. engine perf report: bench_report runs the event-queue
+#   3. Release library build with warnings-as-errors in
+#      <build-dir>-release: -O2 inlining surfaces warnings (GCC 12's
+#      -Wrestrict false positives) the default build type does not
+#   4. slowcc_lint over the tree (the `lint` target)
+#   5. clang-tidy (`tidy` target; no-op when clang-tidy is absent)
+#   6. ctest tier-1 suite (includes sweep_chaos_smoke: a chaos-injected
+#      --jobs 4 --resume sweep SIGKILLed mid-grid and resumed must match
+#      the uninterrupted --jobs 1 output byte-for-byte; spec_smoke: the
+#      specs/ library vs its committed golden digests plus spec-driven
+#      sweep determinism; and overload_smoke: a memory-bomb trial under
+#      --trial-max-bytes must quarantine as resource-exhausted with
+#      peak-usage fields while the canonical outputs stay byte-identical
+#      across --jobs 1, --jobs 4 and a killed+resumed run)
+#   7. engine perf report: bench_report runs the event-queue
 #      micro-benchmarks, the BM_SaturatedDumbbell packet hot-path
 #      macro-bench and the BM_DumbbellTcpSecond/BM_DumbbellTfrcSecond
 #      whole-simulation benches (events/s), times one cold full-tree
@@ -37,6 +40,11 @@ cmake -B "$build_dir" -S "$repo_root" -DSLOWCC_WERROR=ON
 
 step "build (-j$jobs)"
 cmake --build "$build_dir" -j"$jobs"
+
+step "release library (Release, SLOWCC_WERROR=ON) -> $build_dir-release"
+cmake -B "$build_dir-release" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release \
+  -DSLOWCC_WERROR=ON
+cmake --build "$build_dir-release" -j"$jobs" --target slowcc
 
 step "lint (slowcc_lint over src bench tools examples)"
 cmake --build "$build_dir" --target lint

@@ -145,6 +145,21 @@ void analyze_structure(const lex::LexedSource& lx, FileFacts* out) {
           body->allocs.push_back({tok.line, tok.text});
         }
         body->calls.push_back({tok.text, tok.line, prev_member});
+        if (tok.text == "acquire_lane") {
+          // `&X::f` / `&f` in the argument list: the last ident of
+          // each address-of chain is a callback the lane will fire.
+          const std::size_t close = match_forward(t, i + 1, "(", ")");
+          for (std::size_t j = i + 2; j < close; ++j) {
+            if (!is_punct(t[j - 1], "&") || t[j].kind != TokKind::kIdent) {
+              continue;
+            }
+            while (j + 2 < close && is_punct(t[j + 1], "::") &&
+                   t[j + 2].kind == TokKind::kIdent) {
+              j += 2;
+            }
+            body->lane_fires.push_back(t[j].text);
+          }
+        }
       }
       continue;
     }

@@ -42,6 +42,9 @@ struct FuncDef {
   int line = 0;
   std::vector<CallSite> calls;
   std::vector<AllocSite> allocs;
+  /// Functions whose address this body passes to `acquire_lane`
+  /// (`&Cls::f` or `&f`), by simple name: the lane fire callbacks.
+  std::vector<std::string> lane_fires;
 };
 
 /// A range-for whose range expression ends in a plain identifier.

@@ -178,11 +178,11 @@ const std::vector<RuleInfo>& all_rules() {
       {"no-hot-path-alloc",
        "heap allocation or container growth in code reachable from "
        "Queue::enqueue / deliver / EventQueue::pop / Lane::fire_head "
-       "(call-table walk); "
+       "and its acquire_lane callbacks (call-table walk); "
        "pre-size or pool on the per-packet path"},
       {"no-unguarded-shared-write",
-       "raw ofstream/fopen/::open writes in src/exp/ shared checkpoint "
-       "dirs; use write_file_atomic / write_file_exclusive / JsonlAppender"},
+       "raw ofstream/fopen/::open writes in src/exp/ checkpoint dirs; "
+       "use write_file_atomic / JsonlAppender"},
       {"governor-charge-release",
        "a class that charges the ResourceGovernor (note_*_admitted / "
        "charge) must release on its drain path (note_*_removed / "

@@ -23,7 +23,8 @@
 //                          no-time-arith-overflow
 //            hot-path      no-hot-path-alloc (call-table reachability
 //                          from Queue::enqueue / Link or Node deliver /
-//                          EventQueue::pop / Lane::fire_head)
+//                          EventQueue::pop / Lane::fire_head and the
+//                          callbacks passed to acquire_lane)
 //            resource      governor-charge-release pairing
 //
 // Every rule gates: the CLI exits non-zero when any finding survives

@@ -269,18 +269,17 @@ void check_std_function_hot_path(const std::string& path,
 void check_unguarded_shared_write(const std::string& path,
                                   const std::vector<Token>& toks,
                                   const LineMap& lines, FileFacts* out) {
-  // Enforced, scoped to the checkpoint/fleet layer: files under src/exp/
-  // write into sweep directories that concurrent fleet workers share, so
-  // every write must be crash-atomic (tmp+fsync+rename), exclusive
-  // (O_EXCL claim), or the sanctioned append+flush journal. The blessed
-  // primitives in result_sink.cpp carry suppressions.
+  // Enforced, scoped to the checkpoint layer: files under src/exp/
+  // write into sweep directories that a killed run leaves behind and a
+  // resumed run reads back, so every write must be crash-atomic
+  // (tmp+fsync+rename) or the sanctioned append+flush journal. The
+  // blessed primitives in result_sink.cpp carry suppressions.
   if (!starts_with(path, "src/exp/")) return;
   static constexpr std::string_view kRule = "no-unguarded-shared-write";
   static constexpr std::string_view kHint =
-      "route shared-directory writes through exp::write_file_atomic "
-      "(tmp+fsync+rename), exp::write_file_exclusive (O_EXCL claim), or "
-      "exp::JsonlAppender (append+flush journal); suppress with a reason "
-      "if this line IS one of those primitives";
+      "route checkpoint-directory writes through exp::write_file_atomic "
+      "(tmp+fsync+rename) or exp::JsonlAppender (append+flush journal); "
+      "suppress with a reason if this line IS one of those primitives";
   for (const auto& [line_no, idx] : lines) {
     const bool has_ofstream = std::any_of(
         idx.begin(), idx.end(),

@@ -14,9 +14,9 @@
 // sites in everything reachable within a few hops. Name-based call
 // resolution over-approximates, so a site that only runs at warm-up or
 // set-up carries a reasoned `allow(no-hot-path-alloc)`; with those,
-// the tree lints clean under the rule. It cannot follow a call
-// through a function pointer, so the lane fire's walk stops at the
-// lane and does not enter the callback it invokes.
+// the tree lints clean under the rule. A lane fires its callback
+// through a function pointer, which no call names; so Lane::fire_head
+// gets an edge to every function whose address reaches acquire_lane.
 
 namespace slowcc::lint::rules::detail {
 
@@ -47,9 +47,11 @@ void check_hot_path_alloc(const std::vector<const FileFacts*>& facts,
   };
   std::vector<Item> queue;
   std::set<const FuncDef*> visited;
+  std::set<std::string> lane_fires;
   for (const FileFacts* file : facts) {
     if (!in_src(file->path)) continue;
     for (const FuncDef& def : file->functions) {
+      lane_fires.insert(def.lane_fires.begin(), def.lane_fires.end());
       if (!hot_path_root(def)) continue;
       if (!visited.insert(&def).second) continue;
       queue.push_back({&def, file, root_label(def), 0});
@@ -81,13 +83,17 @@ void check_hot_path_alloc(const std::vector<const FileFacts*>& facts,
       }
     }
     if (item.depth >= kMaxDepth) continue;
-    for (const CallSite& call : item.def->calls) {
-      const auto it = index.functions_by_name.find(call.callee);
-      if (it == index.functions_by_name.end()) continue;
+    const auto follow = [&](const std::string& callee) {
+      const auto it = index.functions_by_name.find(callee);
+      if (it == index.functions_by_name.end()) return;
       for (const ProgramIndex::FuncRef& ref : it->second) {
         if (!visited.insert(ref.def).second) continue;
         queue.push_back({ref.def, ref.file, item.root, item.depth + 1});
       }
+    };
+    for (const CallSite& call : item.def->calls) follow(call.callee);
+    if (item.def->name == "fire_head" && item.def->cls == "Lane") {
+      for (const std::string& fire : lane_fires) follow(fire);
     }
   }
 }

@@ -7,10 +7,10 @@
 #   1  The bomb is quarantined as resource-exhausted after exactly one
 #      half-budget retry, its row carries the peak_* usage fields, and
 #      every healthy row is untouched by the governor.
-#   2  The journal is byte-identical across --jobs 1, --jobs 4, and a
-#      two-worker --fleet drain in which one worker is SIGKILLed while
-#      the bomb is mid-flight — overload handling must not perturb the
-#      determinism contract.
+#   2  The canonical trials.*/cells.* files are byte-identical across
+#      --jobs 1, --jobs 4, and a --resume run that is SIGKILLed while
+#      the bomb is mid-flight and then resumed — overload handling must
+#      not perturb the determinism contract.
 #
 # Usage: tools/overload_smoke.sh /path/to/slowcc_sweep
 set -euo pipefail
@@ -68,7 +68,7 @@ run_expect_quarantine "reference" "${common[@]}" --jobs 1 \
 check_journal "$work/ref/journal.jsonl" "reference"
 
 # The checkpoint journal is append-order (completion order), so it is
-# only byte-stable for single-threaded and drained-fleet runs; the
+# only byte-stable for uninterrupted single-threaded runs; the
 # canonical contract is over the sorted trials.* / cells.* files.
 compare_canonical() {
   local dir="$1" label="$2"
@@ -86,24 +86,21 @@ run_expect_quarantine "jobs 4" "${common[@]}" --jobs 4 \
 compare_canonical "$work/par" "jobs 4"
 check_journal "$work/par/journal.jsonl" "jobs 4"
 
-# ---- Fleet drain with a SIGKILL mid-bomb ---------------------------
-fleet_opts=(--jobs 1 --lease-ttl 2 --fleet-poll 0.2 --quiet)
-"$sweep" "${common[@]}" --fleet "$work/fleet" --worker-id a \
-  "${fleet_opts[@]}" &
-pid_a=$!
-sleep 0.5   # worker a has claimed a slow trial
-kill -9 "$pid_a" 2>/dev/null || true
-wait "$pid_a" 2>/dev/null || true
-rc=0
-"$sweep" "${common[@]}" --fleet "$work/fleet" --worker-id b \
-  "${fleet_opts[@]}" || rc=$?
-[[ $rc -eq 1 ]] || fail "fleet: surviving worker exited $rc (want 1)"
-[[ -d "$work/fleet/leases" ]] && fail "fleet: leases/ left after drain"
-compare_canonical "$work/fleet" "fleet"
-cmp -s "$work/ref/journal.jsonl" "$work/fleet/journal.jsonl" \
-  || { diff "$work/ref/journal.jsonl" "$work/fleet/journal.jsonl" >&2 \
-         || true
-       fail "fleet: merged journal differs from the --jobs 1 run"; }
-check_journal "$work/fleet/journal.jsonl" "fleet"
+# ---- Killed mid-bomb, then resumed ---------------------------------
+# Trial 0 sleeps 300 ms, so at 0.5 s the single worker is inside the
+# bomb trial; the resume re-runs everything without a successful row.
+"$sweep" "${common[@]}" --jobs 1 --resume "$work/kill" --quiet &
+pid=$!
+sleep 0.5
+kill -9 "$pid" 2>/dev/null || true
+wait "$pid" 2>/dev/null || true
+[[ -e "$work/kill/trials.jsonl" ]] \
+  && fail "killed run: finished before the SIGKILL landed"
+run_expect_quarantine "resumed" "${common[@]}" --jobs 4 \
+  --resume "$work/kill"
+compare_canonical "$work/kill" "killed+resumed"
+# The journal may hold a pre-kill row next to its re-run; the finals
+# hold one row per trial.
+check_journal "$work/kill/trials.jsonl" "killed+resumed"
 
 echo "overload_smoke: PASS"

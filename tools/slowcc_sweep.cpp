@@ -17,7 +17,8 @@
 //   slowcc_sweep --spec sweep.spec --resume /tmp/ckpt --max-attempts 2
 //       --trial-wall-seconds 300
 //   slowcc_sweep --spec specs/wifi_jitter_burst.toml --algorithms
-//       tcp,tfrc:6 --trials 3 --sweep burst_loss=0.2,0.5 --fleet /tmp/f
+//       tcp,tfrc:6 --trials 3 --sweep burst_loss=0.2,0.5 --jobs 4
+//       --resume /tmp/wifi
 //
 // --spec accepts two formats: a legacy key=value sweep file, or a
 // declarative scenario spec (*.toml, see DESIGN.md SS12). A .toml spec
@@ -36,16 +37,8 @@
 // --selfcheck re-runs the executed trials single-threaded and
 // byte-compares the serialized results — the determinism guarantee the
 // subsystem is built around.
-// --fleet DIR joins (or starts) a multi-process drain of DIR: N
-// invocations with distinct --worker-id cooperatively claim trials
-// through per-trial lease files, survive sibling crashes (stale leases
-// are broken after --lease-ttl), and converge to the same canonical
-// journal.jsonl and finals a --jobs 1 run produces. A SIGTERM'd or
-// I/O-degraded worker finishes its in-flight trial, releases its
-// leases, and exits with code 4; the survivors finish the grid.
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -55,11 +48,8 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "exp/aggregator.hpp"
 #include "exp/checkpoint.hpp"
-#include "exp/fleet.hpp"
 #include "exp/parallel_runner.hpp"
 #include "exp/registry.hpp"
 #include "exp/result_sink.hpp"
@@ -110,31 +100,11 @@ int usage(const char* argv0, int code) {
       "files\n"
       "  --selfcheck                  verify jobs=N output == jobs=1 "
       "output\n"
-      "  --fleet DIR                  join a multi-process drain of DIR "
-      "(lease-claimed trials; excludes --resume/--out/--selfcheck)\n"
-      "  --worker-id ID               this fleet worker's id "
-      "(default: pid-derived)\n"
-      "  --lease-ttl S                seconds a lease may sit unchanged "
-      "before siblings break it (default 10)\n"
-      "  --heartbeat S                lease refresh cadence, < ttl/2 "
-      "(default ttl/5)\n"
-      "  --max-lease-breaks N         claim generations before a trial is "
-      "quarantined as lease-expired (default 3)\n"
-      "  --fleet-poll S               base wait between drain rounds "
-      "(default 0.25)\n"
-      "  --mem-high-water F           fleet: stop claiming trials while "
-      "system memory use >= F (fraction; 0 disables; exit 4 after "
-      "sustained pressure)\n"
       "  --quiet                      no progress on stderr\n"
-      "exit codes: 0 ok, 1 trial failures, 2 usage/config error, "
-      "4 fleet worker degraded (siblings finish the grid)\n",
+      "exit codes: 0 ok, 1 trial failures, 2 usage/config error\n",
       argv0);
   return code;
 }
-
-volatile std::sig_atomic_t g_stop_requested = 0;
-
-void handle_sigterm(int) { g_stop_requested = 1; }
 
 void list_experiments() {
   for (const exp::Experiment& e : exp::experiments()) {
@@ -263,13 +233,6 @@ int main(int argc, char** argv) {
   int jobs = exp::ParallelRunner::default_jobs();
   std::string out_prefix;
   std::string resume_dir;
-  std::string fleet_dir;
-  std::string worker_id;
-  double lease_ttl = 10.0;
-  double heartbeat = 0.0;  // 0 = derive ttl/5
-  double fleet_poll = 0.25;
-  int max_lease_breaks = 3;
-  double mem_high_water = 0.0;
   bool selfcheck = false;
   bool quiet = false;
 
@@ -376,24 +339,10 @@ int main(int argc, char** argv) {
         }
       } else if (arg == "--trial-weight-cap") {
         policy.trial_weight_cap = std::atoi(value().c_str());
-      } else if (arg == "--mem-high-water") {
-        mem_high_water = std::atof(value().c_str());
       } else if (arg == "--chaos") {
         policy.chaos_rate = std::atof(value().c_str());
       } else if (arg == "--resume") {
         resume_dir = value();
-      } else if (arg == "--fleet") {
-        fleet_dir = value();
-      } else if (arg == "--worker-id") {
-        worker_id = value();
-      } else if (arg == "--lease-ttl") {
-        lease_ttl = std::atof(value().c_str());
-      } else if (arg == "--heartbeat") {
-        heartbeat = std::atof(value().c_str());
-      } else if (arg == "--fleet-poll") {
-        fleet_poll = std::atof(value().c_str());
-      } else if (arg == "--max-lease-breaks") {
-        max_lease_breaks = std::atoi(value().c_str());
       } else if (arg == "--out") {
         out_prefix = value();
       } else if (arg == "--selfcheck") {
@@ -476,71 +425,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     policy.chaos_seed = spec.base_seed;
-
-    if (!fleet_dir.empty()) {
-      if (!resume_dir.empty() || !out_prefix.empty() || selfcheck) {
-        std::fprintf(stderr,
-                     "slowcc_sweep: --fleet excludes --resume, --out, and "
-                     "--selfcheck (the fleet directory is the output)\n");
-        return 2;
-      }
-      // SIGTERM asks for a graceful exit: finish the in-flight trial,
-      // release leases, exit 4. Siblings finish the grid.
-      std::signal(SIGTERM, handle_sigterm);
-
-      exp::FleetConfig fleet;
-      fleet.dir = fleet_dir;
-      fleet.worker_id =
-          worker_id.empty() ? "w" + std::to_string(::getpid()) : worker_id;
-      fleet.jobs = jobs;
-      fleet.lease_ttl_seconds = lease_ttl;
-      fleet.heartbeat_seconds = heartbeat > 0.0 ? heartbeat : lease_ttl / 5.0;
-      fleet.poll_seconds = fleet_poll;
-      fleet.max_lease_breaks = max_lease_breaks;
-      fleet.mem_high_water = mem_high_water;
-      fleet.jitter_seed = spec.base_seed;
-      fleet.policy = policy;
-      fleet.should_stop = [] { return g_stop_requested != 0; };
-      if (!quiet) {
-        fleet.log = [](const std::string& msg) {
-          std::fprintf(stderr, "slowcc_sweep: %s\n", msg.c_str());
-        };
-      }
-
-      exp::FleetWorker worker(fleet);
-      if (!quiet) {
-        std::fprintf(stderr,
-                     "slowcc_sweep: fleet worker %s joining %s (%s)\n",
-                     fleet.worker_id.c_str(), fleet_dir.c_str(),
-                     spec.describe().c_str());
-      }
-      const exp::FleetReport report = worker.run(spec, policy_text(policy));
-      // The one-line summary (incl. the torn-tail flag — a shard that
-      // ended mid-write somewhere along the drain).
-      std::fprintf(
-          stderr,
-          "slowcc_sweep: fleet worker %s: %s after %zu round(s) — "
-          "%zu run, %zu discarded (lease lost), %zu leases broken, "
-          "%zu quarantined, %zu failed; %zu journal lines, torn tail: "
-          "%s\n",
-          fleet.worker_id.c_str(),
-          report.outcome == exp::FleetOutcome::kDrained ? "grid drained"
-          : report.outcome == exp::FleetOutcome::kDegraded
-              ? ("degraded (" + report.detail + ")").c_str()
-              : ("error (" + report.detail + ")").c_str(),
-          report.rounds, report.trials_run, report.rows_discarded,
-          report.leases_broken, report.quarantined, report.rows_failed,
-          report.journal_lines, report.torn_tail ? "yes" : "no");
-      switch (report.outcome) {
-        case exp::FleetOutcome::kDrained:
-          return report.rows_failed > 0 ? 1 : 0;
-        case exp::FleetOutcome::kDegraded:
-          return 4;
-        case exp::FleetOutcome::kError:
-          break;
-      }
-      return 2;
-    }
 
     const std::vector<exp::TrialDesc> all_trials = spec.expand();
     if (!quiet) {

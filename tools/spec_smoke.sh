@@ -7,8 +7,8 @@
 #   2  Sweep determinism: a spec-driven sweep (algorithm hole filled
 #      from --algorithms, one declared [params] axis swept) must be
 #      byte-identical across --jobs 4 (via --selfcheck, which replays
-#      the grid at --jobs 1), and between --jobs 1 and a two-worker
-#      --fleet drain of the same grid.
+#      the grid at --jobs 1), and between the finals of a --jobs 1
+#      and a --jobs 4 checkpointed (--resume) run of the same grid.
 #
 # Usage: tools/spec_smoke.sh /path/to/slowcc_spec /path/to/slowcc_sweep specs/
 set -euo pipefail
@@ -52,25 +52,19 @@ common=(--spec "$specs/wifi_jitter_burst.toml"
 "$sweep" "${common[@]}" --jobs 4 --selfcheck \
   || fail "spec sweep --jobs 4 --selfcheck exited $?"
 
-# --jobs 1 reference vs a two-worker fleet drain of the same grid.
+# --jobs 1 vs --jobs 4 checkpointed runs of the same grid: the
+# journals are completion-order, the finals must match byte for byte.
 "$sweep" "${common[@]}" --jobs 1 --resume "$work/ref" \
-  || fail "spec sweep reference run exited $?"
+  || fail "spec sweep --jobs 1 --resume exited $?"
+"$sweep" "${common[@]}" --jobs 4 --resume "$work/par" \
+  || fail "spec sweep --jobs 4 --resume exited $?"
 
-fleet_opts=(--lease-ttl 5 --fleet-poll 0.1)
-"$sweep" "${common[@]}" --fleet "$work/fleet" --worker-id a \
-  "${fleet_opts[@]}" &
-pid_a=$!
-"$sweep" "${common[@]}" --fleet "$work/fleet" --worker-id b \
-  "${fleet_opts[@]}" || fail "fleet worker b exited $?"
-wait "$pid_a" || fail "fleet worker a exited $?"
-
-for f in journal.jsonl trials.jsonl trials.csv cells.jsonl cells.csv; do
-  if ! cmp -s "$work/ref/$f" "$work/fleet/$f"; then
-    echo "spec_smoke: FAIL ($f differs between --jobs 1 and --fleet)" >&2
-    diff "$work/ref/$f" "$work/fleet/$f" >&2 || true
+for f in trials.jsonl trials.csv cells.jsonl cells.csv; do
+  if ! cmp -s "$work/ref/$f" "$work/par/$f"; then
+    echo "spec_smoke: FAIL ($f differs between --jobs 1 and --jobs 4)" >&2
+    diff "$work/ref/$f" "$work/par/$f" >&2 || true
     exit 1
   fi
 done
-[[ -d "$work/fleet/leases" ]] && fail "leases/ left behind after drain"
 
 echo "spec_smoke: PASS"
