@@ -281,7 +281,7 @@ Row run_poison(const TrialDesc& d) {
 }
 
 /// Memory-bomb self-test: the resource-governance sibling of `poison`.
-/// A bomb trial grows its live-event count and a governed queue's
+/// A bomb trial grows its live-event count and a queue's pooled
 /// packet/byte totals geometrically, so only a ResourceGovernor byte
 /// budget (or the `events` safety cap for unbudgeted runs) ends it —
 /// proving a sweep with a bomb completes with one structured
@@ -289,7 +289,7 @@ Row run_poison(const TrialDesc& d) {
 ///   bomb=1            -> every trial is a bomb
 ///   bomb_trial=K      -> only trial_index K is a bomb (K < 0: none);
 ///                        the rest of the cell runs the benign chain
-///   pkts_per_event=N  -> packets pushed into the governed queue per
+///   pkts_per_event=N  -> packets pushed into the queue per
 ///                        bomb event (1500 B each, never drained)
 ///   events=N          -> safety cap on the event chain, so unbudgeted
 ///                        invocations terminate instead of eating the
@@ -312,12 +312,12 @@ Row run_membomb(const TrialDesc& d) {
 
   sim::Simulator sim;  // picks up any ambient trial budget
   // Declared after `sim` so it is destroyed first, releasing its
-  // residue to the still-alive governor and pool (the balance-to-zero
-  // test leans on this ordering, same as every scenario driver's).
+  // residue to the still-alive pool (the balance-to-zero test leans on
+  // this ordering, same as every scenario driver's). The governor
+  // counts the pool's packets, and every one of them is queued here.
   net::DropTailQueue queue(std::size_t{1} << 30);
   net::PacketPool& pool = net::PacketPool::of(sim);
   queue.attach_pool(&pool);
-  queue.attach_governor(&sim.governor());
 
   std::function<void()> tick = [&] {
     if (sim.events_executed() >= cap) return;

@@ -23,6 +23,9 @@ std::size_t ThroughputMonitor::bin_index(sim::Time t) const noexcept {
 void ThroughputMonitor::on_depart(const net::Packet& p) {
   if (filter_ && !filter_(p)) return;
   const std::size_t i = bin_index(sim_.now());
+  // A new bin opens once per bin width of simulated time, not per
+  // packet, and the vector grows geometrically.
+  // slowcc-lint: allow(no-hot-path-alloc) once per bin width, amortized
   if (i >= bins_.size()) bins_.resize(i + 1, 0);
   bins_[i] += p.size_bytes;
   total_ += p.size_bytes;

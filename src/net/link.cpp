@@ -28,9 +28,6 @@ Link::Link(sim::Simulator& sim, Node& from, Node& to, double bandwidth_bps,
   if (queue_ == nullptr) {
     throw sim::SimError(sim::SimErrc::kBadConfig, "Link", "queue is required");
   }
-  // Every link-owned queue reports occupancy to the simulation's
-  // resource governor; the hooks are no-ops until a budget is armed.
-  queue_->attach_governor(&sim_.governor());
   // Buffered handles live in the simulation-wide pool so they pass from
   // arrival through queue to delivery without a copy.
   queue_->attach_pool(&pool_);
@@ -106,29 +103,28 @@ void Link::drop_packet(const Packet& p, DropReason reason) {
   for (auto* o : observers_) o->on_drop(p, reason);
 }
 
-void Link::send(PacketHandle h) {
+void Link::send(PacketHandle h) { enter(h, pool_.get(h)); }
+
+void Link::enter(PacketHandle h, Packet& p) {
   ++stats_.arrivals;
-  {
-    const Packet& p = pool_.get(h);
-    for (auto* o : observers_) o->on_arrival(p);
+  for (auto* o : observers_) o->on_arrival(p);
 
-    if (!up_) {
-      drop_packet(p, DropReason::kLinkDown);
-      pool_.release(h);
-      return;
-    }
-
-    if (forced_drop_ && forced_drop_(p)) {
-      drop_packet(p, DropReason::kForced);
-      pool_.release(h);
-      return;
-    }
+  if (!up_) {
+    drop_packet(p, DropReason::kLinkDown);
+    pool_.release(h);
+    return;
   }
 
-  if (auto reason = queue_->enqueue(h)) {
+  if (forced_drop_ && forced_drop_(p)) {
+    drop_packet(p, DropReason::kForced);
+    pool_.release(h);
+    return;
+  }
+
+  if (auto reason = queue_->enqueue(h, p)) {
     // Rejected handles stay with the caller: report the drop, then
     // return the packet to the pool.
-    drop_packet(pool_.get(h), *reason);
+    drop_packet(p, *reason);
     pool_.release(h);
     return;
   }
@@ -217,6 +213,9 @@ void Link::schedule_delivery(PacketHandle h, sim::Time extra_delay) {
 }
 
 void Link::schedule_engine_delivery(PacketHandle h, sim::Time after) {
+  // Only wire-model fallbacks get here, and pops keep the capacity, so
+  // the vector grows to the most deliveries pending at once, no further.
+  // slowcc-lint: allow(no-hot-path-alloc) wire-model high-water growth
   engine_deliveries_.push_back(
       EngineDelivery{sim_.schedule_in(after, Deliver{this, h}), h});
 }

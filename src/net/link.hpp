@@ -120,9 +120,9 @@ class Link {
   /// sends the handle.
   void send(Packet&& p) { send(pool_.acquire(std::move(p))); }
 
-  /// Offer a pooled packet for transmission (what an upstream Node
-  /// forwards along). Ownership of `h` passes to the link; on drop the
-  /// link releases it.
+  /// Offer a pooled packet for transmission. Ownership of `h` passes
+  /// to the link; on drop the link releases it. Throws
+  /// SimError(kInvariantViolation) on a stale handle.
   void send(PacketHandle h);
 
   [[nodiscard]] double bandwidth_bps() const noexcept { return bandwidth_; }
@@ -182,6 +182,13 @@ class Link {
   }
 
  private:
+  friend class Node;
+
+  // The hop entry: send(h) once `h` has been checked and `p` is the
+  // pooled packet behind it. Node::deliver forwards through here, so a
+  // forwarded packet is looked up once per hop, not again inside.
+  void enter(PacketHandle h, Packet& p);
+
   // Engine delivery closure (a wire-model extra delay or a duplicate):
   // 16 bytes, trivially copyable, so scheduling it never leaves
   // std::function's inline buffer.

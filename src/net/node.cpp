@@ -55,7 +55,7 @@ void Node::deliver(Packet&& p) {
 }
 
 void Node::deliver(PacketHandle h, PacketPool& pool) {
-  const Packet& p = pool.get(h);
+  Packet& p = pool.get(h);
   if (p.dst_node == id_) {
     if (PacketHandler* handler = lookup(handlers_, p.dst_port)) {
       // Zero-copy terminal dispatch: `p` aliases the pool slot, which
@@ -74,7 +74,8 @@ void Node::deliver(PacketHandle h, PacketPool& pool) {
     pool.release(h);
     return;
   }
-  out->send(h);
+  // `h` was checked above; the link takes it without a second lookup.
+  out->enter(h, p);
 }
 
 }  // namespace slowcc::net

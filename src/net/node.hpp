@@ -69,7 +69,10 @@ class Node {
   /// Pooled variant: local packets dispatch by reference into the pool
   /// slot and the handle is released; forwarded packets pass the handle
   /// to the next link untouched. Undeliverable handles are released, so
-  /// the node never leaks pool slots.
+  /// the node never leaks pool slots. `pool` is the simulation's pool
+  /// (PacketPool::of), which the node's links share. The handle is
+  /// checked here, once per hop: a stale one throws
+  /// SimError(kInvariantViolation).
   void deliver(PacketHandle h, PacketPool& pool);
 
   /// Allocate a node-unique port (monotonically increasing).

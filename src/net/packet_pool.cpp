@@ -35,13 +35,18 @@ PacketPool& PacketPool::of(sim::Simulator& sim) {
   }
   t_pools.push_back(PoolEntry{&sim, std::make_unique<PacketPool>()});
   PacketPool& pool = *t_pools.back().pool;
+  // The governor's packet model is this pool's live count and bytes.
+  sim.governor().count_packets(&pool.live_, &pool.live_bytes_);
   // The guard unregisters the pool at the head of ~Simulator — after
   // every component (links, queues, agents) has died, because they are
   // always declared after the Simulator they reference.
   sim::Simulator* key = &sim;
   sim.attach_guard(std::shared_ptr<void>(
-      static_cast<void*>(key),
-      [](void* s) { forget_pool(static_cast<sim::Simulator*>(s)); }));
+      static_cast<void*>(key), [](void* s) {
+        auto* sim = static_cast<sim::Simulator*>(s);
+        sim->governor().count_packets(nullptr, nullptr);
+        forget_pool(sim);
+      }));
   return pool;
 }
 
@@ -56,7 +61,7 @@ void PacketPool::throw_stale(PacketHandle h, const char* op) const {
 bool PacketPool::is_live(PacketHandle h) const noexcept {
   if (h.slot >= capacity()) return false;
   const Slot& s = slot_at(h.slot);
-  return s.live && s.gen == h.gen;
+  return s.gen == h.gen && s.next_free == kLiveMark;
 }
 
 void PacketPool::add_chunk() {
@@ -86,31 +91,22 @@ PacketHandle PacketPool::acquire(Packet&& p) {
   const std::uint32_t idx = free_head_;
   Slot& s = slot_at(idx);
   free_head_ = s.next_free;
-  s.next_free = PacketHandle::kInvalidSlot;
-  s.live = true;
+  s.next_free = kLiveMark;
   s.packet = std::move(p);
   ++live_;
+  live_bytes_ += static_cast<std::uint64_t>(s.packet.size_bytes);
   return PacketHandle{idx, s.gen};
 }
 
 Packet PacketPool::take(PacketHandle h) {
   Slot& s = live_slot(h, "take");
-  Packet p = std::move(s.packet);
-  s.live = false;
-  ++s.gen;
-  s.next_free = free_head_;
-  free_head_ = h.slot;
-  --live_;
-  return p;
+  free_slot(s, h.slot);
+  // A freed slot's storage stays put until the next acquire.
+  return std::move(s.packet);
 }
 
 void PacketPool::release(PacketHandle h) {
-  Slot& s = live_slot(h, "release");
-  s.live = false;
-  ++s.gen;
-  s.next_free = free_head_;
-  free_head_ = h.slot;
-  --live_;
+  free_slot(live_slot(h, "release"), h.slot);
 }
 
 }  // namespace slowcc::net

@@ -49,9 +49,12 @@ struct PacketHandle {
 ///    to the old occupant goes stale; get()/take()/release() on a stale
 ///    handle throw SimError(kInvariantViolation) — double-free and ABA
 ///    bugs surface at the exact misuse site.
-///  * live() counts acquired-but-unreleased packets; at simulator
-///    teardown it must balance to zero (tests cross-check it against
-///    the ResourceGovernor's packet counters).
+///  * live() counts acquired-but-unreleased packets and live_bytes()
+///    their summed size_bytes; at simulator teardown both must balance
+///    to zero. A packet's size_bytes is fixed once it is pooled: the
+///    sum adds it at acquire and subtracts it at take/release.
+///  * The pool of a Simulator (`of`) is the ResourceGovernor's packet
+///    model: the governor reads live() and live_bytes() directly.
 class PacketPool {
  public:
   PacketPool() = default;
@@ -60,7 +63,9 @@ class PacketPool {
 
   /// The pool shared by every component of `sim`, created on first use
   /// and destroyed with the Simulator (via an attached guard). Keyed
-  /// per thread, so concurrent sweep workers never share a pool.
+  /// per thread, so concurrent sweep workers never share a pool. The
+  /// pool registers its live count and byte sum with `sim.governor()`
+  /// and the guard unregisters them.
   [[nodiscard]] static PacketPool& of(sim::Simulator& sim);
 
   /// Move `p` into a pooled slot. Grows by one chunk when the free
@@ -89,6 +94,11 @@ class PacketPool {
   /// Acquired-but-unreleased packets.
   [[nodiscard]] std::size_t live() const noexcept { return live_; }
 
+  /// Sum of the live packets' size_bytes.
+  [[nodiscard]] std::uint64_t live_bytes() const noexcept {
+    return live_bytes_;
+  }
+
   /// Total slots across all chunks.
   [[nodiscard]] std::size_t capacity() const noexcept {
     return chunks_.size() * kChunkSlots;
@@ -101,13 +111,18 @@ class PacketPool {
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;  // 256
   static constexpr std::uint32_t kMaxSlots = PacketHandle::kInvalidSlot - 1;
+  // next_free of an acquired slot. Slot indices stay below kMaxSlots,
+  // so no free-list link ever equals it.
+  static constexpr std::uint32_t kLiveMark = kMaxSlots;
 
+  // The check word leads, right beside the header fields a hop reads
+  // after its handle check, so both usually share one cache line.
   struct Slot {
-    Packet packet;
     std::uint32_t gen = 1;  // bumped on release; stale handles mismatch
-    std::uint32_t next_free = PacketHandle::kInvalidSlot;
-    bool live = false;
+    std::uint32_t next_free = PacketHandle::kInvalidSlot;  // or kLiveMark
+    Packet packet;
   };
+  static_assert(sizeof(Slot) == 128, "gen + next_free + 120-byte Packet");
 
   [[nodiscard]] Slot& slot_at(std::uint32_t idx) noexcept {
     return chunks_[idx >> kChunkShift][idx & (kChunkSlots - 1)];
@@ -115,14 +130,22 @@ class PacketPool {
   [[nodiscard]] const Slot& slot_at(std::uint32_t idx) const noexcept {
     return chunks_[idx >> kChunkShift][idx & (kChunkSlots - 1)];
   }
-  // Every get/take/release goes through here: capacity, live flag and
-  // generation are all checked. Inline because it runs several times
-  // per packet hop; the throw stays out of line.
+  // Every get/take/release goes through here: capacity, live mark and
+  // generation are all checked. Inline because it runs on every hop;
+  // the throw stays out of line.
   [[nodiscard]] Slot& live_slot(PacketHandle h, const char* op) {
     if (h.slot >= capacity()) throw_stale(h, op);
     Slot& s = slot_at(h.slot);
-    if (!s.live || s.gen != h.gen) throw_stale(h, op);
+    if (s.gen != h.gen || s.next_free != kLiveMark) throw_stale(h, op);
     return s;
+  }
+  // Back onto the free list, staling every handle to the slot.
+  void free_slot(Slot& s, std::uint32_t idx) noexcept {
+    ++s.gen;
+    s.next_free = free_head_;
+    free_head_ = idx;
+    --live_;
+    live_bytes_ -= static_cast<std::uint64_t>(s.packet.size_bytes);
   }
   void add_chunk();
   [[noreturn]] void throw_stale(PacketHandle h, const char* op) const;
@@ -130,6 +153,7 @@ class PacketPool {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = PacketHandle::kInvalidSlot;
   std::size_t live_ = 0;
+  std::uint64_t live_bytes_ = 0;
 };
 
 }  // namespace slowcc::net

@@ -9,7 +9,6 @@
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
 #include "sim/error.hpp"
-#include "sim/resource.hpp"
 
 namespace slowcc::net {
 
@@ -38,14 +37,10 @@ enum class DropReason : std::uint8_t {
 /// handle: the caller still owns it for drop observers.
 class Queue {
  public:
-  /// Releases any residue still charged to an attached governor — and
-  /// any handles still buffered, back to the pool — so both sets of
-  /// counters balance to zero even when a queue is torn down holding
-  /// packets (e.g. a Simulator aborted mid-trial).
+  /// Returns any handles still buffered to the pool, so its counters
+  /// balance to zero even when a queue is torn down holding packets
+  /// (e.g. a Simulator aborted mid-trial).
   virtual ~Queue() {
-    if (governor_ != nullptr && governed_packets_ != 0) {
-      governor_->note_packets_released(governed_packets_, governed_bytes_);
-    }
     while (count_ != 0) pool_ref().release(take_front());
   }
 
@@ -54,11 +49,7 @@ class Queue {
   /// the queue owns the handle; on failure the caller still does — use
   /// it for the drop observers, then release it.
   [[nodiscard]] std::optional<DropReason> enqueue(PacketHandle h) {
-    Packet& p = pool_ref().get(h);
-    auto reason = admit(p);
-    if (reason.has_value()) return reason;
-    store(h, p.size_bytes);
-    return std::nullopt;
+    return enqueue(h, pool_ref().get(h));
   }
 
   /// Remove and return the head handle; invalid handle when empty.
@@ -72,7 +63,6 @@ class Queue {
     const std::int64_t size = pool_ref().get(h).size_bytes;
     if (size_bytes != nullptr) *size_bytes = size;
     bytes_ -= size;
-    note_removed(size);
     post_dequeue();
     return h;
   }
@@ -101,31 +91,6 @@ class Queue {
 
   [[nodiscard]] PacketPool* pool() const noexcept { return pool_; }
 
-  /// Report this queue's occupancy to `governor` (nullptr detaches).
-  /// Current contents are charged on attach and any residue released on
-  /// detach/destruction, so the governor's counters stay balanced
-  /// across the queue's whole lifetime. `net::Link` attaches its queue
-  /// to the owning Simulator's governor at construction; the governor
-  /// must outlive the queue (it does whenever the Simulator is declared
-  /// before the topology, the ordering every scenario driver uses).
-  void attach_governor(sim::ResourceGovernor* governor) noexcept {
-    if (governor_ != nullptr && governed_packets_ != 0) {
-      governor_->note_packets_released(governed_packets_, governed_bytes_);
-    }
-    governor_ = governor;
-    governed_packets_ = 0;
-    governed_bytes_ = 0;
-    if (governor_ != nullptr && length_packets() != 0) {
-      governed_packets_ = length_packets();
-      governed_bytes_ = static_cast<std::uint64_t>(length_bytes());
-      governor_->note_packets_admitted(governed_packets_, governed_bytes_);
-    }
-  }
-
-  [[nodiscard]] sim::ResourceGovernor* governor() const noexcept {
-    return governor_;
-  }
-
  protected:
   /// `limit_packets` is the buffer size including the packet currently
   /// being serialized; must be >= 1 (validated by implementations).
@@ -149,29 +114,24 @@ class Queue {
   /// goes idle).
   virtual void post_dequeue() {}
 
-  /// Implementations call these at the exact points a packet enters or
-  /// leaves the buffer (after the admission decision); no-ops when no
-  /// governor is attached.
-  void note_admitted(std::int64_t bytes) noexcept {
-    if (governor_ == nullptr) return;
-    ++governed_packets_;
-    governed_bytes_ += static_cast<std::uint64_t>(bytes);
-    governor_->note_packet_admitted(static_cast<std::uint64_t>(bytes));
-  }
-  void note_removed(std::int64_t bytes) noexcept {
-    if (governor_ == nullptr) return;
-    --governed_packets_;
-    governed_bytes_ -= static_cast<std::uint64_t>(bytes);
-    governor_->note_packet_removed(static_cast<std::uint64_t>(bytes));
-  }
-
  private:
+  friend class Link;
+
+  // enqueue(h) with `p` already looked up: `p` must be the pooled
+  // packet behind `h`. Link's hop entry checks the handle once and
+  // passes the reference on.
+  [[nodiscard]] std::optional<DropReason> enqueue(PacketHandle h,
+                                                  Packet& p) {
+    auto reason = admit(p);
+    if (reason.has_value()) return reason;
+    store(h, p.size_bytes);
+    return std::nullopt;
+  }
   void store(PacketHandle h, std::int64_t size_bytes) {
     if (count_ >= grow_at_) grow();
     ring_[(head_ + count_) & mask_] = h;
     ++count_;
     bytes_ += size_bytes;
-    note_admitted(size_bytes);
   }
   void grow() {
     // The admission policy rejects at limit_, whatever the ring's
@@ -183,8 +143,7 @@ class Queue {
     // Doubling: O(log limit) growths over the queue's lifetime, after
     // which steady-state enqueue/dequeue is alloc-free. The ring stays
     // a power of two, so it never exceeds twice the limit.
-    // slowcc-lint: allow(no-hot-path-alloc) amortized warm-up growth,
-    // bounded by the configured limit
+    // slowcc-lint: allow(no-hot-path-alloc) amortized, bounded by limit
     std::vector<PacketHandle> bigger(ring_.size() * 2);
     for (std::size_t i = 0; i < count_; ++i) {
       bigger[i] = ring_[(head_ + i) & mask_];
@@ -221,9 +180,6 @@ class Queue {
   std::size_t count_ = 0;
   std::int64_t bytes_ = 0;
   PacketPool* pool_ = nullptr;
-  sim::ResourceGovernor* governor_ = nullptr;
-  std::uint64_t governed_packets_ = 0;
-  std::uint64_t governed_bytes_ = 0;
 };
 
 }  // namespace slowcc::net

@@ -49,6 +49,9 @@ std::uint32_t EventQueue::alloc_node() {
                    "timer-wheel node pool exhausted (more than 2^24 "
                    "concurrently pending events)");
   }
+  // Grows only to the pending-event high-water mark (warm-up); after
+  // that every node comes off the free list above.
+  // slowcc-lint: allow(no-hot-path-alloc) warm-up growth only
   pool_.emplace_back();
   return static_cast<std::uint32_t>(pool_.size() - 1);
 }

@@ -46,8 +46,8 @@ void ResourceGovernor::set_budget(std::uint64_t max_bytes,
 void ResourceGovernor::poll(std::uint64_t live_events) {
   ResourceUsage usage;
   usage.live_events = live_events;
-  usage.live_packets = live_packets_;
-  usage.queued_bytes = queued_bytes_;
+  usage.live_packets = live_packets();
+  usage.queued_bytes = queued_bytes();
   usage.bytes_estimate = bytes_estimate(live_events);
   raise_peaks(peaks_, usage);
   raise_peaks(t_peaks, usage);
@@ -58,8 +58,8 @@ void ResourceGovernor::poll(std::uint64_t live_events) {
     // Re-read the counters: the callback may have shed load (dropped
     // queued packets, cancelled events); give that effect a chance to
     // keep the trial under the ceiling before we re-check it.
-    usage.live_packets = live_packets_;
-    usage.queued_bytes = queued_bytes_;
+    usage.live_packets = live_packets();
+    usage.queued_bytes = queued_bytes();
     usage.bytes_estimate = bytes_estimate(live_events);
   }
   if (usage.bytes_estimate > max_bytes_) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -17,7 +18,7 @@ namespace slowcc::sim {
 struct ResourceUsage {
   std::uint64_t live_events = 0;
   std::uint64_t live_packets = 0;
-  std::uint64_t queued_bytes = 0;
+  std::uint64_t queued_bytes = 0;  // summed size of the live packets
   /// Modeled footprint: live_events * kEventFootprintBytes +
   /// live_packets * kPacketFootprintBytes + queued_bytes.
   std::uint64_t bytes_estimate = 0;
@@ -27,11 +28,12 @@ struct ResourceUsage {
 /// machine" into a structured, deterministic trial outcome instead of a
 /// process OOM-kill.
 ///
-/// The governor tracks three cheap counters:
+/// The governor reads three cheap counters:
 ///   - live events: read from the event queue (EventQueue::size() counts
 ///     non-cancelled entries in O(1)), so scheduling needs no hooks;
-///   - live packets and aggregate queued bytes: maintained by
-///     `net::Queue` implementations via note_packet_admitted/removed.
+///   - live packets and their summed bytes: read from the simulation's
+///     `net::PacketPool`, which registers both with `count_packets` —
+///     every pooled packet counts, queued, in flight or propagating.
 ///
 /// From those it models a byte footprint (see ResourceUsage). When a
 /// budget is armed, `Simulator::run_until` polls the governor between
@@ -69,41 +71,30 @@ class ResourceGovernor {
   [[nodiscard]] bool armed() const noexcept { return max_bytes_ != 0; }
   [[nodiscard]] std::uint64_t max_bytes() const noexcept { return max_bytes_; }
 
-  /// Counter hooks for net::Queue implementations. Inline and branch-
-  /// free; called on every enqueue/dequeue of a governed queue.
-  void note_packet_admitted(std::uint64_t bytes) noexcept {
-    ++live_packets_;
-    queued_bytes_ += bytes;
-  }
-  void note_packet_removed(std::uint64_t bytes) noexcept {
-    --live_packets_;
-    queued_bytes_ -= bytes;
-  }
-
-  /// Bulk variants for attach/detach bookkeeping: a queue destroyed (or
-  /// re-attached) while still holding packets releases its residue in
-  /// one call, keeping the counters balanced at teardown.
-  void note_packets_admitted(std::uint64_t count, std::uint64_t bytes) noexcept {
-    live_packets_ += count;
-    queued_bytes_ += bytes;
-  }
-  void note_packets_released(std::uint64_t count, std::uint64_t bytes) noexcept {
-    live_packets_ -= count;
-    queued_bytes_ -= bytes;
+  /// Read live packets and bytes from `live_packets`/`live_bytes`
+  /// (nullptr for both: no packets). The counters must outlive the
+  /// registration; `net::PacketPool::of` registers its pool's and the
+  /// pool's guard clears them.
+  void count_packets(const std::size_t* live_packets,
+                     const std::uint64_t* live_bytes) noexcept {
+    live_packets_ = live_packets;
+    live_bytes_ = live_bytes;
   }
 
   [[nodiscard]] std::uint64_t live_packets() const noexcept {
-    return live_packets_;
+    return live_packets_ == nullptr ? 0 : *live_packets_;
   }
+  /// Summed size of the live packets (the `queued_bytes` of the model
+  /// and of ResourceUsage).
   [[nodiscard]] std::uint64_t queued_bytes() const noexcept {
-    return queued_bytes_;
+    return live_bytes_ == nullptr ? 0 : *live_bytes_;
   }
 
   /// Modeled footprint for a given live-event count.
   [[nodiscard]] std::uint64_t bytes_estimate(
       std::uint64_t live_events) const noexcept {
     return live_events * kEventFootprintBytes +
-           live_packets_ * kPacketFootprintBytes + queued_bytes_;
+           live_packets() * kPacketFootprintBytes + queued_bytes();
   }
 
   /// Budget check, called by Simulator::run_until after each event when
@@ -124,8 +115,8 @@ class ResourceGovernor {
   static void reset_thread_peaks() noexcept;
 
  private:
-  std::uint64_t live_packets_ = 0;
-  std::uint64_t queued_bytes_ = 0;
+  const std::size_t* live_packets_ = nullptr;
+  const std::uint64_t* live_bytes_ = nullptr;
   std::uint64_t max_bytes_ = 0;        // 0 = disarmed
   std::uint64_t watermark_bytes_ = 0;  // soft threshold when armed
   bool watermark_fired_ = false;

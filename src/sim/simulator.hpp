@@ -176,9 +176,9 @@ class Simulator {
   /// Per-simulation resource accountant (see sim/resource.hpp). Always
   /// present but disarmed by default; `run*` only polls it when a
   /// budget is armed, so ungoverned simulations pay one branch per
-  /// event. `net::Link` attaches its queue's counter hooks here, and
-  /// `fault::ScopedTrialDeadline` arms per-trial byte budgets through
-  /// its construct observer.
+  /// event. `net::PacketPool::of` registers the pool's packet counters
+  /// here, and `fault::ScopedTrialDeadline` arms per-trial byte budgets
+  /// through its construct observer.
   [[nodiscard]] ResourceGovernor& governor() noexcept { return governor_; }
   [[nodiscard]] const ResourceGovernor& governor() const noexcept {
     return governor_;

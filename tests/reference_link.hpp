@@ -37,7 +37,6 @@ class ReferenceLink {
         bandwidth_(bandwidth_bps),
         delay_(propagation_delay),
         queue_(std::move(queue)) {
-    queue_->attach_governor(&sim_.governor());
     queue_->attach_pool(&net::PacketPool::of(sim_));
   }
 

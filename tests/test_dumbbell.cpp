@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "net/packet_pool.hpp"
 #include "scenario/dumbbell.hpp"
 #include "sim/lane.hpp"
+#include "sim/resource.hpp"
 
 namespace slowcc::scenario {
 namespace {
@@ -147,6 +149,38 @@ TEST(Dumbbell, DestroyedMidRunReturnsEveryPacketHeldInSharedLanes) {
   EXPECT_EQ(sim.lane_stats().most_live, 0u);
   EXPECT_EQ(sim.pending_events(), 0u);
   sim.run_until(sim::Time::seconds(3));
+}
+
+// The governor's packet model is the pool: every packet in a queue, a
+// transmitter or a lane counts, at every point of a run, and nothing
+// is left once the topology is gone.
+TEST(Dumbbell, GovernorCountsExactlyThePoolsPackets) {
+  sim::Simulator sim;
+  net::PacketPool& pool = net::PacketPool::of(sim);
+  const sim::ResourceGovernor& gov = sim.governor();
+  auto bed = std::make_unique<Dumbbell>(sim, DumbbellConfig{});
+  for (int i = 0; i < 4; ++i) bed->add_flow(FlowSpec::tcp());
+  bed->add_reverse_traffic();
+  bed->start_flows();
+  bed->finalize();
+  // Packets outside both bottleneck queues: in transmitters, on the
+  // wire, or in access-link queues.
+  std::size_t most_unqueued = 0;
+  for (int slice = 1; slice <= 40; ++slice) {
+    sim.run_until(sim::Time::millis(50 * slice));
+    ASSERT_EQ(gov.live_packets(), pool.live()) << "slice " << slice;
+    ASSERT_EQ(gov.queued_bytes(), pool.live_bytes()) << "slice " << slice;
+    most_unqueued = std::max(
+        most_unqueued, pool.live() -
+                           bed->bottleneck().queue().length_packets() -
+                           bed->reverse_bottleneck().queue().length_packets());
+  }
+  EXPECT_GT(most_unqueued, 0u);
+  bed.reset();
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.live_bytes(), 0u);
+  EXPECT_EQ(gov.live_packets(), 0u);
+  EXPECT_EQ(gov.queued_bytes(), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include "net/drop_tail_queue.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
+#include "net/packet_pool.hpp"
+#include "sim/error.hpp"
 #include "sim/simulator.hpp"
 
 namespace slowcc::net {
@@ -314,6 +316,28 @@ TEST(Link, DestroyedLinkCancelsAWireDelayedDelivery) {
 
 TEST(Link, DestroyedLinkCancelsADuplicateOnTheWire) {
   expect_dead_link_cancels_wire_delivery(true);
+}
+
+// A hop checks its handle once, where it enters the link; that one
+// check still refuses a handle whose slot was recycled under it.
+TEST(Link, SendOfAStaleHandleThrows) {
+  Rig rig;
+  PacketPool& pool = PacketPool::of(rig.sim);
+  const PacketHandle stale = pool.acquire(rig.packet(1));
+  pool.release(stale);
+  const PacketHandle reused = pool.acquire(rig.packet(2));
+  ASSERT_EQ(reused.slot, stale.slot);
+  const std::size_t live = pool.live();
+  try {
+    rig.link.send(stale);
+    ADD_FAILURE() << "a stale handle was sent";
+  } catch (const sim::SimError& e) {
+    EXPECT_EQ(e.code(), sim::SimErrc::kInvariantViolation);
+  }
+  EXPECT_EQ(pool.live(), live);
+  EXPECT_EQ(rig.link.stats().arrivals, 0u);
+  EXPECT_TRUE(rig.link.queue().empty());
+  pool.release(reused);
 }
 
 }  // namespace

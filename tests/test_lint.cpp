@@ -437,7 +437,7 @@ TEST(LintRules, EveryRuleHasAFiringFixture) {
        {"src/net/leaky.cpp",
         "class LeakyQueue {\n"
         " public:\n"
-        "  void enqueue(int n) { gov_.note_packet_admitted(n); }\n"
+        "  void enqueue(int n) { gov_.charge(n); }\n"
         "  int gov_;\n"
         "};\n"}},
   };
@@ -919,7 +919,7 @@ TEST(LintGovernorPairing, FlagsChargeWithoutRelease) {
   const auto findings = lint_one("src/net/leaky.cpp", R"cpp(
 class LeakyQueue {
  public:
-  void enqueue(int n) { gov_.note_packet_admitted(n); }
+  void enqueue(int n) { gov_.charge(n); }
  private:
   int gov_;
 };
@@ -933,8 +933,8 @@ TEST(LintGovernorPairing, BalancedClassesAreClean) {
   const auto findings = lint_one("src/net/balanced.cpp", R"cpp(
 class FairQueue {
  public:
-  void enqueue(int n) { gov_.note_packet_admitted(n); }
-  void dequeue(int n) { gov_.note_packet_removed(n); }
+  void enqueue(int n) { gov_.charge(n); }
+  void dequeue(int n) { gov_.release(n); }
  private:
   int gov_;
 };

@@ -116,10 +116,39 @@ TEST(PacketPool, InvalidHandleIsNeverLive) {
   EXPECT_THROW((void)pool.get(PacketHandle{}), sim::SimError);
 }
 
+TEST(PacketPool, HandleToAFreeSlotIsRejectedEvenWithItsGeneration) {
+  PacketPool pool;
+  const PacketHandle h = pool.acquire(make_packet(3));
+  pool.release(h);
+  // A handle that names the free slot's current generation: only the
+  // slot's live mark tells it from a live packet's handle.
+  const PacketHandle forged{h.slot, h.gen + 1};
+  EXPECT_FALSE(pool.is_live(forged));
+  EXPECT_THROW((void)pool.get(forged), sim::SimError);
+  EXPECT_THROW(pool.release(forged), sim::SimError);
+  // Never-used slots of a grown chunk are free with generation 1.
+  const PacketHandle untouched{h.slot + 1, 1};
+  EXPECT_FALSE(pool.is_live(untouched));
+  EXPECT_THROW((void)pool.get(untouched), sim::SimError);
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.live_bytes(), 0u);
+}
+
+TEST(PacketPool, LiveBytesFollowAcquireTakeAndRelease) {
+  PacketPool pool;
+  const PacketHandle a = pool.acquire(make_packet(1, 1500));
+  const PacketHandle b = pool.acquire(make_packet(2, 40));
+  EXPECT_EQ(pool.live_bytes(), 1540u);
+  (void)pool.take(a);
+  EXPECT_EQ(pool.live_bytes(), 40u);
+  pool.release(b);
+  EXPECT_EQ(pool.live_bytes(), 0u);
+}
+
 // ====================================================================
-// Leak balance: everything acquired through a governed queue is
-// released again by teardown — the pool's live() and the governor's
-// packet counters both return to zero, so neither model leaks.
+// Leak balance: everything acquired through a queue is released again
+// by teardown — the pool's live() and the governor's packet counters,
+// which read the pool, both return to zero.
 
 TEST(PacketPool, QueueTeardownBalancesPoolAndGovernorToZero) {
   sim::Simulator sim;
@@ -127,7 +156,6 @@ TEST(PacketPool, QueueTeardownBalancesPoolAndGovernorToZero) {
   {
     DropTailQueue queue(64);
     queue.attach_pool(&pool);
-    queue.attach_governor(&sim.governor());
     for (int i = 0; i < 10; ++i) {
       ASSERT_FALSE(test::enqueue_value(queue, make_packet(i)).has_value());
     }

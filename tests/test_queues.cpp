@@ -262,7 +262,6 @@ TEST_P(RingAtLimit, RejectsAtLimitAndKeepsFifoAcrossGrowthAndWrap) {
   sim::Simulator sim;
   const sim::ResourceGovernor& gov = sim.governor();
   auto q = make(sim);
-  q->attach_governor(&sim.governor());
   std::int64_t next_in = 0;
   std::int64_t next_out = 0;
   std::int64_t bytes = 0;

@@ -2,7 +2,8 @@
 // is eating the machine" into a deterministic SimError instead of an
 // OOM-kill. Covers the watermark-before-ceiling ordering, the ceiling
 // abort, counter balance at teardown (including a queue destroyed
-// while still holding packets), and the thread-local peaks the trial
+// while still holding packets), the packet model read from the
+// simulation's PacketPool, and the thread-local peaks the trial
 // harness reads after the Simulator is gone.
 #include <gtest/gtest.h>
 
@@ -53,14 +54,19 @@ void arm_bomb(Simulator& sim, net::Queue& queue,
 }
 
 TEST(ResourceGovernor, BytesEstimateFollowsTheDocumentedModel) {
-  ResourceGovernor g;
-  g.note_packets_admitted(3, 4500);
+  Simulator sim;
+  net::PacketPool& pool = net::PacketPool::of(sim);
+  const ResourceGovernor& g = sim.governor();
+  std::vector<net::PacketHandle> held;
+  for (int i = 0; i < 3; ++i) {
+    held.push_back(pool.acquire(make_packet(sim, 1500)));
+  }
   EXPECT_EQ(g.live_packets(), 3u);
   EXPECT_EQ(g.queued_bytes(), 4500u);
   EXPECT_EQ(g.bytes_estimate(10),
             10 * ResourceGovernor::kEventFootprintBytes +
                 3 * ResourceGovernor::kPacketFootprintBytes + 4500);
-  g.note_packets_released(3, 4500);
+  for (const net::PacketHandle h : held) pool.release(h);
   EXPECT_EQ(g.bytes_estimate(0), 0u);
 }
 
@@ -77,7 +83,6 @@ TEST(ResourceGovernor, CeilingAbortThrowsResourceExhausted) {
   Simulator sim;
   net::DropTailQueue queue(std::size_t{1} << 20);
   queue.attach_pool(&net::PacketPool::of(sim));
-  queue.attach_governor(&sim.governor());
   sim.governor().set_budget(64 * 1024);
 
   auto tick = std::make_shared<std::function<void()>>();
@@ -98,7 +103,6 @@ TEST(ResourceGovernor, AbortEventIsDeterministic) {
     Simulator sim;
     net::DropTailQueue queue(std::size_t{1} << 20);
     queue.attach_pool(&net::PacketPool::of(sim));
-    queue.attach_governor(&sim.governor());
     sim.governor().set_budget(64 * 1024);
     auto tick = std::make_shared<std::function<void()>>();
     arm_bomb(sim, queue, tick, 16, 1500);
@@ -118,7 +122,6 @@ TEST(ResourceGovernor, WatermarkFiresOnceAndBeforeTheCeiling) {
   Simulator sim;
   net::DropTailQueue queue(std::size_t{1} << 20);
   queue.attach_pool(&net::PacketPool::of(sim));
-  queue.attach_governor(&sim.governor());
 
   constexpr std::uint64_t kBudget = 64 * 1024;
   std::vector<ResourceUsage> watermark_hits;
@@ -149,7 +152,6 @@ TEST(ResourceGovernor, WatermarkSheddingCanAvertTheAbort) {
   Simulator sim;
   net::DropTailQueue queue(std::size_t{1} << 20);
   queue.attach_pool(&net::PacketPool::of(sim));
-  queue.attach_governor(&sim.governor());
 
   // The callback drains the queue and tells the producer to back off —
   // the governor re-reads the counters after it runs, so shedding below
@@ -182,7 +184,6 @@ TEST(ResourceGovernor, CountersBalanceToZeroAfterACleanTrial) {
   {
     net::DropTailQueue queue(1024);
     queue.attach_pool(&net::PacketPool::of(sim));
-    queue.attach_governor(&sim.governor());
     for (int i = 0; i < 40; ++i) {
       (void)enqueue_value(queue, make_packet(sim, 1000));
     }
@@ -202,7 +203,6 @@ TEST(ResourceGovernor, QueueDestroyedHoldingPacketsReleasesItsResidue) {
   {
     net::DropTailQueue queue(1024);
     queue.attach_pool(&net::PacketPool::of(sim));
-    queue.attach_governor(&sim.governor());
     for (int i = 0; i < 17; ++i) {
       (void)enqueue_value(queue, make_packet(sim, 1500));
     }
@@ -213,17 +213,27 @@ TEST(ResourceGovernor, QueueDestroyedHoldingPacketsReleasesItsResidue) {
   EXPECT_EQ(sim.governor().queued_bytes(), 0u);
 }
 
-TEST(ResourceGovernor, AttachChargesExistingContentsAndDetachReleases) {
+TEST(ResourceGovernor, CountsEveryPooledPacketNotOnlyQueuedOnes) {
   Simulator sim;
+  EXPECT_EQ(sim.governor().live_packets(), 0u);  // no pool yet
+  net::PacketPool& pool = net::PacketPool::of(sim);
   net::DropTailQueue queue(1024);
-  queue.attach_pool(&net::PacketPool::of(sim));
+  queue.attach_pool(&pool);
   for (int i = 0; i < 5; ++i) {
     (void)enqueue_value(queue, make_packet(sim, 200));
   }
-  queue.attach_governor(&sim.governor());
-  EXPECT_EQ(sim.governor().live_packets(), 5u);
-  EXPECT_EQ(sim.governor().queued_bytes(), 1000u);
-  queue.attach_governor(nullptr);
+  // Held outside any queue (in a transmitter, on the wire): counted.
+  const net::PacketHandle loose = pool.acquire(make_packet(sim, 1000));
+  EXPECT_EQ(sim.governor().live_packets(), 6u);
+  EXPECT_EQ(sim.governor().queued_bytes(), 2000u);
+  // A pool no Simulator owns is nobody's budget.
+  net::PacketPool detached;
+  const net::PacketHandle other = detached.acquire(make_packet(sim, 9000));
+  EXPECT_EQ(sim.governor().live_packets(), 6u);
+  detached.release(other);
+  pool.release(loose);
+  while (dequeue_value(queue).has_value()) {
+  }
   EXPECT_EQ(sim.governor().live_packets(), 0u);
   EXPECT_EQ(sim.governor().queued_bytes(), 0u);
 }
@@ -235,7 +245,6 @@ TEST(ResourceGovernor, ThreadPeaksSurviveTheSimulatorAndReset) {
     Simulator sim;
     net::DropTailQueue queue(std::size_t{1} << 20);
     queue.attach_pool(&net::PacketPool::of(sim));
-    queue.attach_governor(&sim.governor());
     sim.governor().set_budget(64 * 1024);
     auto tick = std::make_shared<std::function<void()>>();
     arm_bomb(sim, queue, tick, 16, 1500);
@@ -254,7 +263,6 @@ TEST(ResourceGovernor, DisarmedGovernorNeverAborts) {
   Simulator sim;
   net::DropTailQueue queue(std::size_t{1} << 20);
   queue.attach_pool(&net::PacketPool::of(sim));
-  queue.attach_governor(&sim.governor());
   int ticks = 0;
   std::function<void()> tick = [&] {
     for (int i = 0; i < 16; ++i) {

@@ -196,6 +196,41 @@ TEST(Node, DeliveryAfterDetachIsUndeliverable) {
   EXPECT_EQ(pool.live(), 0u);
 }
 
+TEST(Node, DeliverOfAStaleHandleThrows) {
+  sim::Simulator sim;
+  PacketPool& pool = PacketPool::of(sim);
+  Topology topo(sim);
+  Node& a = topo.add_node();
+  Node& b = topo.add_node();
+  topo.add_duplex(a, b, 10e6, sim::Time::millis(1), 10);
+  topo.compute_routes();
+  Capture sink;
+  a.attach(1, sink);
+  // One stale handle addressed here, one to be forwarded: the node's
+  // check is the only one the forwarded hop gets.
+  for (const NodeId dst : {a.id(), b.id()}) {
+    Packet p;
+    p.dst_node = dst;
+    p.dst_port = 1;
+    const PacketHandle stale = pool.acquire(Packet(p));
+    pool.release(stale);
+    const PacketHandle reused = pool.acquire(std::move(p));
+    ASSERT_EQ(reused.slot, stale.slot);
+    const std::size_t live = pool.live();
+    try {
+      a.deliver(stale, pool);
+      ADD_FAILURE() << "a stale handle was delivered to node " << dst;
+    } catch (const sim::SimError& e) {
+      EXPECT_EQ(e.code(), sim::SimErrc::kInvariantViolation);
+    }
+    EXPECT_EQ(pool.live(), live);
+    pool.release(reused);
+  }
+  sim.run();
+  EXPECT_TRUE(sink.received.empty());
+  EXPECT_EQ(a.undeliverable_count(), 0u);
+}
+
 TEST(Node, UnroutedOrOutOfRangeDestinationsReleaseHandles) {
   sim::Simulator sim;
   PacketPool& pool = PacketPool::of(sim);

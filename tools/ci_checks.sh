@@ -23,7 +23,11 @@
 #      whole-simulation benches (events/s), times one cold full-tree
 #      lint run (lint_wall_ms), and writes BENCH_engine.json into the
 #      build dir; --validate requires every one of those bench rows.
-#      Set SLOWCC_SKIP_BENCH=1 to skip the step.
+#   8. pins: perfbench/run.py runs each benchmark workload for 1 s at
+#      seed 1 and must report "correct": true, i.e. the pinned digests
+#      in perfbench/pins.txt hold and the event stream is unchanged
+#      (about 5 s after the perfbench build in .bench_build/).
+#      Set SLOWCC_SKIP_BENCH=1 to skip steps 7 and 8.
 #
 # Usage: tools/ci_checks.sh [build-dir]   (default: build-ci)
 # Environment: JOBS=<n> overrides the parallelism (default: nproc).
@@ -63,8 +67,18 @@ if [[ "${SLOWCC_SKIP_BENCH:-0}" != "1" ]]; then
     --lint "$build_dir/tools/slowcc_lint" --lint-root "$repo_root"
   "$build_dir/tools/bench_report" \
     --validate "$build_dir/BENCH_engine.json"
+  step "pins (perfbench workloads at seed 1 match perfbench/pins.txt)"
+  for workload in many_flows slow_dynamics paper_sweep; do
+    result="$(cd "$repo_root" && python3 perfbench/run.py \
+      --workload "$workload" --seed 1 --seconds 1 | tail -n 1)"
+    if [[ "$result" != *'"correct": true'* ]]; then
+      echo "ci_checks: $workload does not match its pins: $result" >&2
+      exit 1
+    fi
+    echo "pins: $workload correct"
+  done
 else
-  step "bench (skipped: SLOWCC_SKIP_BENCH=1)"
+  step "bench and pins (skipped: SLOWCC_SKIP_BENCH=1)"
 fi
 
 echo

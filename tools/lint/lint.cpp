@@ -184,9 +184,8 @@ const std::vector<RuleInfo>& all_rules() {
        "raw ofstream/fopen/::open writes in src/exp/ checkpoint dirs; "
        "use write_file_atomic / JsonlAppender"},
       {"governor-charge-release",
-       "a class that charges the ResourceGovernor (note_*_admitted / "
-       "charge) must release on its drain path (note_*_removed / "
-       "released / release)"},
+       "a class that charges a budget (charge) must release it on its "
+       "drain path (release)"},
   };
   return kRules;
 }

@@ -22,7 +22,7 @@ namespace slowcc::lint::rules::detail {
 
 namespace {
 
-constexpr int kMaxDepth = 3;  // hops from a hot-path root
+constexpr int kMaxDepth = 4;  // hops from a hot-path root
 
 bool hot_path_root(const FuncDef& def) {
   if (def.name == "enqueue" || def.name == "deliver") return true;

@@ -4,55 +4,17 @@
 
 #include "lint/rules/rules.hpp"
 
-// Resource-pairing rule family. The ResourceGovernor (src/sim/resource)
-// meters per-trial memory by counting packets in: every admission
-// charge must eventually be released on the drain/drop/teardown path,
-// or the budget leaks and the overload-abort fires on innocent trials.
-// The rule groups charge/release call sites by the calling class across
-// the whole batch (charge in one TU, release in another is fine) and
-// flags classes that charge a family without ever releasing it. The
-// reverse (release without charge) is deliberately allowed — drain
-// helpers legitimately release on behalf of another class.
+// Resource-pairing rule. A component that charges a budget (`charge`)
+// must release it (`release`) on its drain/drop/teardown path, or the
+// budget leaks and an overload abort fires on an innocent trial. The
+// rule groups the call sites by calling class across the whole batch
+// (charge in one TU, release in another is fine) and flags classes
+// that charge without ever releasing. The reverse (release without
+// charge) is deliberately allowed — drain helpers legitimately release
+// on behalf of another class. The ResourceGovernor itself needs no
+// charges: it reads its packet model from the PacketPool.
 
 namespace slowcc::lint::rules::detail {
-
-namespace {
-
-struct PairFamily {
-  const char* label;
-  std::vector<std::string_view> charges;
-  std::vector<std::string_view> releases;
-};
-
-const std::vector<PairFamily>& pair_families() {
-  static const std::vector<PairFamily> kFamilies = {
-      {"packet admission",
-       {"note_packet_admitted", "note_packets_admitted"},
-       {"note_packet_removed", "note_packets_released"}},
-      {"queue admission", {"note_admitted"}, {"note_removed"}},
-      {"generic budget", {"charge"}, {"release"}},
-  };
-  return kFamilies;
-}
-
-bool in_list(const std::vector<std::string_view>& list,
-             const std::string& name) {
-  for (const std::string_view entry : list) {
-    if (entry == name) return true;
-  }
-  return false;
-}
-
-std::string join(const std::vector<std::string_view>& names) {
-  std::string out;
-  for (const std::string_view name : names) {
-    if (!out.empty()) out += " / ";
-    out += std::string(name);
-  }
-  return out;
-}
-
-}  // namespace
 
 void check_governor_pairing(const std::vector<const FileFacts*>& facts,
                             const ProgramIndex& index,
@@ -62,51 +24,40 @@ void check_governor_pairing(const std::vector<const FileFacts*>& facts,
     // first charge site in (file, line) order — facts arrive path-sorted
     std::string file;
     int line = 0;
-    std::string callee;
     int charges = 0;
     int releases = 0;
   };
-  // (class, family index) -> tally, ordered for deterministic output.
-  std::map<std::pair<std::string, std::size_t>, Tally> tallies;
+  std::map<std::string, Tally> tallies;  // by class, for stable output
 
-  const std::vector<PairFamily>& families = pair_families();
   for (const FileFacts* file : facts) {
     for (const FuncDef& def : file->functions) {
       if (def.cls.empty()) continue;  // free functions cannot be paired
       for (const CallSite& call : def.calls) {
-        for (std::size_t f = 0; f < families.size(); ++f) {
-          const bool is_charge = in_list(families[f].charges, call.callee);
-          const bool is_release = in_list(families[f].releases, call.callee);
-          if (!is_charge && !is_release) continue;
-          Tally& tally = tallies[{def.cls, f}];
-          if (is_charge) {
-            if (tally.charges == 0) {
-              tally.file = file->path;
-              tally.line = call.line;
-              tally.callee = call.callee;
-            }
-            ++tally.charges;
-          } else {
-            ++tally.releases;
+        if (call.callee == "release") {
+          ++tallies[def.cls].releases;
+        } else if (call.callee == "charge") {
+          Tally& tally = tallies[def.cls];
+          if (tally.charges++ == 0) {
+            tally.file = file->path;
+            tally.line = call.line;
           }
         }
       }
     }
   }
 
-  for (const auto& [key, tally] : tallies) {
+  for (const auto& [cls, tally] : tallies) {
     if (tally.charges == 0 || tally.releases > 0) continue;
-    const PairFamily& family = families[key.second];
     Finding f;
     f.file = tally.file;
     f.line = tally.line;
     f.rule = "governor-charge-release";
-    f.message = "class '" + key.first + "' charges the governor ('" +
-                tally.callee + "', " + family.label +
-                ") but never releases (" + join(family.releases) + ")";
+    f.message = "class '" + cls +
+                "' charges a budget ('charge') but never releases "
+                "('release')";
     f.hint =
-        "pair every admission charge with a release on the dequeue/drop/"
-        "teardown path of the same class; suppress with a reason if a "
+        "pair every charge with a release on the dequeue/drop/teardown "
+        "path of the same class; suppress with a reason if a "
         "collaborator owns the release";
     out->push_back(std::move(f));
   }

@@ -85,7 +85,7 @@ expect_finding "no-time-arith-overflow" --root "$family" src
 cat > "$family/src/sim/hash.cpp" <<'EOF'
 class LeakyQueue {
  public:
-  void enqueue(int n) { gov_.note_packet_admitted(n); }
+  void enqueue(int n) { gov_.charge(n); }
  private:
   int gov_;
 };
