@@ -12,8 +12,6 @@
 
 using namespace slowcc;
 
-// The two event-queue benchmarks carry a /wheel suffix so
-// tools/bench_report files them as the wheel rows of BENCH_engine.json.
 static void BM_EventQueueScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;
@@ -25,7 +23,7 @@ static void BM_EventQueueScheduleRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_EventQueueScheduleRun)->Name("BM_EventQueueScheduleRun/wheel");
+BENCHMARK(BM_EventQueueScheduleRun);
 
 static void BM_EventQueueCancelHeavy(benchmark::State& state) {
   for (auto _ : state) {
@@ -40,7 +38,7 @@ static void BM_EventQueueCancelHeavy(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_EventQueueCancelHeavy)->Name("BM_EventQueueCancelHeavy/wheel");
+BENCHMARK(BM_EventQueueCancelHeavy);
 
 // The queue benches cycle one pooled handle through the queue, the way
 // net::Link drives it: no packet is copied or moved per iteration.

@@ -95,7 +95,7 @@ class Queue {
   /// `limit_packets` is the buffer size including the packet currently
   /// being serialized; must be >= 1 (validated by implementations).
   /// The handle ring starts small and doubles as the buffer fills, so
-  /// queues configured with pathological limits (the membomb self-test
+  /// queues configured with pathological limits (a memory-bomb self-test
   /// uses 2^30) cost memory proportional to their actual occupancy,
   /// never their configured ceiling.
   explicit Queue(std::size_t limit_packets)

@@ -35,6 +35,7 @@ ConvergenceOutcome run_convergence(const ConvergenceConfig& config) {
                   [agent = f2.agent] { agent->start(); });
 
   sim.run_until(config.horizon);
+  net.audit();
 
   // Collect byte series aligned on RTT bins.
   std::vector<std::int64_t> s1;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include "fault/invariant_auditor.hpp"
 #include "sim/error.hpp"
 
 namespace slowcc::scenario {
@@ -262,6 +263,12 @@ void Dumbbell::finalize() {
   if (finalized_) return;
   topo_.compute_routes();
   finalized_ = true;
+}
+
+void Dumbbell::audit() {
+  fault::InvariantAuditor auditor(sim_);
+  auditor.watch_topology(topo_);
+  auditor.check_now();
 }
 
 double Dumbbell::flow_goodput_bps(const Flow& f, sim::Time duration) const {

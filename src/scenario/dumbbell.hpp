@@ -121,6 +121,14 @@ class Dumbbell {
   /// and before running the simulator.
   void finalize();
 
+  /// One end-of-run audit of every link: packet conservation and queue
+  /// sanity (fault::InvariantAuditor::check_now). It schedules no
+  /// event, so trace digests are unchanged; a violation throws
+  /// sim::SimError(kInvariantViolation), which the sweep runner
+  /// quarantines as a failed row. Every trial driver calls it after its
+  /// last run_until.
+  void audit();
+
   [[nodiscard]] net::Link& bottleneck() noexcept { return *forward_bn_; }
   [[nodiscard]] net::Link& reverse_bottleneck() noexcept {
     return *reverse_bn_;

@@ -61,6 +61,7 @@ FairnessOutcome run_fairness(const FairnessConfig& config) {
   pattern.start_at(sim::Time());
 
   sim.run_until(t1);
+  net.audit();
 
   // Average available bandwidth: the CBR is ON half the time at
   // cbr_peak, so the flows' average share of the link is

@@ -48,6 +48,7 @@ FkOutcome run_fk(const FkConfig& config) {
   const sim::Time end =
       config.stop_time + rtt * static_cast<std::int64_t>(max_k + 5);
   sim.run_until(end);
+  net.audit();
 
   FkOutcome out;
   out.ks = config.ks;

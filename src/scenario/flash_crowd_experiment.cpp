@@ -47,6 +47,7 @@ FlashCrowdOutcome run_flash_crowd(const FlashCrowdExperimentConfig& config) {
   crowd.start_at(config.crowd_start);
 
   sim.run_until(config.end);
+  net.audit();
 
   FlashCrowdOutcome out;
   out.background_bps = background_tp.rate_series_bps(sim::Time(), config.end);

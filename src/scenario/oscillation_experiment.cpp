@@ -66,6 +66,7 @@ OscillationOutcome run_oscillation(const OscillationConfig& config) {
   const sim::Time t0 = config.warmup;
   const sim::Time t1 = config.warmup + config.measure;
   sim.run_until(t1);
+  net.audit();
 
   OscillationOutcome out;
   out.mean_available_bps = config.net.bottleneck_bps - cbr_peak / 2.0;

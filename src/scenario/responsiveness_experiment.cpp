@@ -37,6 +37,7 @@ ResponsivenessOutcome run_responsiveness(const ResponsivenessConfig& config) {
   });
 
   sim.run_until(config.horizon);
+  net.audit();
 
   ResponsivenessOutcome out;
 
@@ -93,6 +94,7 @@ double measure_aggressiveness(const ResponsivenessConfig& config) {
   net.finalize();
   sim.schedule_at(sim::Time(), [agent = flow.agent] { agent->start(); });
   sim.run_until(sim::Time::seconds(120.0));
+  net.audit();
 
   const double capacity_bytes_per_bin =
       config.net.bottleneck_bps / 8.0 * rtt.as_seconds();

@@ -45,6 +45,7 @@ SmoothnessOutcome run_smoothness(const SmoothnessConfig& config) {
   const sim::Time t0 = config.warmup;
   const sim::Time t1 = config.warmup + config.measure;
   sim.run_until(t1);
+  net.audit();
 
   SmoothnessOutcome out;
   out.fine_rate_bps = fine.rate_series_bps(t0, t1);

@@ -32,6 +32,7 @@ StabilizationOutcome run_stabilization(const StabilizationConfig& config) {
   });
 
   sim.run_until(config.end);
+  net.audit();
 
   StabilizationOutcome out;
   // Calibrate steady state over the second half of the initial CBR-on

@@ -37,6 +37,7 @@ StaticCompatOutcome run_static_compat(const StaticCompatConfig& config) {
   const sim::Time t0 = config.warmup;
   const sim::Time t1 = config.warmup + config.measure;
   sim.run_until(t1);
+  net.audit();
 
   StaticCompatOutcome out;
   out.goodput_bps = tp.rate_bps_between(t0, t1);

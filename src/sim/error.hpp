@@ -25,7 +25,8 @@ enum class SimErrc {
   kDeadlineExceeded,    // a per-trial deadline (event budget or wall
                         // clock) turned a hung simulation into an error
   kTrialAborted,        // a trial was cancelled or failed by injection
-                        // (chaos self-test, poison experiment)
+                        // (chaos self-test, failure-injecting test
+                        // experiments)
   kBadSpec,             // a declarative scenario spec failed to parse,
                         // validate, or compile (src/spec/); the message
                         // carries file:line and the offending key

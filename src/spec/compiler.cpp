@@ -8,7 +8,6 @@
 #include "exp/seed.hpp"
 #include "fault/fault_script.hpp"
 #include "fault/impairment.hpp"
-#include "fault/invariant_auditor.hpp"
 #include "metrics/fairness.hpp"
 #include "metrics/loss_rate_monitor.hpp"
 #include "metrics/smoothness.hpp"
@@ -417,14 +416,7 @@ SpecRunResult run_scenario(const ScenarioSpec& spec,
   net.finalize();
   injector.arm(script);
   sim.run_until(t1);
-
-  // One end-of-run audit (packet conservation and queue sanity on
-  // every link). It schedules no event, so digests are unchanged; a
-  // violation throws kInvariantViolation, which the sweep runner
-  // quarantines as a failed row.
-  fault::InvariantAuditor auditor(sim);
-  auditor.watch_topology(net.topology());
-  auditor.check_now();
+  net.audit();
 
   exp::Row row;
   if (spec.metrics.throughput) {

@@ -160,10 +160,10 @@ inline std::string diff_engines(const DiffScript& script) {
 }
 
 /// Randomized script: schedules dominate, with exponentially
-/// distributed horizons (so every wheel level and the overflow heap see
-/// traffic), deliberate equal-time ties (FIFO order must hold), and a
-/// time base that drifts forward so later schedules land behind already
-/// drained slots.
+/// distributed delays (nanoseconds to days, so heaps of mixed depth
+/// and far-future entries see traffic), deliberate equal-time ties
+/// (FIFO order must hold), and a time base that drifts forward so later
+/// schedules land behind events already popped.
 inline DiffScript random_script(std::uint64_t seed, std::size_t num_ops) {
   sim::Rng rng(seed);
   DiffScript script;

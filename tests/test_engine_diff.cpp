@@ -51,8 +51,9 @@ TEST(EngineDiff, MassiveTieBurstAgrees) {
   EXPECT_TRUE(report.empty()) << report;
 }
 
-// INT64_MAX timestamps stress the overflow-jump saturation path; the
-// near events interleave with them across the full wheel span.
+// INT64_MAX timestamps next to near events: the (at, seq) compare must
+// order the extremes without overflow. Kept from the timer-wheel era,
+// when these inputs hit its overflow-heap jump.
 TEST(EngineDiff, FarFutureSentinelsAgree) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   DiffScript script;
@@ -69,12 +70,10 @@ TEST(EngineDiff, FarFutureSentinelsAgree) {
   EXPECT_TRUE(report.empty()) << report;
 }
 
-// Regression: draining the slot abutting INT64_MAX saturates the
-// wheel's horizon (its nominal exclusive end, INT64_MAX + 1, is
-// unrepresentable — computing it was UB). Events scheduled at
-// INT64_MAX afterwards re-enter the top slot and must still fire, in
-// seq order, and events just below it stage straight into the due
-// heap.
+// Events at INT64_MAX scheduled after one at INT64_MAX has fired must
+// still fire in seq order, and one just below them must fire first.
+// Kept from the timer-wheel era: these inputs once saturated its
+// dispatch horizon, whose unclamped end (INT64_MAX + 1) was UB.
 TEST(EngineDiff, ScheduleAtMaxAfterHorizonSaturates) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   DiffScript script;
@@ -92,12 +91,12 @@ TEST(EngineDiff, ScheduleAtMaxAfterHorizonSaturates) {
   EXPECT_TRUE(report.empty()) << report;
 }
 
-// Regression: when a level-0 slot and a level-1 slot start at the same
-// timestamp, the wheel must cascade the level-1 slot first — it can
-// hold events earlier than anything in the level-0 slot. Draining the
-// level-0 slot first served events out of time order.
+// An event scheduled after a pop, later than a pending one, must not
+// overtake it. Kept from the timer-wheel era: these times straddle a
+// 2^20 ns boundary where the wheel once drained a fine slot before a
+// coarse slot of the same start and served events out of order.
 TEST(EngineDiff, EqualStartCascadeBeatsDrainAgrees) {
-  constexpr std::int64_t kL1 = std::int64_t{1} << 20;  // level-1 slot span
+  constexpr std::int64_t kL1 = std::int64_t{1} << 20;  // old L1 slot span
   DiffScript script;
   script.push_back(DiffOp{DiffOp::Kind::kSchedule, kL1 - 100, 0});
   script.push_back(DiffOp{DiffOp::Kind::kSchedule, kL1 + 10, 0});

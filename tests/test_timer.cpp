@@ -82,9 +82,8 @@ TEST_F(TimerTest, RescheduleToEarlierDeadlineFiresEarlier) {
 }
 
 // A zero-delay rearm from inside the callback fires at the *same*
-// timestamp but behind every event already pending there — on the
-// wheel this exercises the schedule-behind-the-horizon path, since the
-// slot containing `now` has already been drained.
+// timestamp but behind every event already pending there: its later
+// seq, not its time, must order it after its equal-time peers.
 TEST_F(TimerTest, ZeroDelayRearmFiresAfterEqualTimePeers) {
   std::vector<std::string> order;
   int a_fires = 0;

@@ -2,9 +2,9 @@
 // micro-benchmarks.
 //
 // Generate mode runs bench/micro_engine with google-benchmark's JSON
-// output and writes BENCH_engine.json (schema slowcc.bench_engine.v1)
-// with ns-per-op and items-per-second per run (BM_X/wheel for the
-// event queue, and the unsuffixed BM_SaturatedDumbbell,
+// output and writes BENCH_engine.json (schema slowcc.bench_engine.v2)
+// with ns-per-op and items-per-second per benchmark (the two
+// BM_EventQueue* rows, and the BM_SaturatedDumbbell,
 // BM_DumbbellTcpSecond and BM_DumbbellTfrcSecond rows, whose items are
 // executed simulator events, so items_per_second is their events/s),
 // and the benchmark child's peak RSS (getrusage(RUSAGE_CHILDREN), so a
@@ -34,19 +34,16 @@
 
 namespace {
 
-constexpr const char* kSchema = "slowcc.bench_engine.v1";
-// The event-queue benchmarks: each must report a /wheel row.
+constexpr const char* kSchema = "slowcc.bench_engine.v2";
+// Every report must carry one row per benchmark here: the event-queue
+// micro-benchmarks, the saturated bottleneck's packet hot path, and one
+// simulated second of the loaded dumbbell.
 const std::vector<std::string> kRequiredBenchmarks = {
-    "BM_EventQueueScheduleRun", "BM_EventQueueCancelHeavy"};
-// Whole-simulation benchmarks (the saturated bottleneck's packet hot
-// path, and one simulated second of the loaded dumbbell): one row
-// each, with no engine variant.
-const std::vector<std::string> kRequiredSimulationBenchmarks = {
+    "BM_EventQueueScheduleRun", "BM_EventQueueCancelHeavy",
     "BM_SaturatedDumbbell", "BM_DumbbellTcpSecond", "BM_DumbbellTfrcSecond"};
 
 struct Sample {
   std::string bench;
-  std::string engine;  // empty for a benchmark with a single variant
   double ns_per_op = 0.0;
   double items_per_second = 0.0;
 };
@@ -106,7 +103,7 @@ double to_nanos(double value, const std::string& unit) {
   return value * 1e9;  // "s"
 }
 
-/// Parse google-benchmark JSON output into per-variant samples. Chunks
+/// Parse google-benchmark JSON output into per-benchmark samples. Chunks
 /// the text on "name" keys — only benchmark entries carry that key.
 std::vector<Sample> parse_benchmark_json(const std::string& text) {
   std::vector<Sample> samples;
@@ -121,7 +118,6 @@ std::vector<Sample> parse_benchmark_json(const std::string& text) {
     std::string name;
     if (!find_string(chunk, "name", &name)) continue;
     if (name.rfind("BM_", 0) != 0) continue;
-    const std::size_t slash = name.find('/');
     double cpu_time = 0.0;
     double items = 0.0;
     std::string unit = "ns";
@@ -129,8 +125,7 @@ std::vector<Sample> parse_benchmark_json(const std::string& text) {
     (void)find_string(chunk, "time_unit", &unit);
     (void)find_number(chunk, "items_per_second", &items);
     Sample s;
-    s.bench = name.substr(0, slash);
-    if (slash != std::string::npos) s.engine = name.substr(slash + 1);
+    s.bench = name;
     s.ns_per_op = to_nanos(cpu_time, unit);
     s.items_per_second = items;
     samples.push_back(std::move(s));
@@ -197,9 +192,8 @@ int generate(const std::string& bench_bin, const std::string& out_path,
   out << "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
-    out << "    {\"name\": \"" << s.bench << "\", ";
-    if (!s.engine.empty()) out << "\"engine\": \"" << s.engine << "\", ";
-    out << "\"ns_per_op\": " << s.ns_per_op
+    out << "    {\"name\": \"" << s.bench
+        << "\", \"ns_per_op\": " << s.ns_per_op
         << ", \"items_per_second\": " << s.items_per_second << "}"
         << (i + 1 < samples.size() ? "," : "") << "\n";
   }
@@ -253,30 +247,21 @@ int validate(const std::string& path) {
   int failures = 0;
   for (const std::string& bench : kRequiredBenchmarks) {
     const std::string needle =
-        "{\"name\": \"" + bench + "\", \"engine\": \"wheel\"";
-    if (text.find(needle) == std::string::npos) {
-      std::cerr << "bench_report: " << path << " lacks " << bench
-                << "/wheel\n";
-      ++failures;
-    }
-  }
-  for (const std::string& bench : kRequiredSimulationBenchmarks) {
-    const std::string needle =
         "{\"name\": \"" + bench + "\", \"ns_per_op\"";
     const std::size_t row = text.find(needle);
-    double events_per_second = 0.0;
+    double items_per_second = 0.0;
     if (row == std::string::npos) {
       std::cerr << "bench_report: " << path << " lacks " << bench << "\n";
       ++failures;
     } else if (!find_number(text.substr(row), "items_per_second",
-                            &events_per_second) ||
-               events_per_second <= 0.0) {
-      std::cerr << "bench_report: " << path << " has no events/s for "
-                << bench << "\n";
+                            &items_per_second) ||
+               items_per_second <= 0.0) {
+      std::cerr << "bench_report: " << path
+                << " has no items_per_second for " << bench << "\n";
       ++failures;
     } else {
       std::cout << "bench_report: " << bench
-                << " events_per_second=" << events_per_second << "\n";
+                << " items_per_second=" << items_per_second << "\n";
     }
   }
   if (failures == 0) std::cout << "bench_report: " << path << " valid\n";

@@ -3,7 +3,7 @@
 # bench/micro_engine at a tiny --min-time so it finishes in seconds,
 # then validate the emitted BENCH_engine.json (schema + every required
 # benchmark row present), and check that a report missing any one of
-# the whole-simulation rows fails validation. No timing is judged here
+# the five required rows fails validation. No timing is judged here
 # — a ctest sharing the machine with the rest of the suite would
 # flake; tools/ci_checks.sh runs the longer measurement.
 #
@@ -21,7 +21,8 @@ out="$out_dir/BENCH_engine.json"
 "$bench_report" --validate "$out"
 
 # A report missing a required row must fail validation.
-for row in BM_SaturatedDumbbell BM_DumbbellTcpSecond BM_DumbbellTfrcSecond; do
+for row in BM_EventQueueScheduleRun BM_EventQueueCancelHeavy \
+    BM_SaturatedDumbbell BM_DumbbellTcpSecond BM_DumbbellTfrcSecond; do
   grep -v "\"$row\"" "$out" > "$out_dir/missing.json"
   if "$bench_report" --validate "$out_dir/missing.json" >/dev/null 2>&1; then
     echo "bench smoke: a report without $row validated" >&2

@@ -17,12 +17,14 @@
 #      --trial-max-bytes must quarantine as resource-exhausted with
 #      peak-usage fields while the canonical outputs stay byte-identical
 #      across --jobs 1, --jobs 4 and a killed+resumed run)
-#   7. engine perf report: bench_report runs the event-queue
+#   7. engine perf report: bench_report runs the two BM_EventQueue*
 #      micro-benchmarks, the BM_SaturatedDumbbell packet hot-path
 #      macro-bench and the BM_DumbbellTcpSecond/BM_DumbbellTfrcSecond
 #      whole-simulation benches (events/s), times one cold full-tree
-#      lint run (lint_wall_ms), and writes BENCH_engine.json into the
-#      build dir; --validate requires every one of those bench rows.
+#      lint run (lint_wall_ms), and writes BENCH_engine.json
+#      (schema slowcc.bench_engine.v2: one row per benchmark, named as
+#      google-benchmark names it) into the build dir; --validate
+#      requires all five rows, each with a positive items_per_second.
 #   8. pins: perfbench/run.py runs each benchmark workload for 1 s at
 #      seed 1 and must report "correct": true, i.e. the pinned digests
 #      in perfbench/pins.txt hold and the event stream is unchanged

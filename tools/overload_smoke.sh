@@ -12,13 +12,15 @@
 #      the bomb is mid-flight and then resumed — overload handling must
 #      not perturb the determinism contract.
 #
-# Usage: tools/overload_smoke.sh /path/to/slowcc_sweep
+# Usage: tools/overload_smoke.sh /path/to/slowcc_sweep_selftest
+# (the sweep driver linked with the self-test experiments; see
+# tests/self_test_experiments.cpp)
 set -euo pipefail
 
-sweep="${1:?usage: overload_smoke.sh /path/to/slowcc_sweep}"
+sweep="${1:?usage: overload_smoke.sh /path/to/slowcc_sweep_selftest}"
 if [[ ! -x "$sweep" ]]; then
-  echo "overload_smoke: slowcc_sweep not found at '$sweep' —" \
-       "build it with: cmake --build build --target slowcc_sweep" >&2
+  echo "overload_smoke: slowcc_sweep_selftest not found at '$sweep' —" \
+       "build it with: cmake --build build --target slowcc_sweep_selftest" >&2
   exit 1
 fi
 work="$(mktemp -d)"

@@ -9,13 +9,15 @@
 # bounded retries (--max-attempts), the append+flush journal with
 # last-line-wins recovery, and atomic finalize.
 #
-# Usage: tools/sweep_chaos_smoke.sh /path/to/slowcc_sweep
+# Usage: tools/sweep_chaos_smoke.sh /path/to/slowcc_sweep_selftest
+# (the sweep driver linked with the self-test experiments; see
+# tests/self_test_experiments.cpp)
 set -euo pipefail
 
-sweep="${1:?usage: sweep_chaos_smoke.sh /path/to/slowcc_sweep}"
+sweep="${1:?usage: sweep_chaos_smoke.sh /path/to/slowcc_sweep_selftest}"
 if [[ ! -x "$sweep" ]]; then
-  echo "sweep_chaos_smoke: slowcc_sweep not found at '$sweep' —" \
-       "build it with: cmake --build build --target slowcc_sweep" >&2
+  echo "sweep_chaos_smoke: slowcc_sweep_selftest not found at '$sweep' —" \
+       "build it with: cmake --build build --target slowcc_sweep_selftest" >&2
   exit 1
 fi
 work="$(mktemp -d)"
