@@ -78,6 +78,11 @@ class TcpAgent final : public Agent {
   [[nodiscard]] const WindowPolicy& policy() const noexcept { return *policy_; }
   [[nodiscard]] std::int64_t snd_una() const noexcept { return snd_una_; }
   [[nodiscard]] std::int64_t next_seq() const noexcept { return next_seq_; }
+  [[nodiscard]] const TcpConfig& config() const noexcept { return config_; }
+  /// The retransmit timer, for audits (fault::InvariantAuditor).
+  [[nodiscard]] const sim::Timer& rto_timer() const noexcept {
+    return rto_timer_;
+  }
 
  private:
   void send_available();

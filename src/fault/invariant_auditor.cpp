@@ -1,5 +1,6 @@
 #include "fault/invariant_auditor.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "sim/error.hpp"
@@ -98,10 +99,19 @@ std::size_t InvariantAuditor::check_now() {
   }
 
   for (const WatchedTimer& w : timers_) {
-    if (w.timer->pending() && w.timer->deadline() < now) {
-      record(w.name + ": pending timer deadline " +
-             w.timer->deadline().to_string() + " is in the past (now " +
-             now.to_string() + ")");
+    if (!w.timer->pending()) continue;
+    const sim::Time deadline = w.timer->deadline();
+    if (deadline < now) {
+      record(w.name + ": pending timer deadline " + deadline.to_string() +
+             " is in the past (now " + now.to_string() + ")");
+    }
+    const std::optional<sim::Time> engine = w.timer->engine_time();
+    if (!engine) {
+      record(w.name + ": pending timer has no engine event (deadline " +
+             deadline.to_string() + ")");
+    } else if (*engine != deadline) {
+      record(w.name + ": pending timer deadline " + deadline.to_string() +
+             " differs from its engine event's time " + engine->to_string());
     }
   }
 

@@ -29,9 +29,10 @@ struct AuditorConfig {
 ///   arrivals == departures + drops + queued + (1 if transmitting)
 ///
 /// plus stats sanity and bounded queue occupancy; the simulation clock
-/// must be monotonic across audits; registered agent timers must not
-/// be pending with a deadline in the past (a pending past deadline
-/// means the engine lost an event). Runs as a periodic simulation
+/// must be monotonic across audits; a registered agent timer that is
+/// pending must have a deadline that is not in the past (else the
+/// engine lost an event) and equal to its engine event's time (else a
+/// re-arm did not move the event). Runs as a periodic simulation
 /// event; `check_now()` audits on demand.
 class InvariantAuditor {
  public:

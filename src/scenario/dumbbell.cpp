@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
+
 #include "fault/invariant_auditor.hpp"
 #include "sim/error.hpp"
 
@@ -265,9 +267,42 @@ void Dumbbell::finalize() {
   finalized_ = true;
 }
 
+namespace {
+
+// Window and timer sanity of one TCP sender: cwnd never drops below
+// one segment, the RTO stays within its configured bounds, and the
+// cumulative ACK never passes the next sequence to send.
+void check_tcp_agent(const cc::TcpAgent& tcp, const std::string& name) {
+  std::string broken;
+  if (!(tcp.cwnd() >= 1.0)) {
+    broken = std::string("cwnd ") + std::to_string(tcp.cwnd()) + " < 1";
+  } else if (tcp.current_rto() < tcp.config().min_rto ||
+             tcp.current_rto() > tcp.config().max_rto) {
+    broken = std::string("rto ") + tcp.current_rto().to_string() +
+             " outside [" + tcp.config().min_rto.to_string() + ", " +
+             tcp.config().max_rto.to_string() + "]";
+  } else if (tcp.snd_una() > tcp.next_seq()) {
+    broken = std::string("snd_una ") + std::to_string(tcp.snd_una()) +
+             " > next_seq " + std::to_string(tcp.next_seq());
+  }
+  if (!broken.empty()) {
+    throw sim::SimError(sim::SimErrc::kInvariantViolation, "Dumbbell",
+                        name + ": " + broken);
+  }
+}
+
+}  // namespace
+
 void Dumbbell::audit() {
   fault::InvariantAuditor auditor(sim_);
   auditor.watch_topology(topo_);
+  for (const Flow& f : flows_) {
+    const auto* tcp = dynamic_cast<const cc::TcpAgent*>(f.agent);
+    if (tcp == nullptr) continue;
+    const std::string name = "flow#" + std::to_string(f.id);
+    check_tcp_agent(*tcp, name);
+    auditor.watch_timer(tcp->rto_timer(), name + " rto");
+  }
   auditor.check_now();
 }
 

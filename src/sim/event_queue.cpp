@@ -61,16 +61,19 @@ void EventQueue::sift_down(std::size_t pos, Entry e) {
   put(pos, e);
 }
 
+void EventQueue::place(std::size_t pos, const Entry& e) {
+  if (pos > 0 && before(e, heap_[(pos - 1) / 2])) {
+    sift_up(pos, e);
+  } else {
+    sift_down(pos, e);
+  }
+}
+
 void EventQueue::remove_at(std::size_t pos) {
   const Entry last = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;  // the removed entry was the last one
-  // The last entry fills the hole; it may belong above or below it.
-  if (pos > 0 && before(last, heap_[(pos - 1) / 2])) {
-    sift_up(pos, last);
-  } else {
-    sift_down(pos, last);
-  }
+  place(pos, last);  // the last entry fills the hole
 }
 
 void EventQueue::throw_empty(const char* op) {
@@ -88,18 +91,33 @@ EventId EventQueue::schedule(Time at, Callback cb) {
                  (std::uint64_t{idx} + 1));
 }
 
-bool EventQueue::cancel(EventId id) {
+std::uint32_t EventQueue::live_node(EventId id) const noexcept {
   const std::uint64_t raw = id.id_;
-  if (raw == 0) return false;
+  if (raw == 0) return kNil;
   const std::uint32_t idx = static_cast<std::uint32_t>(raw & 0xffffffu) - 1;
   const auto gen = static_cast<std::uint32_t>(raw >> 24);
-  if (idx >= pool_.size()) return false;
+  if (idx >= pool_.size()) return kNil;
   const Node& n = pool_[idx];
   // A generation mismatch means the node was reclaimed and reused: the
   // caller's id refers to an event that already fired or was cancelled.
-  if (n.gen != gen || n.pos == kNil) return false;
-  remove_at(n.pos);
+  if (n.gen != gen || n.pos == kNil) return kNil;
+  return idx;
+}
+
+bool EventQueue::cancel(EventId id) {
+  const std::uint32_t idx = live_node(id);
+  if (idx == kNil) return false;
+  remove_at(pool_[idx].pos);
   release_node(idx);
+  return true;
+}
+
+bool EventQueue::reschedule(EventId id, Time at) {
+  const std::uint32_t idx = live_node(id);
+  if (idx == kNil) return false;
+  // The seq is minted where schedule would mint it, so the moved entry
+  // orders exactly as a cancelled one's fresh replacement would.
+  place(pool_[idx].pos, Entry{at.as_nanos(), next_seq_++, idx});
   return true;
 }
 

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -64,6 +65,12 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 /// entry's heap position, which every sift move rewrites. cancel uses
 /// that position to remove the entry at once (the last entry fills the
 /// hole and sifts up or down), so the heap holds only live events.
+/// reschedule moves a live entry in place: it mints a fresh seq exactly
+/// where schedule would, overwrites the entry's (at, seq) and sifts it
+/// up or down, keeping the node, its callback and its EventId. Since a
+/// cancel + schedule also mints exactly one seq at that point, and the
+/// heap orders by (at, seq) alone, both leave the executed (at, seq)
+/// stream identical.
 /// EventIds pack (generation << 24 | slot + 1): a node's generation is
 /// bumped when it is reclaimed, so stale ids from reused nodes mismatch.
 ///
@@ -94,6 +101,12 @@ class EventQueue {
   /// event was actually cancelled; a fired, cancelled or default id is
   /// a harmless no-op.
   bool cancel(EventId id);
+
+  /// Move a pending event to absolute time `at` under a fresh seq, as
+  /// cancel + schedule of the same callback would order it, but keep
+  /// its node, callback and EventId. Returns false (and changes
+  /// nothing) for a fired, cancelled or default id.
+  bool reschedule(EventId id, Time at);
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
@@ -128,6 +141,14 @@ class EventQueue {
   /// (Watchdog), not hot paths.
   [[nodiscard]] std::vector<Time> pending_times(std::size_t max_entries) const;
 
+  /// When the pending event `id` will fire; nullopt for a fired,
+  /// cancelled or default id. For audits (fault::InvariantAuditor).
+  [[nodiscard]] std::optional<Time> pending_time(EventId id) const noexcept {
+    const std::uint32_t idx = live_node(id);
+    if (idx == kNil) return std::nullopt;
+    return Time::nanos(heap_[pool_[idx].pos].at_ns);
+  }
+
   [[nodiscard]] Stats stats() const noexcept {
     return Stats{heap_.size(), pool_.size()};
   }
@@ -153,6 +174,9 @@ class EventQueue {
     return a.at_ns != b.at_ns ? a.at_ns < b.at_ns : a.seq < b.seq;
   }
 
+  /// Node index of a pending event's id, or kNil for a fired,
+  /// cancelled, stale or default one.
+  [[nodiscard]] std::uint32_t live_node(EventId id) const noexcept;
   [[nodiscard]] std::uint32_t alloc_node();
   void release_node(std::uint32_t idx);
   /// Write `e` at heap index `pos` and record the position in its node.
@@ -162,6 +186,8 @@ class EventQueue {
   }
   void sift_up(std::size_t pos, Entry e);
   void sift_down(std::size_t pos, Entry e);
+  /// Sift `e`, written into heap index `pos`, up or down to its place.
+  void place(std::size_t pos, const Entry& e);
   /// Remove the entry at heap index `pos`; its node stays allocated.
   void remove_at(std::size_t pos);
   [[noreturn]] static void throw_empty(const char* op);

@@ -48,12 +48,19 @@ void Simulator::set_thread_construct_observer(ConstructObserver observer) {
   t_construct_observer = std::move(observer);
 }
 
+void Simulator::throw_past(const char* op, Time at) const {
+  throw SimError(SimErrc::kBadSchedule, "Simulator",
+                 std::string(op) + ": time in the past (" + at.to_string() +
+                     " < " + now_.to_string() + ")");
+}
+
+void Simulator::throw_not_pending() {
+  throw SimError(SimErrc::kInvariantViolation, "Simulator",
+                 "reschedule: the id names no pending event");
+}
+
 EventId Simulator::schedule_at(Time at, EventQueue::Callback cb) {
-  if (at < now_) {
-    throw SimError(SimErrc::kBadSchedule, "Simulator",
-                   "schedule_at: time in the past (" + at.to_string() + " < " +
-                       now_.to_string() + ")");
-  }
+  if (at < now_) throw_past("schedule_at", at);
   return queue_.schedule(at, std::move(cb));
 }
 

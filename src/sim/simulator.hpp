@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -57,6 +58,27 @@ class Simulator {
 
   /// Cancel a pending event; no-op if already fired or cancelled.
   void cancel(EventId id) { queue_.cancel(id); }
+
+  /// Move pending event `id` to absolute time `at` (must be >= now()),
+  /// keeping its callback and id. It fires exactly where a cancel plus
+  /// a fresh schedule_at(at, same callback) would. A past `at` throws
+  /// SimError (kBadSchedule) after cancelling the event, as that pair
+  /// would leave it; an id that names no pending event throws
+  /// kInvariantViolation and changes nothing.
+  void reschedule(EventId id, Time at) {
+    if (at < now_) {
+      queue_.cancel(id);
+      throw_past("reschedule", at);
+    }
+    if (!queue_.reschedule(id, at)) throw_not_pending();
+  }
+
+  /// When pending event `id` will fire; nullopt once it fired or was
+  /// cancelled. Diagnostics: it lets an audit compare a timer's own
+  /// deadline with the engine's.
+  [[nodiscard]] std::optional<Time> pending_time(EventId id) const noexcept {
+    return queue_.pending_time(id);
+  }
 
   /// Consume the next FIFO sequence number without storing an engine
   /// event. Lanes mint their entries' seqs here, so lane entries and
@@ -206,6 +228,9 @@ class Simulator {
                                         std::uint64_t seq) noexcept {
     return LaneKey{static_cast<std::uint64_t>(at_ns)} << 64 | seq;
   }
+
+  [[noreturn]] void throw_past(const char* op, Time at) const;
+  [[noreturn]] static void throw_not_pending();
 
   EventQueue queue_;
   Time now_;

@@ -6,8 +6,10 @@
 // down directly: begin() is always the next event, and FIFO order at
 // equal times falls out of the key. An id carries its own key, so
 // cancel is one erase and a fired, cancelled or default id simply
-// finds nothing. Slow and obviously correct on purpose; only
-// tests/engine_diff.hpp uses it.
+// finds nothing. reschedule is that erase plus a re-insert of the same
+// callback under a fresh seq, and it rewrites the caller's id to the
+// new key (EventQueue's id keeps its value). Slow and obviously correct
+// on purpose; only tests/engine_diff.hpp uses it.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,6 +40,15 @@ class ReferenceScheduler {
   }
 
   bool cancel(Id id) { return events_.erase(Key{id.at_ns, id.seq}) == 1; }
+
+  bool reschedule(Id& id, sim::Time at) {
+    const auto it = events_.find(Key{id.at_ns, id.seq});
+    if (it == events_.end()) return false;
+    Callback cb = std::move(it->second);
+    events_.erase(it);
+    id = schedule(at, std::move(cb));
+    return true;
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
 

@@ -11,11 +11,10 @@
 namespace slowcc::test {
 namespace {
 
-// Property test: randomized 10k-op schedule/cancel/pop/peek scripts,
-// EventQueue and the reference scheduler must agree on every
-// observable. On failure the report
-// embeds the delta-debugged minimal script, so the assertion message is
-// directly actionable.
+// Property test: randomized 10k-op schedule/cancel/reschedule/pop/peek
+// scripts, EventQueue and the reference scheduler must agree on every
+// observable. On failure the report embeds the delta-debugged minimal
+// script, so the assertion message is directly actionable.
 TEST(EngineDiff, RandomizedScriptsAgree) {
   constexpr std::uint64_t kBaseSeed = 0x5107cc5eedULL;
   for (std::uint64_t trial = 0; trial < 8; ++trial) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "sim/error.hpp"
@@ -216,6 +217,103 @@ TEST(EventQueuePool, CancelReclaimsNodesAtOnce) {
   EXPECT_EQ(q.stats().stored, 0u);
   for (int i = 0; i < 50; ++i) q.schedule(Time::millis(i + 1), [] {});
   EXPECT_EQ(q.stats().capacity, 50u);
+}
+
+// A reschedule moves the entry in place: the live count, the node
+// pool and the id itself stay put, and the same callback fires at the
+// new time.
+TEST(EventQueueReschedule, KeepsSizeCapacityAndId) {
+  EventQueue q;
+  std::vector<int> fired;
+  const EventId a = q.schedule(Time::millis(5), [&] { fired.push_back(1); });
+  q.schedule(Time::millis(3), [&] { fired.push_back(2); });
+  const EventQueue::Stats before = q.stats();
+  EXPECT_TRUE(q.reschedule(a, Time::millis(1)));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.stats().stored, before.stored);
+  EXPECT_EQ(q.stats().capacity, before.capacity);
+  EXPECT_EQ(q.pending_time(a), Time::millis(1));
+  EXPECT_TRUE(q.reschedule(a, Time::millis(9)));
+  EXPECT_EQ(q.pending_time(a), Time::millis(9));
+  PoppedEvent ev;
+  q.pop(&ev)();
+  EXPECT_EQ(ev.at, Time::millis(3));
+  q.pop(&ev)();
+  EXPECT_EQ(ev.at, Time::millis(9));
+  EXPECT_EQ(fired, (std::vector<int>{2, 1}));
+}
+
+// The moved entry takes a fresh seq, exactly as cancel + schedule
+// would: behind an equal-time peer scheduled after it.
+TEST(EventQueueReschedule, MintsAFreshSeq) {
+  EventQueue q;
+  const EventId a = q.schedule(Time::millis(5), [] {});
+  q.schedule(Time::millis(5), [] {});
+  EXPECT_TRUE(q.reschedule(a, Time::millis(5)));
+  PoppedEvent first;
+  PoppedEvent second;
+  q.pop(&first)();
+  q.pop(&second)();
+  EXPECT_EQ(first.seq, 2u);
+  EXPECT_EQ(second.seq, 3u);
+}
+
+TEST(EventQueueReschedule, RejectsFiredCancelledAndDefaultIds) {
+  EventQueue q;
+  const EventId fired = q.schedule(Time::millis(1), [] {});
+  const EventId cancelled = q.schedule(Time::millis(2), [] {});
+  q.schedule(Time::millis(4), [] {});
+  q.pop(nullptr)();
+  EXPECT_TRUE(q.cancel(cancelled));
+  EXPECT_FALSE(q.reschedule(fired, Time::millis(3)));
+  EXPECT_FALSE(q.reschedule(cancelled, Time::millis(3)));
+  EXPECT_FALSE(q.reschedule(EventId{}, Time::millis(3)));
+  EXPECT_EQ(q.pending_time(fired), std::nullopt);
+  EXPECT_EQ(q.pending_time(cancelled), std::nullopt);
+  EXPECT_EQ(q.pending_time(EventId{}), std::nullopt);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), Time::millis(4));
+}
+
+// A reused node's old id stays stale: its generation no longer
+// matches, so a reschedule through it cannot move the new event.
+TEST(EventQueueReschedule, StaleIdOfReusedNodeIsRejected) {
+  EventQueue q;
+  const EventId old = q.schedule(Time::millis(1), [] {});
+  q.pop(nullptr)();
+  const EventId reused = q.schedule(Time::millis(2), [] {});
+  EXPECT_FALSE(q.reschedule(old, Time::millis(7)));
+  EXPECT_EQ(q.pending_time(reused), Time::millis(2));
+}
+
+TEST(SimulatorReschedule, PastTimeThrowsAndCancels) {
+  Simulator s;
+  bool ran = false;
+  s.schedule_at(Time::millis(5), [] {});
+  const EventId id = s.schedule_at(Time::millis(9), [&] { ran = true; });
+  s.run_until(Time::millis(6));
+  try {
+    s.reschedule(id, Time::millis(2));
+    FAIL() << "a past time must throw";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.code(), SimErrc::kBadSchedule);
+  }
+  EXPECT_EQ(s.pending_time(id), std::nullopt);
+  s.run();
+  EXPECT_FALSE(ran);
+}
+
+TEST(SimulatorReschedule, IdOfNoPendingEventIsAnInvariantViolation) {
+  Simulator s;
+  const EventId id = s.schedule_at(Time::millis(1), [] {});
+  s.run();
+  try {
+    s.reschedule(id, Time::millis(3));
+    FAIL() << "a fired id must throw";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.code(), SimErrc::kInvariantViolation);
+  }
+  EXPECT_EQ(s.pending_events(), 0u);
 }
 
 }  // namespace

@@ -165,6 +165,52 @@ TEST(InvariantAuditor, PeriodicAuditRunsUnderTheSimulator) {
   auditor.stop();
 }
 
+// A re-armed timer's deadline and its engine event move together, so
+// the timer check stays clean through re-arms earlier and later, and
+// an idle timer is not checked at all.
+TEST(InvariantAuditor, RearmedTimerMatchesItsEngineEvent) {
+  Rig rig;
+  int fired = 0;
+  sim::Timer timer(rig.sim, [&] { ++fired; });
+  fault::InvariantAuditor auditor(rig.sim, {.throw_on_violation = false});
+  auditor.watch_timer(timer, "rto");
+  EXPECT_EQ(auditor.check_now(), 0u);
+  timer.schedule_in(sim::Time::millis(30));
+  timer.schedule_in(sim::Time::millis(10));
+  timer.schedule_in(sim::Time::millis(50));
+  EXPECT_EQ(timer.engine_time(), sim::Time::millis(50));
+  EXPECT_EQ(auditor.check_now(), 0u);
+  rig.sim.run_until(sim::Time::millis(20));
+  timer.schedule_at(sim::Time::millis(25));
+  EXPECT_EQ(auditor.check_now(), 0u);
+  rig.sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(auditor.check_now(), 0u);
+  EXPECT_TRUE(auditor.violations().empty());
+}
+
+// Dumbbell::audit checks every link and every TCP sender's window, RTO
+// and retransmit timer mid-run without scheduling an event: the
+// pending set and the trace digest are the same before and after.
+TEST(DumbbellAudit, ChecksTcpSendersWithoutSchedulingAnEvent) {
+  sim::Simulator sim;
+  scenario::Dumbbell net(sim, scenario::DumbbellConfig{});
+  net.add_flow(scenario::FlowSpec::tcp());
+  net.add_flow(scenario::FlowSpec::sqrt(2.0));
+  net.add_flow(scenario::FlowSpec::tfrc(6));
+  net.add_reverse_traffic();
+  net.start_flows();
+  net.finalize();
+  sim.run_until(sim::Time::seconds(3.0));
+  const std::size_t pending = sim.pending_events();
+  const std::uint64_t digest = sim.trace_digest();
+  EXPECT_NO_THROW(net.audit());
+  EXPECT_EQ(sim.pending_events(), pending);
+  EXPECT_EQ(sim.trace_digest(), digest);
+  sim.run_until(sim::Time::seconds(4.0));
+  EXPECT_NO_THROW(net.audit());
+}
+
 // -- acceptance scenario -------------------------------------------
 
 struct BlackoutRun {
