@@ -54,6 +54,17 @@ class RapAgent final : public Agent {
   [[nodiscard]] sim::Time srtt() const noexcept {
     return sim::Time::seconds(srtt_s_);
   }
+  /// The send, rate-increase and loss-timeout timers, for audits
+  /// (fault::InvariantAuditor).
+  [[nodiscard]] const sim::Timer& send_timer() const noexcept {
+    return send_timer_;
+  }
+  [[nodiscard]] const sim::Timer& increase_timer() const noexcept {
+    return increase_timer_;
+  }
+  [[nodiscard]] const sim::Timer& timeout_timer() const noexcept {
+    return timeout_timer_;
+  }
 
  private:
   void on_send_timer();

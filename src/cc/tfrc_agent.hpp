@@ -48,6 +48,14 @@ class TfrcAgent final : public Agent {
   }
   [[nodiscard]] bool in_slow_start() const noexcept { return slow_start_; }
   [[nodiscard]] const TfrcConfig& config() const noexcept { return config_; }
+  /// The send and no-feedback timers, for audits
+  /// (fault::InvariantAuditor).
+  [[nodiscard]] const sim::Timer& send_timer() const noexcept {
+    return send_timer_;
+  }
+  [[nodiscard]] const sim::Timer& no_feedback_timer() const noexcept {
+    return no_feedback_timer_;
+  }
 
  private:
   void on_send_timer();

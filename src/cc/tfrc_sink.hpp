@@ -27,6 +27,10 @@ class TfrcSink final : public SinkBase {
     return history_;
   }
   [[nodiscard]] TfrcLossHistory& history() noexcept { return history_; }
+  /// The periodic feedback timer, for audits (fault::InvariantAuditor).
+  [[nodiscard]] const sim::Timer& feedback_timer() const noexcept {
+    return feedback_timer_;
+  }
 
  private:
   void send_feedback();

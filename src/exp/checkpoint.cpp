@@ -127,7 +127,7 @@ bool Checkpoint::open(const SweepSpec& spec, const std::string& policy_text,
     if (existing != policy_text && policy_warning != nullptr) {
       *policy_warning =
           "runner policy changed since the checkpoint was created "
-          "(recorded rows keep the old policy's retries/chaos)";
+          "(recorded rows keep the old policy's budgets)";
     }
   }
   // Always record the latest policy.

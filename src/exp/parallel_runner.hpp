@@ -9,55 +9,24 @@
 
 namespace slowcc::exp {
 
-/// Fault-tolerance policy applied to every trial the runner executes.
-///
-/// Everything here is deterministic per (trial_id, attempt) — chaos
-/// rolls and retry seeds derive from fixed sub-streams — so the
-/// jobs=1 == jobs=N byte-identity the subsystem guarantees extends to
-/// sweeps with injected failures and retries. The one deliberate
-/// exception is `max_trial_wall_seconds`: a wall-clock backstop is
-/// nondeterministic by nature and must be sized so it only fires on
-/// genuinely hung trials.
+/// Per-trial budgets applied to every trial the runner executes. A
+/// trial that crosses one is quarantined as a failed row; it is never
+/// retried, so a cell's replicates are always the seeds its grid
+/// derived. 0 leaves a budget unlimited.
 struct RunnerPolicy {
-  /// Attempts per trial (>= 1). Attempt k > 0 re-runs the trial with a
-  /// seed from a dedicated retry sub-stream (see retry_seed()), so a
-  /// deterministic failure fails every attempt while a
-  /// randomness-sensitive one gets fresh draws.
-  int max_attempts = 1;
-  /// Probability in [0, 1] that an attempt is synthetically failed
-  /// (kTrialAborted) before it runs — the chaos self-test mode that
-  /// exercises quarantine/retry/resume end to end. Rolled
-  /// deterministically from (chaos_seed, trial_id, attempt).
-  double chaos_rate = 0.0;
-  /// Base of the chaos roll stream (conventionally derived from the
-  /// spec's base_seed; only read when chaos_rate > 0).
-  std::uint64_t chaos_seed = 0;
-  /// Per-Simulator event budget for each attempt; exceeding it makes
-  /// the attempt a kDeadlineExceeded failure. 0 = unlimited.
+  /// Per-Simulator event budget; exceeding it makes the trial a
+  /// kDeadlineExceeded failure. Deterministic.
   std::uint64_t max_trial_events = 0;
   /// Per-Simulator wall-clock budget (seconds) enforced by an attached
-  /// Watchdog. 0 = unlimited.
+  /// Watchdog. Nondeterministic by nature: size it so it only fires on
+  /// genuinely hung trials.
   double max_trial_wall_seconds = 0.0;
-  /// Watchdog check cadence for the wall budget.
-  std::uint64_t deadline_check_every = 1024;
   /// Per-Simulator modeled-memory budget (bytes) enforced by the
-  /// ResourceGovernor; exceeding it makes the attempt a
+  /// ResourceGovernor; exceeding it makes the trial a
   /// kResourceExhausted failure. Deterministic (the model counts
-  /// logical events/packets/bytes, never RSS). 0 = unlimited.
+  /// logical events/packets/bytes, never RSS).
   std::uint64_t max_trial_bytes = 0;
-  /// Soft-watermark fraction of max_trial_bytes (see ResourceGovernor).
-  double mem_watermark_fraction = 0.85;
-  /// Cap on per-trial admission weights (see set_weight_fn); weights
-  /// are clamped to [1, trial_weight_cap]. Must be >= 1.
-  int trial_weight_cap = 4;
 };
-
-/// Seed for retry attempt `attempt` (>= 1) of a trial originally
-/// seeded `trial_seed`: a two-level derivation through a dedicated
-/// stream constant, so retry streams can never collide with the
-/// scenario-internal sub-streams fanned out of the trial seed.
-[[nodiscard]] std::uint64_t retry_seed(std::uint64_t trial_seed,
-                                       int attempt) noexcept;
 
 /// Concurrent trial executor.
 ///
@@ -72,21 +41,19 @@ struct RunnerPolicy {
 /// independent of scheduling: `jobs=1` and `jobs=N` produce identical
 /// rows in identical (trial-id) order.
 ///
-/// Fault tolerance: every attempt runs inside a quarantine. A throwing
-/// trial (sim::SimError or any std::exception) becomes a structured
-/// failure row — error message, error_kind, attempts — never a
+/// Fault tolerance: each trial runs once, inside a quarantine. A
+/// throwing trial (sim::SimError or any std::exception) becomes a
+/// structured failure row — error message and error_kind — never a
 /// propagated exception, so a sweep always yields exactly
 /// `trials.size()` rows plus a complete failure record. The policy
-/// adds bounded retries, per-trial deadlines (event budget + wall
-/// clock), and deterministic chaos injection.
+/// adds per-trial budgets (events, wall clock, modeled memory).
 class ParallelRunner {
  public:
   /// Progress observer, called after each completed trial with
   /// (completed, total). Invoked under an internal mutex, so it may
   /// write to a terminal without interleaving; keep it fast.
   using Progress = std::function<void(std::size_t, std::size_t)>;
-  /// Row observer, called with each finished row (all attempts done)
-  /// in completion order, under the same internal mutex — the
+  /// Row observer, called with each finished row in completion order, under the same internal mutex — the
   /// checkpoint journal hook. Completion order differs between runs;
   /// consumers must key on trial_id, not position.
   using OnRow = std::function<void(const Row&)>;
@@ -102,23 +69,13 @@ class ParallelRunner {
   void set_progress(Progress progress) { progress_ = std::move(progress); }
   void set_on_row(OnRow on_row) { on_row_ = std::move(on_row); }
 
-  /// Admission weight per trial (default: every trial weighs 1). A
-  /// weight-w trial occupies w units of the runner's admission
-  /// capacity (= jobs), so memory-heavy trials can't all run
-  /// concurrently: at weight == jobs a trial runs alone. Weights are
-  /// clamped to [1, min(trial_weight_cap, jobs)] — admission only
-  /// throttles scheduling, never affects row content, so byte-identity
-  /// across jobs/weights holds.
-  using WeightFn = std::function<int(const TrialDesc&)>;
-  void set_weight_fn(WeightFn weight_fn) { weight_fn_ = std::move(weight_fn); }
-
   /// Throws sim::SimError (kBadConfig) on an invalid policy.
   void set_policy(const RunnerPolicy& policy);
   [[nodiscard]] const RunnerPolicy& policy() const noexcept {
     return policy_;
   }
 
-  /// Execute `fn` over every trial under the quarantine/retry policy.
+  /// Execute `fn` over every trial under the quarantine and budgets.
   [[nodiscard]] std::vector<Row> run(
       const std::vector<TrialDesc>& trials,
       const std::function<Row(const TrialDesc&)>& fn) const;
@@ -135,7 +92,6 @@ class ParallelRunner {
   RunnerPolicy policy_;
   Progress progress_;
   OnRow on_row_;
-  WeightFn weight_fn_;
 };
 
 }  // namespace slowcc::exp

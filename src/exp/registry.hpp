@@ -24,11 +24,6 @@ struct Experiment {
   /// each with its default ("name=default" strings, documentation).
   std::vector<std::string> params;
   std::function<Row(const TrialDesc&)> run;
-  /// Admission weight: how many of the runner's `jobs` capacity units
-  /// one trial of this experiment occupies (ParallelRunner's weighted
-  /// admission — memory-heavy experiments should not all run at once).
-  /// Default 1 = no throttling; spec files set it via [limits] weight.
-  int weight = 1;
 };
 
 /// Every registered experiment: the built-ins in stable order,

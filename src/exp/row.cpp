@@ -35,7 +35,7 @@ std::string Row::to_json() const {
     if (!outcome.error_kind.empty()) o.add("error_kind", outcome.error_kind);
     // Peak-usage fields ride only on resource-exhausted rows: they are
     // deterministic (governor model state, not RSS) and let a sweep
-    // reader see how far past the watermark the trial got.
+    // reader see how far past the budget the trial got.
     if (outcome.error_kind == "resource-exhausted") {
       o.add("peak_live_events", outcome.peak_live_events)
           .add("peak_live_packets", outcome.peak_live_packets)

@@ -20,17 +20,16 @@ struct TrialOutcome {
   /// Failure class: sim::to_string(SimErrc) for SimError failures,
   /// "exception" for anything else. Empty when ok.
   std::string error_kind;
-  /// attempts made (1 = first try succeeded; > 1 only with a retrying
-  /// runner policy).
+  /// Attempts made. ParallelRunner runs each trial once, so this is 1;
+  /// rows serialize it only when it is above 1.
   int attempts = 1;
-  /// Wall-clock cost of the trial, all attempts included (manifest
-  /// only — not serialized into rows).
+  /// Wall-clock cost of the trial (manifest only — not serialized into
+  /// rows).
   double wall_ms = 0.0;
-  /// Simulator events executed by the trial, all attempts included
-  /// (manifest only).
+  /// Simulator events executed by the trial (manifest only).
   std::uint64_t events = 0;
-  /// Peak resource-model usage observed by the ResourceGovernor across
-  /// the trial's attempts. Derived from logical simulation state, so
+  /// Peak resource-model usage observed by the ResourceGovernor during
+  /// the trial. Derived from logical simulation state, so
   /// deterministic — serialized into the row (only on resource-
   /// exhausted failures, so budget-free sweeps keep their bytes).
   std::uint64_t peak_live_events = 0;
@@ -58,7 +57,7 @@ struct Row {
   /// Non-empty when the trial failed; metrics are then meaningless.
   /// Mirrors `outcome`: error.empty() == outcome.ok.
   std::string error;
-  /// Structured execution record (quarantine/retry/deadline metadata).
+  /// Structured execution record (quarantine/deadline metadata).
   TrialOutcome outcome;
 
   /// Numeric axis values (e.g. {"bandwidth_mbps", 15}) — duplicated

@@ -24,11 +24,6 @@ struct TrialDesc {
   std::vector<std::pair<std::string, double>> params;
   int trial_index = 0;  // 0..trials-1 within this grid cell
   std::uint64_t seed = 0;
-  /// Retry attempt this descriptor is running as (0 = first try). Set
-  /// by the runner's retry loop; never part of the grid or cell key.
-  /// On retries `seed` is re-derived on a dedicated sub-stream, so a
-  /// retried trial sees fresh randomness but the same grid point.
-  int attempt = 0;
   /// Multiplier on every warmup/measure duration — lets tests and smoke
   /// sweeps run the full pipeline in milliseconds of simulated time.
   double duration_scale = 1.0;

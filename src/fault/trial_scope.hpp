@@ -14,16 +14,11 @@ struct TrialDeadlineConfig {
   /// turns hung trials into kDeadlineExceeded rows, never a tuning
   /// knob for passing trials). 0 = unlimited.
   double max_wall_seconds = 0.0;
-  /// Watchdog check cadence for the wall-clock budget.
-  std::uint64_t check_every_events = 1024;
   /// Modeled-memory budget per Simulator, enforced by its
   /// ResourceGovernor (deterministic: the model is a function of live
-  /// events/packets/queued bytes, never of real RSS). Crossing
-  /// `watermark_fraction` of the budget fires the governor's soft
-  /// callback; crossing the budget throws SimError(kResourceExhausted).
-  /// 0 = unlimited.
+  /// events/packets/queued bytes, never of real RSS). Crossing it
+  /// throws SimError(kResourceExhausted). 0 = unlimited.
   std::uint64_t max_bytes = 0;
-  double watermark_fraction = 0.85;
 };
 
 /// RAII guard that arms trial deadlines on the *current thread*: while

@@ -297,11 +297,23 @@ void Dumbbell::audit() {
   fault::InvariantAuditor auditor(sim_);
   auditor.watch_topology(topo_);
   for (const Flow& f : flows_) {
-    const auto* tcp = dynamic_cast<const cc::TcpAgent*>(f.agent);
-    if (tcp == nullptr) continue;
     const std::string name = "flow#" + std::to_string(f.id);
-    check_tcp_agent(*tcp, name);
-    auditor.watch_timer(tcp->rto_timer(), name + " rto");
+    if (const auto* tcp = dynamic_cast<const cc::TcpAgent*>(f.agent)) {
+      check_tcp_agent(*tcp, name);
+      auditor.watch_timer(tcp->rto_timer(), name + " rto");
+    } else if (const auto* rap = dynamic_cast<const cc::RapAgent*>(f.agent)) {
+      auditor.watch_timer(rap->send_timer(), name + " rap send");
+      auditor.watch_timer(rap->increase_timer(), name + " rap increase");
+      auditor.watch_timer(rap->timeout_timer(), name + " rap timeout");
+    } else if (const auto* tfrc =
+                   dynamic_cast<const cc::TfrcAgent*>(f.agent)) {
+      auditor.watch_timer(tfrc->send_timer(), name + " tfrc send");
+      auditor.watch_timer(tfrc->no_feedback_timer(),
+                          name + " tfrc no-feedback");
+    }
+    if (const auto* sink = dynamic_cast<const cc::TfrcSink*>(f.sink)) {
+      auditor.watch_timer(sink->feedback_timer(), name + " tfrc feedback");
+    }
   }
   auditor.check_now();
 }

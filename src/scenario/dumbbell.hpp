@@ -122,10 +122,12 @@ class Dumbbell {
   void finalize();
 
   /// One end-of-run audit of every link (packet conservation and queue
-  /// sanity, fault::InvariantAuditor::check_now) and of every TCP
-  /// sender: cwnd >= 1, min_rto <= RTO <= max_rto, snd_una <=
-  /// next_seq, and a pending RTO timer whose deadline matches its
-  /// engine event and is not in the past. It schedules no
+  /// sanity, fault::InvariantAuditor::check_now) and of every sender:
+  /// a TCP sender keeps cwnd >= 1, min_rto <= RTO <= max_rto and
+  /// snd_una <= next_seq, and every pending agent timer (TCP's RTO;
+  /// RAP's send, increase and timeout; TFRC's send and no-feedback;
+  /// the TFRC sink's feedback) has a deadline that matches its engine
+  /// event and is not in the past. It schedules no
   /// event, so trace digests are unchanged; a violation throws
   /// sim::SimError(kInvariantViolation), which the sweep runner
   /// quarantines as a failed row. Every trial driver calls it after its

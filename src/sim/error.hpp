@@ -24,9 +24,9 @@ enum class SimErrc {
   kBudgetExceeded,      // Watchdog event-count or wall-clock budget hit
   kDeadlineExceeded,    // a per-trial deadline (event budget or wall
                         // clock) turned a hung simulation into an error
-  kTrialAborted,        // a trial was cancelled or failed by injection
-                        // (chaos self-test, failure-injecting test
-                        // experiments)
+  kTrialAborted,        // a trial was cancelled or failed on purpose
+                        // (the test-only failure-injecting `poison`
+                        // experiment)
   kBadSpec,             // a declarative scenario spec failed to parse,
                         // validate, or compile (src/spec/); the message
                         // carries file:line and the offending key

@@ -1,7 +1,6 @@
 #include "sim/resource.hpp"
 
 #include <string>
-#include <utility>
 
 #include "sim/error.hpp"
 
@@ -27,19 +26,8 @@ void raise_peaks(ResourceUsage& peaks, const ResourceUsage& usage) noexcept {
 
 }  // namespace
 
-void ResourceGovernor::set_budget(std::uint64_t max_bytes,
-                                  double watermark_fraction,
-                                  WatermarkCallback on_watermark) {
-  if (!(watermark_fraction > 0.0) || watermark_fraction > 1.0) {
-    throw SimError(SimErrc::kBadConfig, "ResourceGovernor",
-                   "set_budget: watermark_fraction must be in (0, 1], got " +
-                       std::to_string(watermark_fraction));
-  }
+void ResourceGovernor::set_budget(std::uint64_t max_bytes) noexcept {
   max_bytes_ = max_bytes;
-  watermark_bytes_ = static_cast<std::uint64_t>(
-      static_cast<double>(max_bytes) * watermark_fraction);
-  watermark_fired_ = false;
-  on_watermark_ = std::move(on_watermark);
   peaks_ = ResourceUsage{};
 }
 
@@ -51,18 +39,7 @@ void ResourceGovernor::poll(std::uint64_t live_events) {
   usage.bytes_estimate = bytes_estimate(live_events);
   raise_peaks(peaks_, usage);
   raise_peaks(t_peaks, usage);
-  if (max_bytes_ == 0) return;
-  if (!watermark_fired_ && usage.bytes_estimate >= watermark_bytes_) {
-    watermark_fired_ = true;
-    if (on_watermark_) on_watermark_(usage);
-    // Re-read the counters: the callback may have shed load (dropped
-    // queued packets, cancelled events); give that effect a chance to
-    // keep the trial under the ceiling before we re-check it.
-    usage.live_packets = live_packets();
-    usage.queued_bytes = queued_bytes();
-    usage.bytes_estimate = bytes_estimate(live_events);
-  }
-  if (usage.bytes_estimate > max_bytes_) {
+  if (max_bytes_ != 0 && usage.bytes_estimate > max_bytes_) {
     throw SimError(
         SimErrc::kResourceExhausted, "ResourceGovernor",
         "modeled footprint " + std::to_string(usage.bytes_estimate) +

@@ -2,11 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-
-// slowcc-lint: allow-file(no-std-function-hot-path) the watermark slot
-// is per-Simulator control-plane state fired at most once per arming;
-// the per-event cost of the governor is the inline counter updates.
 
 namespace slowcc::sim {
 
@@ -37,20 +32,16 @@ struct ResourceUsage {
 ///
 /// From those it models a byte footprint (see ResourceUsage). When a
 /// budget is armed, `Simulator::run_until` polls the governor between
-/// events: crossing the soft watermark fires a callback once (agents
-/// and queues can shed load through existing drop paths); crossing the
-/// hard ceiling throws SimError(kResourceExhausted) with a
-/// deterministic detail string.
+/// events, and crossing the ceiling throws SimError(kResourceExhausted)
+/// with a deterministic detail string.
 ///
 /// The model is intentionally coarse — the point is not byte-accurate
 /// RSS accounting but a deterministic proxy that
 /// aborts the same trial at the same event on every run. It does not
-/// watch the process's real RSS; the per-trial budget and the
-/// runner's admission weights are the only memory defense.
+/// watch the process's real RSS; the per-trial budget is the only
+/// memory defense.
 class ResourceGovernor {
  public:
-  using WatermarkCallback = std::function<void(const ResourceUsage&)>;
-
   /// Modeled per-object footprints (bytes). Deliberately round numbers:
   /// a pooled event-queue node is ~72 bytes, a
   /// Packet with bookkeeping ~100-150. Changing them changes which
@@ -60,13 +51,8 @@ class ResourceGovernor {
   static constexpr std::uint64_t kPacketFootprintBytes = 128;
 
   /// Arm (or re-arm) the budget: `max_bytes` is the hard ceiling for
-  /// the modeled footprint, 0 disarms. `watermark_fraction` of the
-  /// ceiling is the soft watermark; the callback (optional) fires once
-  /// per arming when the model first crosses it. Re-arming resets the
-  /// fired flag. Throws SimError(kBadConfig) on a fraction outside
-  /// (0, 1].
-  void set_budget(std::uint64_t max_bytes, double watermark_fraction = 0.85,
-                  WatermarkCallback on_watermark = nullptr);
+  /// the modeled footprint, 0 disarms. Re-arming resets the peaks.
+  void set_budget(std::uint64_t max_bytes) noexcept;
 
   [[nodiscard]] bool armed() const noexcept { return max_bytes_ != 0; }
   [[nodiscard]] std::uint64_t max_bytes() const noexcept { return max_bytes_; }
@@ -98,9 +84,8 @@ class ResourceGovernor {
   }
 
   /// Budget check, called by Simulator::run_until after each event when
-  /// armed. Updates instance and thread-local peaks, fires the
-  /// watermark callback once, and throws SimError(kResourceExhausted)
-  /// when the model crosses the ceiling.
+  /// armed. Updates instance and thread-local peaks and throws
+  /// SimError(kResourceExhausted) when the model crosses the ceiling.
   void poll(std::uint64_t live_events);
 
   /// Running peaks since construction / the last re-arm.
@@ -117,10 +102,7 @@ class ResourceGovernor {
  private:
   const std::size_t* live_packets_ = nullptr;
   const std::uint64_t* live_bytes_ = nullptr;
-  std::uint64_t max_bytes_ = 0;        // 0 = disarmed
-  std::uint64_t watermark_bytes_ = 0;  // soft threshold when armed
-  bool watermark_fired_ = false;
-  WatermarkCallback on_watermark_;
+  std::uint64_t max_bytes_ = 0;  // 0 = disarmed
   ResourceUsage peaks_;
 };
 

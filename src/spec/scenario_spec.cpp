@@ -486,13 +486,9 @@ LimitsSection parse_limits_section(const TomlDoc& doc) {
   SectionReader r(*t, doc.source);
   s.max_events = r.int_or("max_events", s.max_events);
   s.max_bytes = r.int_or("max_bytes", s.max_bytes);
-  s.weight = r.int_or("weight", s.weight);
   if (s.max_events < 0 || s.max_bytes < 0) {
     spec_error(doc.source, t->line,
                "[limits] budgets must be >= 0 (0 = unset)");
-  }
-  if (s.weight < 1) {
-    spec_error(doc.source, t->line, "key 'weight': must be >= 1");
   }
   r.finish("limits");
   return s;

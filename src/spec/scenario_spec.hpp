@@ -160,14 +160,11 @@ struct FaultSection {
   Num duplicate_probability;  // default 0
 };
 
-/// [limits] — per-trial resource-governance declarations (PR 8). All
-/// optional; 0 means "no opinion" and leaves the runner policy alone.
-/// `weight` feeds the runner's admission semaphore: a weight-w trial
-/// occupies w of the --jobs capacity units while it runs.
+/// [limits] — per-trial budgets. Both optional; 0 means "no opinion"
+/// and leaves the runner policy alone.
 struct LimitsSection {
   std::int64_t max_events = 0;  // per-trial event budget (0 = unset)
   std::int64_t max_bytes = 0;   // per-trial modeled-memory budget
-  std::int64_t weight = 1;      // admission weight (>= 1)
 };
 
 /// [metrics] — which metric families the run reports.

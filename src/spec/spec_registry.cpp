@@ -51,11 +51,9 @@ exp::Experiment make_spec_experiment(
     def << p.name << "=" << p.default_value;
     e.params.push_back(def.str());
   }
-  // [limits] weight feeds the runner's admission semaphore (parse
-  // guarantees >= 1); the byte/event budgets are applied by the CLI as
-  // policy defaults, not here, so one thread-level deadline guard stays
-  // in charge of every trial.
-  e.weight = static_cast<int>(spec->limits.weight);
+  // The [limits] budgets are applied by the CLI as policy defaults,
+  // not here, so one thread-level deadline guard stays in charge of
+  // every trial.
   e.run = [spec = std::move(spec)](const exp::TrialDesc& d) {
     SpecRunOptions opt;
     opt.algorithm = d.algorithm;

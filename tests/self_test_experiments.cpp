@@ -1,7 +1,7 @@
 // Self-test experiments: `poison` and `membomb` fail, spin, sleep or
 // grow without bound on purpose, so the sweep machinery's quarantine,
-// retry, deadline, checkpoint and resource-budget paths can be driven
-// end to end. They are test scaffolding, not workloads, so they live
+// deadline, checkpoint and resource-budget paths can be driven end to
+// end. They are test scaffolding, not workloads, so they live
 // here instead of in the production registry (src/exp/registry.cpp).
 //
 // This file is linked into slowcc_tests and into slowcc_sweep_selftest
@@ -17,22 +17,28 @@
 #include <thread>
 
 #include "exp/registry.hpp"
+#include "exp/seed.hpp"
 #include "net/drop_tail_queue.hpp"
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
 #include "sim/error.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace slowcc::exp {
 namespace {
 
+// Sub-stream of a trial's seed for poison's fail_rate roll.
+constexpr std::uint64_t kFailRateStream = 0x6661696c;  // "fail"
+
 /// Deterministic failure injector for crash-safety self-tests: fails
-/// in controlled, reproducible ways so the quarantine / retry /
+/// in controlled, reproducible ways so the quarantine / deadline /
 /// checkpoint machinery can be exercised end to end without a flaky
 /// real workload. Failure knobs:
-///   boom=1        -> throw kTrialAborted on every attempt
-///   heal_after=K  -> throw kTrialAborted while attempt < K (succeeds
-///                    on attempt K when the runner retries enough)
+///   boom=1        -> throw kTrialAborted on every trial
+///   fail_rate=P   -> throw kTrialAborted on a fraction P of trials,
+///                    rolled from the trial's seed (so the same trials
+///                    fail on every run, whatever --jobs is)
 ///   spin=1        -> schedule events forever; only a trial deadline
 ///                    (event budget / wall clock) ends the run
 ///   sleep_ms=T    -> hold the worker for T real milliseconds first
@@ -45,18 +51,16 @@ Row run_poison(const TrialDesc& d) {
         std::chrono::duration<double, std::milli>(sleep_ms));
   }
   if (d.param("boom", 0.0) != 0.0) {
-    throw sim::SimError(sim::SimErrc::kTrialAborted, "poison",
-                        "boom (trial_index " +
-                            std::to_string(d.trial_index) + ", attempt " +
-                            std::to_string(d.attempt) + ")");
+    throw sim::SimError(
+        sim::SimErrc::kTrialAborted, "poison",
+        "boom (trial_index " + std::to_string(d.trial_index) + ")");
   }
-  if (d.attempt < static_cast<int>(d.param("heal_after", 0.0))) {
-    throw sim::SimError(sim::SimErrc::kTrialAborted, "poison",
-                        "failing until attempt " +
-                            std::to_string(static_cast<int>(
-                                d.param("heal_after", 0.0))) +
-                            " (at attempt " + std::to_string(d.attempt) +
-                            ")");
+  const double fail_rate = d.param("fail_rate", 0.0);
+  if (fail_rate > 0.0 &&
+      sim::Rng(derive_seed(d.seed, kFailRateStream)).chance(fail_rate)) {
+    throw sim::SimError(
+        sim::SimErrc::kTrialAborted, "poison",
+        "fail_rate roll (trial_index " + std::to_string(d.trial_index) + ")");
   }
   sim::Simulator sim;  // picks up any ambient trial deadline
   const bool spin = d.param("spin", 0.0) != 0.0;
@@ -71,7 +75,6 @@ Row run_poison(const TrialDesc& d) {
   Row r;
   r.set("value", static_cast<double>(d.seed % 1000));
   r.set("events_run", static_cast<double>(sim.events_executed()));
-  r.set("attempt", static_cast<double>(d.attempt));
   return r;
 }
 
@@ -144,10 +147,10 @@ Row run_membomb(const TrialDesc& d) {
 [[maybe_unused]] const bool kRegistered = [] {
   register_experiment(
       {"poison",
-       "deterministic failure injector exercising quarantine, retries, "
+       "deterministic failure injector exercising quarantine, "
        "deadlines, and checkpoint/resume (self-test only)",
-       {"value", "events_run", "attempt"},
-       {"boom=0", "heal_after=0", "spin=0", "sleep_ms=0", "events=32"},
+       {"value", "events_run"},
+       {"boom=0", "fail_rate=0", "spin=0", "sleep_ms=0", "events=32"},
        run_poison});
   register_experiment(
       {"membomb",
@@ -157,8 +160,7 @@ Row run_membomb(const TrialDesc& d) {
        {"value", "events_run", "queued_pkts"},
        {"bomb=0", "bomb_trial=-1", "pkts_per_event=16", "events=256",
         "sleep_ms=0"},
-       run_membomb,
-       /*weight=*/2});
+       run_membomb});
   return true;
 }();
 

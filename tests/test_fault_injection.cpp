@@ -211,6 +211,28 @@ TEST(DumbbellAudit, ChecksTcpSendersWithoutSchedulingAnEvent) {
   EXPECT_NO_THROW(net.audit());
 }
 
+// The same audit watches the rate-based senders' timers (RAP's send,
+// increase and timeout; TFRC's send and no-feedback) and the TFRC
+// sink's feedback timer, again without scheduling an event. No TCP
+// flow runs here, so these timers are the only ones the audit watches.
+TEST(DumbbellAudit, ChecksRateBasedTimersWithoutSchedulingAnEvent) {
+  sim::Simulator sim;
+  scenario::Dumbbell net(sim, scenario::DumbbellConfig{});
+  net.add_flow(scenario::FlowSpec::rap(2.0));
+  net.add_flow(scenario::FlowSpec::tfrc(6));
+  net.add_flow(scenario::FlowSpec::tfrc(256, /*conservative=*/true));
+  net.start_flows();
+  net.finalize();
+  for (const double t : {0.25, 3.0, 4.0}) {
+    sim.run_until(sim::Time::seconds(t));
+    const std::size_t pending = sim.pending_events();
+    const std::uint64_t digest = sim.trace_digest();
+    EXPECT_NO_THROW(net.audit()) << "at t=" << t;
+    EXPECT_EQ(sim.pending_events(), pending);
+    EXPECT_EQ(sim.trace_digest(), digest);
+  }
+}
+
 // -- acceptance scenario -------------------------------------------
 
 struct BlackoutRun {

@@ -1,7 +1,7 @@
 // ResourceGovernor: the per-trial memory model that turns "this trial
 // is eating the machine" into a deterministic SimError instead of an
-// OOM-kill. Covers the watermark-before-ceiling ordering, the ceiling
-// abort, counter balance at teardown (including a queue destroyed
+// OOM-kill. Covers the ceiling abort and its determinism, counter
+// balance at teardown (including a queue destroyed
 // while still holding packets), the packet model read from the
 // simulation's PacketPool, and the thread-local peaks the trial
 // harness reads after the Simulator is gone.
@@ -70,15 +70,6 @@ TEST(ResourceGovernor, BytesEstimateFollowsTheDocumentedModel) {
   EXPECT_EQ(g.bytes_estimate(0), 0u);
 }
 
-TEST(ResourceGovernor, RejectsWatermarkFractionOutsideUnitInterval) {
-  ResourceGovernor g;
-  EXPECT_THROW(g.set_budget(1 << 20, 0.0), SimError);
-  EXPECT_THROW(g.set_budget(1 << 20, 1.5), SimError);
-  EXPECT_THROW(g.set_budget(1 << 20, -0.1), SimError);
-  g.set_budget(1 << 20, 1.0);  // boundary is valid
-  EXPECT_TRUE(g.armed());
-}
-
 TEST(ResourceGovernor, CeilingAbortThrowsResourceExhausted) {
   Simulator sim;
   net::DropTailQueue queue(std::size_t{1} << 20);
@@ -116,67 +107,6 @@ TEST(ResourceGovernor, AbortEventIsDeterministic) {
   const std::uint64_t first = events_at_abort();
   ASSERT_GT(first, 0u);
   EXPECT_EQ(events_at_abort(), first);
-}
-
-TEST(ResourceGovernor, WatermarkFiresOnceAndBeforeTheCeiling) {
-  Simulator sim;
-  net::DropTailQueue queue(std::size_t{1} << 20);
-  queue.attach_pool(&net::PacketPool::of(sim));
-
-  constexpr std::uint64_t kBudget = 64 * 1024;
-  std::vector<ResourceUsage> watermark_hits;
-  std::uint64_t events_at_watermark = 0;
-  sim.governor().set_budget(kBudget, 0.5,
-                            [&](const ResourceUsage& usage) {
-                              watermark_hits.push_back(usage);
-                              events_at_watermark = sim.events_executed();
-                            });
-
-  auto tick = std::make_shared<std::function<void()>>();
-  arm_bomb(sim, queue, tick, 16, 1500);
-  std::uint64_t events_at_abort = 0;
-  try {
-    sim.run_until(Time::seconds(10));
-  } catch (const SimError& ex) {
-    ASSERT_EQ(ex.code(), SimErrc::kResourceExhausted);
-    events_at_abort = sim.events_executed();
-  }
-  ASSERT_EQ(watermark_hits.size(), 1u) << "watermark must fire exactly once";
-  EXPECT_GE(watermark_hits[0].bytes_estimate, kBudget / 2);
-  EXPECT_LT(watermark_hits[0].bytes_estimate, kBudget);
-  EXPECT_LT(events_at_watermark, events_at_abort)
-      << "soft watermark must precede the hard ceiling";
-}
-
-TEST(ResourceGovernor, WatermarkSheddingCanAvertTheAbort) {
-  Simulator sim;
-  net::DropTailQueue queue(std::size_t{1} << 20);
-  queue.attach_pool(&net::PacketPool::of(sim));
-
-  // The callback drains the queue and tells the producer to back off —
-  // the governor re-reads the counters after it runs, so shedding below
-  // the ceiling lets the trial finish. (The watermark fires once per
-  // arming; a producer that keeps growing past it still hits the
-  // ceiling, which CeilingAbortThrowsResourceExhausted covers.)
-  bool shed = false;
-  sim.governor().set_budget(64 * 1024, 0.5, [&](const ResourceUsage&) {
-    shed = true;
-    while (dequeue_value(queue).has_value()) {
-    }
-  });
-
-  int ticks = 0;
-  std::function<void()> tick = [&] {
-    if (!shed) {
-      for (int i = 0; i < 16; ++i) {
-        (void)enqueue_value(queue, make_packet(sim, 1500));
-      }
-    }
-    if (++ticks < 64) sim.schedule_in(Time::millis(1), tick);
-  };
-  sim.schedule_in(Time::millis(1), tick);
-  EXPECT_NO_THROW(sim.run());
-  EXPECT_TRUE(shed);
 }
 
 TEST(ResourceGovernor, CountersBalanceToZeroAfterACleanTrial) {

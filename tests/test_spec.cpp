@@ -81,6 +81,17 @@ TEST(SpecParser, UnknownKeyReportsItsOwnLine) {
   EXPECT_NE(msg.find("test.toml:4"), std::string::npos) << msg;
 }
 
+// [limits] holds budgets only: `weight` is an unknown key there, and
+// the error names it.
+TEST(SpecParser, LimitsWeightIsAnUnknownKey) {
+  const std::string msg =
+      error_of(std::string(kValid) + "[limits]\nweight = 2\n");
+  EXPECT_NE(msg.find("unknown key 'weight' in [limits]"), std::string::npos)
+      << msg;
+  EXPECT_EQ(error_of(std::string(kValid) + "[limits]\nmax_events = 10\n"),
+            "");
+}
+
 TEST(SpecParser, UnknownSectionIsRejectedByName) {
   const std::string msg = error_of(std::string(kValid) + "[faultz]\nx = 1\n");
   EXPECT_NE(msg.find("unknown section [faultz]"), std::string::npos) << msg;

@@ -9,9 +9,11 @@
 #      -Wrestrict false positives) the default build type does not
 #   4. slowcc_lint over the tree (the `lint` target)
 #   5. clang-tidy (`tidy` target; no-op when clang-tidy is absent)
-#   6. ctest tier-1 suite (includes sweep_chaos_smoke: a chaos-injected
-#      --jobs 4 --resume sweep SIGKILLed mid-grid and resumed must match
-#      the uninterrupted --jobs 1 output byte-for-byte; spec_smoke: the
+#   6. ctest tier-1 suite (includes sweep_chaos_smoke: a poison sweep
+#      whose trials fail at a seed-derived rate (fail_rate), run as a
+#      --jobs 4 --resume sweep SIGKILLed mid-grid and resumed, must match
+#      the uninterrupted --jobs 1 output byte-for-byte; the
+#      sweep_rejects_* tests: malformed budget flags exit 2; spec_smoke: the
 #      specs/ library vs its committed golden digests plus spec-driven
 #      sweep determinism; and overload_smoke: a memory-bomb trial under
 #      --trial-max-bytes must quarantine as resource-exhausted with

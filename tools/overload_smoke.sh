@@ -4,9 +4,10 @@
 # stops it. One trial of the grid is the bomb (bomb_trial=1); the rest
 # are healthy. The contract under test:
 #
-#   1  The bomb is quarantined as resource-exhausted after exactly one
-#      half-budget retry, its row carries the peak_* usage fields, and
-#      every healthy row is untouched by the governor.
+#   1  The bomb is quarantined as resource-exhausted on its one
+#      attempt (no retry), its row carries the peak_* usage fields with
+#      a peak above the 64 KiB budget, and every healthy row is
+#      untouched by the governor.
 #   2  The canonical trials.*/cells.* files are byte-identical across
 #      --jobs 1, --jobs 4, and a --resume run that is SIGKILLed while
 #      the bomb is mid-flight and then resumed — overload handling must
@@ -55,9 +56,16 @@ check_journal() {
   grep '"error_kind":"resource-exhausted"' "$journal" \
       | grep -q '"peak_bytes_estimate"' \
     || fail "$label: quarantined row is missing its peak-usage fields"
+  # One attempt: the row has no "attempts" key (it is written only
+  # above 1), and the peak that tripped the abort is over 64 KiB.
   grep '"error_kind":"resource-exhausted"' "$journal" \
-      | grep -q '"attempts":2' \
-    || fail "$label: bomb was not retried once at half budget"
+      | grep -q '"attempts"' \
+    && fail "$label: bomb row carries an attempts key (was it retried?)"
+  local peak
+  peak=$(grep '"error_kind":"resource-exhausted"' "$journal" \
+      | sed -n 's/.*"peak_bytes_estimate":\([0-9]*\).*/\1/p')
+  [[ -n "$peak" && "$peak" -gt 65536 ]] \
+    || fail "$label: bomb peak_bytes_estimate '$peak' is not above 65536"
   # Healthy rows must not leak governor bookkeeping into the journal.
   if grep -v '"error_kind"' "$journal" | grep -q '"peak_'; then
     fail "$label: a healthy row carries peak_* fields"
@@ -82,7 +90,7 @@ compare_canonical() {
   done
 }
 
-# ---- Threaded run: same bytes with the admission gate in play ------
+# ---- Threaded run: same bytes with four workers --------------------
 run_expect_quarantine "jobs 4" "${common[@]}" --jobs 4 \
   --resume "$work/par"
 compare_canonical "$work/par" "jobs 4"

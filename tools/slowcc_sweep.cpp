@@ -2,8 +2,9 @@
 //
 // Expands a parameter grid (algorithm x bandwidth x RTT x swept
 // parameter x trials) over one registered experiment, runs every trial
-// concurrently with a work-stealing thread pool under a quarantine
-// (one throwing or hung trial becomes a failure row, never an abort),
+// once, concurrently, with a work-stealing thread pool under a
+// quarantine (one throwing, hung or over-budget trial becomes a
+// failure row, never an abort or a retry),
 // and reduces the rows to per-cell statistics (mean / stddev / 95% CI
 // / percentiles) plus a per-cell failure manifest.
 //
@@ -14,8 +15,8 @@
 //   slowcc_sweep --experiment oscillation --algorithms tcp:8,tcp:2,tfrc:6
 //       --sweep on_off_length=0.05,0.2,0.8 --trials 3 --out /tmp/fig14
 //   slowcc_sweep --spec sweep.spec --jobs 8 --selfcheck
-//   slowcc_sweep --spec sweep.spec --resume /tmp/ckpt --max-attempts 2
-//       --trial-wall-seconds 300
+//   slowcc_sweep --spec sweep.spec --resume /tmp/ckpt
+//       --trial-wall-seconds 300 --trial-max-bytes 64m
 //   slowcc_sweep --spec specs/wifi_jitter_burst.toml --algorithms
 //       tcp,tfrc:6 --trials 3 --sweep burst_loss=0.2,0.5 --jobs 4
 //       --resume /tmp/wifi
@@ -38,7 +39,9 @@
 // byte-compares the serialized results — the determinism guarantee the
 // subsystem is built around.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -81,19 +84,12 @@ int usage(const char* argv0, int code) {
       "  --base-seed S                master seed (default 1)\n"
       "  --duration-scale F           scale all experiment timelines\n"
       "  --jobs N                     worker threads (default: all cores)\n"
-      "  --max-attempts N             retries per failed trial (default 1 = "
-      "no retry)\n"
       "  --trial-max-events N         per-trial simulator event budget "
       "(deterministic deadline)\n"
       "  --trial-wall-seconds S       per-trial wall-clock backstop "
       "(hang killer)\n"
       "  --trial-max-bytes B[k|m|g]   per-trial modeled-memory budget; a "
-      "trial crossing it aborts as resource-exhausted (one retry at half "
-      "budget, then quarantine)\n"
-      "  --trial-weight-cap N         admission-weight ceiling: a weight-w "
-      "trial occupies w of --jobs while it runs (default 4)\n"
-      "  --chaos P                    inject a deterministic synthetic "
-      "failure into each attempt with probability P (self-test)\n"
+      "trial crossing it is quarantined as resource-exhausted\n"
       "  --resume DIR                 crash-safe checkpointed run in DIR; "
       "re-running resumes it\n"
       "  --out PREFIX                 write PREFIX.trials/.cells/.manifest "
@@ -118,26 +114,55 @@ void list_experiments() {
   }
 }
 
+/// Parse the leading decimal digits of `text` into `*out`; `*rest`
+/// points past them. Returns false unless `text` starts with a digit
+/// (no sign, no blank) and the value fits in 64 bits.
+bool parse_digits(const std::string& text, std::uint64_t* out,
+                  const char** rest) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (errno == ERANGE) return false;
+  *out = value;
+  *rest = end;
+  return true;
+}
+
+/// Parse a plain non-negative integer ("100000").
+bool parse_count(const std::string& text, std::uint64_t* out) {
+  const char* rest = nullptr;
+  return parse_digits(text, out, &rest) && *rest == '\0';
+}
+
 /// Parse a byte count with an optional k/m/g suffix (powers of 1024):
-/// "64m" == 67108864. Returns false on a malformed count.
+/// "64m" == 67108864. Returns false on a malformed count or one that
+/// overflows 64 bits.
 bool parse_byte_count(const std::string& text, std::uint64_t* out) {
+  std::uint64_t base = 0;
+  const char* end = nullptr;
+  if (!parse_digits(text, &base, &end)) return false;
+  int shift = 0;
+  if (*end == 'k' || *end == 'K') {
+    shift = 10;
+  } else if (*end == 'm' || *end == 'M') {
+    shift = 20;
+  } else if (*end == 'g' || *end == 'G') {
+    shift = 30;
+  }
+  if (shift != 0) ++end;
+  if (*end != '\0' || base > (UINT64_MAX >> shift)) return false;
+  *out = base << shift;
+  return true;
+}
+
+/// Parse a finite, non-negative number of seconds ("0.5").
+bool parse_seconds(const std::string& text, double* out) {
   if (text.empty()) return false;
   char* end = nullptr;
-  const unsigned long long base = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str()) return false;
-  std::uint64_t mult = 1;
-  if (*end == 'k' || *end == 'K') {
-    mult = std::uint64_t{1} << 10;
-    ++end;
-  } else if (*end == 'm' || *end == 'M') {
-    mult = std::uint64_t{1} << 20;
-    ++end;
-  } else if (*end == 'g' || *end == 'G') {
-    mult = std::uint64_t{1} << 30;
-    ++end;
-  }
-  if (*end != '\0') return false;
-  *out = static_cast<std::uint64_t>(base) * mult;
+  const double value = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(value) || !(value >= 0.0)) return false;
+  *out = value;
   return true;
 }
 
@@ -179,17 +204,14 @@ class TempFileGuard {
   std::vector<std::string> paths_;
 };
 
-/// Canonical fingerprint of the fault-tolerance policy, stored in a
-/// checkpoint so a resume under different flags at least warns.
+/// Canonical fingerprint of the trial budgets, stored in a checkpoint
+/// so a resume under different flags at least warns.
 std::string policy_text(const exp::RunnerPolicy& p) {
   std::string out;
-  out += "max_attempts = " + std::to_string(p.max_attempts) + "\n";
-  out += "chaos = " + exp::json_number(p.chaos_rate) + "\n";
   out += "trial_max_events = " + std::to_string(p.max_trial_events) + "\n";
   out += "trial_wall_seconds = " +
          exp::json_number(p.max_trial_wall_seconds) + "\n";
   out += "trial_max_bytes = " + std::to_string(p.max_trial_bytes) + "\n";
-  out += "trial_weight_cap = " + std::to_string(p.trial_weight_cap) + "\n";
   return out;
 }
 
@@ -246,6 +268,12 @@ int main(int argc, char** argv) {
           std::exit(2);
         }
         return argv[++i];
+      };
+      // Reports the value value() just consumed.
+      auto bad_value = [&](const char* expected) {
+        std::fprintf(stderr, "slowcc_sweep: %s expects %s: '%s'\n",
+                     arg.c_str(), expected, argv[i]);
+        return 2;
       };
       if (arg == "--help" || arg == "-h") {
         return usage(argv[0], 0);
@@ -321,26 +349,18 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "slowcc_sweep: --jobs must be >= 1\n");
           return 2;
         }
-      } else if (arg == "--max-attempts") {
-        policy.max_attempts = std::atoi(value().c_str());
       } else if (arg == "--trial-max-events") {
-        policy.max_trial_events =
-            std::strtoull(value().c_str(), nullptr, 10);
-      } else if (arg == "--trial-wall-seconds") {
-        policy.max_trial_wall_seconds = std::atof(value().c_str());
-      } else if (arg == "--trial-max-bytes") {
-        const std::string v = value();
-        if (!parse_byte_count(v, &policy.max_trial_bytes)) {
-          std::fprintf(stderr,
-                       "slowcc_sweep: --trial-max-bytes expects "
-                       "BYTES[k|m|g]: '%s'\n",
-                       v.c_str());
-          return 2;
+        if (!parse_count(value(), &policy.max_trial_events)) {
+          return bad_value("a non-negative integer");
         }
-      } else if (arg == "--trial-weight-cap") {
-        policy.trial_weight_cap = std::atoi(value().c_str());
-      } else if (arg == "--chaos") {
-        policy.chaos_rate = std::atof(value().c_str());
+      } else if (arg == "--trial-wall-seconds") {
+        if (!parse_seconds(value(), &policy.max_trial_wall_seconds)) {
+          return bad_value("a finite number of seconds >= 0");
+        }
+      } else if (arg == "--trial-max-bytes") {
+        if (!parse_byte_count(value(), &policy.max_trial_bytes)) {
+          return bad_value("BYTES[k|m|g] within 64 bits");
+        }
       } else if (arg == "--resume") {
         resume_dir = value();
       } else if (arg == "--out") {
@@ -424,7 +444,6 @@ int main(int argc, char** argv) {
                    spec.experiment.c_str());
       return 2;
     }
-    policy.chaos_seed = spec.base_seed;
 
     const std::vector<exp::TrialDesc> all_trials = spec.expand();
     if (!quiet) {
@@ -432,18 +451,8 @@ int main(int argc, char** argv) {
                    spec.describe().c_str(), jobs);
     }
 
-    // Admission weight from the registry: a weight-w experiment's
-    // trials occupy w of the runner's capacity units while running
-    // (memory-heavy trials don't all start at once). Weights only
-    // schedule; they never change row content.
-    const auto weight_of = [](const exp::TrialDesc& d) {
-      const exp::Experiment* e = exp::find_experiment(d.experiment);
-      return e != nullptr ? e->weight : 1;
-    };
-
     exp::ParallelRunner runner(jobs);
     runner.set_policy(policy);
-    runner.set_weight_fn(weight_of);
 
     // Checkpoint: recover finished work, journal new work.
     std::unique_ptr<exp::Checkpoint> checkpoint;
@@ -498,7 +507,6 @@ int main(int argc, char** argv) {
       TempFileGuard tmp_guard;
       exp::ParallelRunner serial(1);
       serial.set_policy(policy);
-      serial.set_weight_fn(weight_of);
       const std::vector<exp::Row> rows1 = serial.run(trials);
       const std::string got = exp::rows_to_jsonl(rows);
       const std::string want = exp::rows_to_jsonl(rows1);

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Crash-safety smoke for the sweep subsystem: run a poison-experiment
-# sweep with chaos injection and retries under a checkpoint, SIGKILL it
+# sweep with seed-derived failures under a checkpoint, SIGKILL it
 # mid-run, resume it, and require the resumed result set to be
 # byte-identical to an uninterrupted --jobs 1 run of the same spec.
 #
 # Exercises, end to end: trial quarantine (boom=1 cells always fail),
-# deterministic chaos injection (--chaos with a fixed base seed),
-# bounded retries (--max-attempts), the append+flush journal with
+# failures scattered through the healthy cell (poison's fail_rate,
+# rolled from each trial's seed), the append+flush journal with
 # last-line-wins recovery, and atomic finalize.
 #
 # Usage: tools/sweep_chaos_smoke.sh /path/to/slowcc_sweep_selftest
@@ -25,14 +25,14 @@ work="$(mktemp -d)"
 # callers (ctest, CI) see the real status, not rm's.
 trap 'rc=$?; rm -rf "$work"; exit $rc' EXIT
 
-# 32 trials over two cells: boom=0 (healthy, modulo chaos) and boom=1
+# 32 trials over two cells: boom=0 (healthy, modulo fail_rate) and boom=1
 # (always quarantined). sleep_ms keeps each trial slow enough in real
 # time for the SIGKILL below to land mid-sweep on most machines; the
 # test stays correct even when it lands before or after.
 common=(--experiment poison --algorithms tcp
         --set sleep_ms=20 --set events=16 --sweep boom=0,1
         --trials 16 --base-seed 42
-        --chaos 0.3 --max-attempts 2
+        --set fail_rate=0.3
         --trial-max-events 100000 --trial-wall-seconds 30
         --duration-scale 1 --quiet)
 
