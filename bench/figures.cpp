@@ -1,14 +1,26 @@
 // The figure table's driver and the helpers its reports share.
 #include "figures.hpp"
 
+#include <cinttypes>
 #include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 
 #include "exp/parallel_runner.hpp"
+#include "sim/simulator.hpp"
 
 namespace slowcc::figures {
+namespace {
+
+// Per-Simulator event budget: a trial that runs away becomes a reported
+// failure row instead of a run that never finishes, at the same event
+// on every host. The largest trial of the full table executes
+// 13,097,017 events; this is about 15 times that.
+constexpr std::uint64_t kMaxTrialEvents = 200'000'000;
+
+}  // namespace
 
 const Entry* find(std::string_view name) {
   for (const Entry& e : table()) {
@@ -45,21 +57,23 @@ int run(const std::vector<const Entry*>& entries) {
   const Plan p = plan(entries);
   std::fprintf(stderr, "slowcc_figures: %zu entries, %zu grids, %zu trials\n",
                entries.size(), p.distinct_grids, p.trials.size());
-  // A generous wall-clock backstop turns a hung trial into a reported
-  // failure row instead of a run that never finishes.
   exp::ParallelRunner runner(exp::ParallelRunner::default_jobs());
   exp::RunnerPolicy policy;
-  policy.max_trial_wall_seconds = 600.0;
+  policy.max_trial_events = kMaxTrialEvents;
   runner.set_policy(policy);
   const std::vector<exp::Row> rows = runner.run(p.trials);
 
   bool ok = true;
+  std::uint64_t events = 0;
   for (const exp::Row& r : rows) {
+    events += r.outcome.events;
     if (r.error.empty()) continue;
     ok = false;
     std::fprintf(stderr, "!! quarantined: %s trial %d: %s\n", r.cell.c_str(),
                  r.trial_index, r.error.c_str());
   }
+  // Direct entries simulate inside their reports, on this thread.
+  const std::uint64_t report_start = sim::Simulator::thread_events_executed();
   const char* rule =
       "================================================================";
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -73,6 +87,9 @@ int run(const std::vector<const Entry*>& entries) {
                 v.what.c_str());
     ok = ok && v.held;
   }
+  events += sim::Simulator::thread_events_executed() - report_start;
+  std::fprintf(stderr, "slowcc_figures: %" PRIu64 " events simulated\n",
+               events);
   return ok ? 0 : 1;
 }
 

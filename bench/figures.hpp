@@ -82,7 +82,9 @@ struct Plan {
 [[nodiscard]] Plan plan(const std::vector<const Entry*>& entries);
 
 /// Drain the plan of `entries` on every core, then print each entry's
-/// block. Returns 0 when every verdict held and no trial failed, else 1.
+/// block. Last, one stderr line counts the events simulated by the
+/// trials and the reports (`tools/repro_ledger.py` reads it). Returns 0
+/// when every verdict held and no trial failed, else 1.
 [[nodiscard]] int run(const std::vector<const Entry*>& entries);
 
 /// A registry grid with `trials` replicates per cell at base seed 1.

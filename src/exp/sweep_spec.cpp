@@ -1,5 +1,7 @@
 #include "exp/sweep_spec.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -36,11 +38,15 @@ double parse_double(std::string_view token) {
   return v;
 }
 
+// strtoull accepts a leading '-' (wrapping the value) and saturates on
+// overflow, so both are rejected here rather than run on a garbage value.
 std::uint64_t parse_u64(std::string_view token) {
   const std::string t(trim(token));
+  errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(t.c_str(), &end, 10);
-  if (t.empty() || end != t.c_str() + t.size()) {
+  if (t.empty() || t.front() == '-' || errno == ERANGE ||
+      end != t.c_str() + t.size()) {
     bad("malformed integer: '" + t + "'");
   }
   return v;
@@ -184,7 +190,12 @@ void SweepSpec::assign(std::string_view raw_key, std::string_view raw_value) {
   } else if (key == "rtts_ms") {
     rtts_ms = parse_double_list(value);
   } else if (key == "trials") {
-    trials = static_cast<int>(parse_u64(value));
+    const std::uint64_t n = parse_u64(value);
+    if (n < 1 || n > static_cast<std::uint64_t>(INT_MAX)) {
+      bad("malformed integer: '" + std::string(value) +
+          "' (trials must be in [1, " + std::to_string(INT_MAX) + "])");
+    }
+    trials = static_cast<int>(n);
   } else if (key == "base_seed") {
     base_seed = parse_u64(value);
   } else if (key == "duration_scale") {

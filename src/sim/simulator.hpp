@@ -114,7 +114,8 @@ class Simulator {
   /// earlier), so subsequent `run_until` calls continue seamlessly.
   void run_until(Time deadline);
 
-  /// Number of events executed so far (for micro-benchmarks and tests).
+  /// Number of events executed so far by this Simulator (the fault
+  /// Watchdog's event budget, spec run reports and tests read it).
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return events_executed_;
   }

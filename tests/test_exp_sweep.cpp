@@ -67,6 +67,17 @@ TEST(ExpSweepSpec, RejectsMalformedInput) {
   spec.trials = 1;
   spec.sweep_param = "x";  // values missing
   EXPECT_THROW((void)spec.expand(), sim::SimError);
+  // strtoull would wrap a sign and saturate an overflow.
+  EXPECT_THROW(spec.assign("base_seed", "-1"), sim::SimError);
+  EXPECT_THROW(spec.assign("base_seed", "18446744073709551616"),
+               sim::SimError);
+  spec.assign("base_seed", "18446744073709551615");
+  EXPECT_EQ(spec.base_seed, UINT64_MAX);
+  // trials must fit an int and be at least 1.
+  EXPECT_THROW(spec.assign("trials", "4294967297"), sim::SimError);
+  EXPECT_THROW(spec.assign("trials", "0"), sim::SimError);
+  spec.assign("trials", "2147483647");
+  EXPECT_EQ(spec.trials, 2147483647);
 }
 
 TEST(ExpRegistry, EveryExperimentIsRunnable) {

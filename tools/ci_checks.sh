@@ -19,14 +19,12 @@
 #      --trial-max-bytes must quarantine as resource-exhausted with
 #      peak-usage fields while the canonical outputs stay byte-identical
 #      across --jobs 1, --jobs 4 and a killed+resumed run)
-#   7. engine perf report: bench_report runs the two BM_EventQueue*
-#      micro-benchmarks, the BM_SaturatedDumbbell packet hot-path
-#      macro-bench and the BM_DumbbellTcpSecond/BM_DumbbellTfrcSecond
-#      whole-simulation benches (events/s), times one cold full-tree
-#      lint run (lint_wall_ms), and writes BENCH_engine.json
-#      (schema slowcc.bench_engine.v2: one row per benchmark, named as
-#      google-benchmark names it) into the build dir; --validate
-#      requires all five rows, each with a positive items_per_second.
+#   7. repro ledger: tools/repro_ledger.py validates the committed
+#      BENCH_repro.json (schema slowcc.repro.v1: wall time and events/s
+#      of each figure-table entry and of the whole table, as the median
+#      and spread of 3 Release runs) and checks that its entries are
+#      exactly `slowcc_figures --list`, so a figure-table change that
+#      leaves the ledger stale fails here. No timing is judged.
 #   8. pins: perfbench/run.py runs each benchmark workload for 1 s at
 #      seed 1 and must report "correct": true, i.e. the pinned digests
 #      in perfbench/pins.txt hold and the event stream is unchanged
@@ -64,13 +62,10 @@ step "ctest (-j$jobs)"
 ctest --test-dir "$build_dir" --output-on-failure -j"$jobs"
 
 if [[ "${SLOWCC_SKIP_BENCH:-0}" != "1" ]]; then
-  step "bench (BENCH_engine.json)"
-  "$build_dir/tools/bench_report" \
-    --bench "$build_dir/bench/micro_engine" \
-    --out "$build_dir/BENCH_engine.json" --min-time 0.25 \
-    --lint "$build_dir/tools/slowcc_lint" --lint-root "$repo_root"
-  "$build_dir/tools/bench_report" \
-    --validate "$build_dir/BENCH_engine.json"
+  step "repro ledger (BENCH_repro.json against slowcc_figures --list)"
+  python3 "$repo_root/tools/repro_ledger.py" \
+    --validate "$repo_root/BENCH_repro.json" \
+    --figures "$build_dir/bench/slowcc_figures"
   step "pins (perfbench workloads at seed 1 match perfbench/pins.txt)"
   for workload in many_flows slow_dynamics paper_sweep; do
     result="$(cd "$repo_root" && python3 perfbench/run.py \
@@ -82,7 +77,7 @@ if [[ "${SLOWCC_SKIP_BENCH:-0}" != "1" ]]; then
     echo "pins: $workload correct"
   done
 else
-  step "bench and pins (skipped: SLOWCC_SKIP_BENCH=1)"
+  step "repro ledger and pins (skipped: SLOWCC_SKIP_BENCH=1)"
 fi
 
 echo

@@ -41,6 +41,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -344,11 +345,12 @@ int main(int argc, char** argv) {
       } else if (arg == "--duration-scale") {
         spec.assign("duration_scale", value());
       } else if (arg == "--jobs") {
-        jobs = std::atoi(value().c_str());
-        if (jobs < 1) {
-          std::fprintf(stderr, "slowcc_sweep: --jobs must be >= 1\n");
-          return 2;
+        std::uint64_t n = 0;
+        if (!parse_count(value(), &n) || n < 1 ||
+            n > static_cast<std::uint64_t>(INT_MAX)) {
+          return bad_value("an integer >= 1");
         }
+        jobs = static_cast<int>(n);
       } else if (arg == "--trial-max-events") {
         if (!parse_count(value(), &policy.max_trial_events)) {
           return bad_value("a non-negative integer");
