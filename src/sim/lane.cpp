@@ -18,30 +18,6 @@ void Lane::grow_ring() {
   mask_ = mask;
 }
 
-void Lane::settle_head() {
-  while (head_ != tail_ && at_pos(head_).ctx == nullptr) ++head_;
-  // An emptied lane keeps its slot with the empty key, so filling it
-  // again is one key write in post().
-  if (live_ == 0) {
-    sim_.lane_keys_[index_] = Simulator::kEmptyLaneKey;
-    return;
-  }
-  const Entry& head = at_pos(head_);
-  sim_.lane_keys_[index_] = Simulator::lane_key(head.at_ns, head.seq);
-}
-
-void Lane::fire_head() {
-  // Pop and write the new head's key before the callback: it may post
-  // into this lane (or revoke from it) reentrantly, and the key must
-  // already describe the new head when it does.
-  const Entry e = at_pos(head_);
-  ++head_;
-  --live_;
-  --sim_.lane_pending_;
-  settle_head();
-  fire_(e.ctx, e.arg);
-}
-
 void Lane::revoke(LaneTicket ticket) {
   assert(ticket.lane == this);
   if (ticket.pos < head_ || ticket.pos >= tail_) return;
@@ -53,7 +29,7 @@ void Lane::revoke_pos(std::uint64_t pos) {
   at_pos(pos).ctx = nullptr;
   --live_;
   --sim_.lane_pending_;
-  // Only a revoked head moves the lane's key.
+  // Only a revoked head moves the lane's key (or empties the lane).
   if (pos == head_) settle_head();
 }
 

@@ -27,10 +27,11 @@ struct LaneTicket {
 /// schedules with the same delay and the same callback (DESIGN.md
 /// §14.3). An entry posted at now() + d for one fixed d can never fire
 /// before an entry posted earlier: now() never decreases and seqs only
-/// grow, so a ring in post order is already in (at, seq) order. The
-/// lane keeps its head's (at, seq) key in the Simulator's lane-key
-/// array (the +infinity key while it is empty), so however many
-/// sources share it, the run loop's merge compares one key per lane.
+/// grow, so a ring in post order is already in (at, seq) order. While
+/// the lane holds live entries it keeps its head's (at, seq) key in the
+/// Simulator's merge set, and it leaves the set when it empties, so
+/// however many sources share it, the run loop's merge compares one key
+/// per lane that can fire.
 ///
 /// Lanes are owned by their Simulator and handed out by
 /// Simulator::acquire_lane, which counts the sources pointing at each
@@ -41,7 +42,8 @@ struct LaneTicket {
 /// Invariants: the ring holds entries in post order between `head_` and
 /// `tail_`; a revoked entry becomes a tombstone (ctx == nullptr) and the
 /// head is always a live entry, so the lane's key is always the earliest
-/// live (at, seq) of the lane.
+/// live (at, seq) of the lane; the lane is in the merge set exactly
+/// while live() > 0.
 class Lane {
  public:
   Lane(const Lane&) = delete;
@@ -73,7 +75,7 @@ class Lane {
     std::uint64_t arg = 0;
   };
 
-  Lane(Simulator& sim, std::size_t index) : sim_(sim), index_(index) {}
+  explicit Lane(Simulator& sim) : sim_(sim) {}
 
   [[nodiscard]] bool in_use() const noexcept {
     return refs_ != 0 || live_ != 0;
@@ -86,17 +88,21 @@ class Lane {
   void grow_ring();
   // Pop the head and call its callback (the run loop's lane event).
   void fire_head();
-  // Skip tombstones at the head, then write the new head's key, or the
-  // empty key when nothing live is left.
+  // Skip tombstones at the head, then write the new head's key, or
+  // leave the merge set when nothing live is left.
   void settle_head();
+  // Take the merge set's last slot, under `key` (live_ just left 0).
+  void join_merge(Simulator::LaneKey key) noexcept;
+  // Give up this lane's merge slot to the set's last member.
+  void leave_merge() noexcept;
   // Tombstone the live entry at `pos`.
   void revoke_pos(std::uint64_t pos);
   // Append the fire times of up to `max_entries` live entries.
   void append_times(std::size_t max_entries, std::vector<Time>* out) const;
 
   Simulator& sim_;
-  // This lane's slot in the Simulator's lanes_ and lane_keys_.
-  std::size_t index_;
+  // This lane's slot in the Simulator's merge set while live_ > 0.
+  std::size_t merge_slot_ = 0;
   Time duration_;
   LaneFire fire_ = nullptr;
   // Power-of-two ring indexed by position & mask_; positions in
@@ -121,13 +127,51 @@ inline LaneTicket Lane::post(void* ctx, std::uint64_t arg) {
   e.seq = sim_.mint_event_seq();
   e.ctx = ctx;
   e.arg = arg;
-  // An empty lane has no tombstones left, so the new entry is its head;
-  // otherwise the head keeps its key.
-  if (live_++ == 0) {
-    sim_.lane_keys_[index_] = Simulator::lane_key(e.at_ns, e.seq);
-  }
+  // An empty lane has no tombstones left, so the new entry is its head
+  // and the lane joins the merge under its key; otherwise the head keeps
+  // its key.
+  if (live_++ == 0) join_merge(Simulator::lane_key(e.at_ns, e.seq));
   ++sim_.lane_pending_;
   return LaneTicket{this, pos};
+}
+
+inline void Lane::join_merge(Simulator::LaneKey key) noexcept {
+  merge_slot_ = sim_.merging_++;
+  sim_.merge_keys_[merge_slot_] = key;
+  sim_.merge_lanes_[merge_slot_] = this;
+}
+
+inline void Lane::leave_merge() noexcept {
+  // Swap-remove: the last member (this lane itself when it is last)
+  // moves into the freed slot. Every key carries a unique seq, so the
+  // merge's minimum does not depend on the members' order.
+  const std::size_t last = --sim_.merging_;
+  Lane* const moved = sim_.merge_lanes_[last];
+  sim_.merge_keys_[merge_slot_] = sim_.merge_keys_[last];
+  sim_.merge_lanes_[merge_slot_] = moved;
+  moved->merge_slot_ = merge_slot_;
+}
+
+inline void Lane::settle_head() {
+  while (head_ != tail_ && at_pos(head_).ctx == nullptr) ++head_;
+  if (live_ == 0) {
+    leave_merge();
+    return;
+  }
+  const Entry& head = at_pos(head_);
+  sim_.merge_keys_[merge_slot_] = Simulator::lane_key(head.at_ns, head.seq);
+}
+
+inline void Lane::fire_head() {
+  // Pop and settle the new head before the callback: it may post into
+  // this lane (or revoke from it) reentrantly, and the merge set must
+  // already describe the new head when it does.
+  const Entry e = at_pos(head_);
+  ++head_;
+  --live_;
+  --sim_.lane_pending_;
+  settle_head();
+  fire_(e.ctx, e.arg);
 }
 
 }  // namespace slowcc::sim

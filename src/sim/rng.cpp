@@ -5,10 +5,6 @@
 namespace slowcc::sim {
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
 // splitmix64 finalizer (a bijection on 64-bit values).
@@ -29,23 +25,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -69,10 +48,6 @@ double Rng::exponential(double mean) noexcept {
     u = uniform();
   } while (u <= 0.0);
   return -mean * std::log(u);
-}
-
-bool Rng::chance(double probability) noexcept {
-  return uniform() < probability;
 }
 
 Rng Rng::split() noexcept { return Rng(next_u64()); }

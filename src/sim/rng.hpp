@@ -38,8 +38,36 @@ class Rng {
   [[nodiscard]] Rng split() noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
+
+// next_u64, uniform() and chance() are inline: RED admission and the
+// wire impairment models draw on every packet.
+
+inline std::uint64_t Rng::next_u64() noexcept {
+  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::uniform() noexcept {
+  // 53 high bits -> double in [0, 1).
+  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::chance(double probability) noexcept {
+  return uniform() < probability;
+}
 
 /// Deterministic sub-stream seed derivation: one splitmix64
 /// finalization of `base + golden * (index + 1)`. The finalizer is a

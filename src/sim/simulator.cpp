@@ -112,9 +112,13 @@ Lane& Simulator::acquire_lane(Time duration, LaneFire fire) {
     // are re-purposed first, so the table tops out at the number of
     // durations in use at once.
     // slowcc-lint: allow(no-hot-path-alloc) one lane per distinct duration in use, re-purposed when idle
-    lanes_.push_back(std::unique_ptr<Lane>(new Lane(*this, lanes_.size())));
+    lanes_.push_back(std::unique_ptr<Lane>(new Lane(*this)));
+    // The merge set holds at most every lane: sized here, it never
+    // grows when a lane joins it.
     // slowcc-lint: allow(no-hot-path-alloc) grows with the lane table above
-    lane_keys_.push_back(kEmptyLaneKey);
+    merge_keys_.resize(lanes_.size());
+    // slowcc-lint: allow(no-hot-path-alloc) grows with the lane table above
+    merge_lanes_.resize(lanes_.size());
     idle = lanes_.back().get();
   }
   idle->duration_ = duration;
@@ -145,11 +149,24 @@ void Simulator::revoke_lane_entries(void* ctx, std::size_t count,
 LaneStats Simulator::lane_stats() const noexcept {
   LaneStats stats;
   stats.allocated = lanes_.size();
+  stats.merging = merging_;
   for (const std::unique_ptr<Lane>& lane : lanes_) {
     if (lane->in_use()) ++stats.in_use;
     stats.most_live = std::max(stats.most_live, lane->live());
   }
   return stats;
+}
+
+std::vector<MergedLane> Simulator::merge_set() const {
+  std::vector<MergedLane> set;
+  set.reserve(merging_);
+  for (std::size_t i = 0; i < merging_; ++i) {
+    set.push_back(MergedLane{
+        merge_lanes_[i],
+        Time::nanos(static_cast<std::int64_t>(merge_keys_[i] >> 64)),
+        static_cast<std::uint64_t>(merge_keys_[i])});
+  }
+  return set;
 }
 
 std::vector<Time> Simulator::pending_event_times(
@@ -186,17 +203,17 @@ void Simulator::run_until(Time deadline) {
     // the pair is a strict total order and the executed stream — what
     // trace_digest() folds — does not depend on whether an event rides
     // a lane or the engine. Each lane is sorted, so its head is its
-    // minimum: a branch-free scan of the inline head keys finds the
-    // earliest lane (empty lanes hold kEmptyLaneKey and never win). The
-    // array is re-read every event, since a fire may add a lane.
-    const LaneKey* const keys = lane_keys_.data();
-    const std::size_t lane_count = lane_keys_.size();
-    LaneKey next = kEmptyLaneKey;
-    std::size_t lane = 0;
-    for (std::size_t i = 0; i < lane_count; ++i) {
+    // minimum: a branch-free scan of the merge set's head keys finds the
+    // earliest lane (empty lanes are not in the set). The set is re-read
+    // every event, since a fire may fill, empty or create a lane.
+    const LaneKey* const keys = merge_keys_.data();
+    const std::size_t merging = merging_;
+    LaneKey next = kNoLaneKey;
+    std::size_t slot = 0;
+    for (std::size_t i = 0; i < merging; ++i) {
       const bool earlier = keys[i] < next;
       next = earlier ? keys[i] : next;
-      lane = earlier ? i : lane;
+      slot = earlier ? i : slot;
     }
     PoppedEvent head;
     bool use_lane = true;
@@ -205,7 +222,7 @@ void Simulator::run_until(Time deadline) {
       const LaneKey engine = lane_key(head.at.as_nanos(), head.seq);
       use_lane = next < engine;
       next = use_lane ? next : engine;
-    } else if (next == kEmptyLaneKey) {
+    } else if (merging == 0) {
       break;
     }
     if (use_lane) {
@@ -229,9 +246,9 @@ void Simulator::run_until(Time deadline) {
         fnv1a_u64(trace_digest_, static_cast<std::uint64_t>(head.at.as_nanos())),
         head.seq);
     if (use_lane) {
-      // The lane pops its head and writes its next key before the
+      // The lane pops its head and settles its merge slot before the
       // callback, which may post into or revoke from any lane.
-      lanes_[lane]->fire_head();
+      merge_lanes_[slot]->fire_head();
     } else {
       // The engine head was just peeked, so this pops exactly it.
       auto cb = queue_.pop(nullptr);

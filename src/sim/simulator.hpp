@@ -27,6 +27,16 @@ struct LaneStats {
   std::size_t in_use = 0;     // lanes a source points at or that hold entries
   std::size_t allocated = 0;  // lanes ever created (in use + idle)
   std::size_t most_live = 0;  // the largest live count of any one lane
+  std::size_t merging = 0;    // lanes in the run loop's merge set
+};
+
+/// One member of the run loop's merge set: a lane that holds live
+/// entries and the (at, seq) key it competes under, which must be its
+/// head's (diagnostics and tests).
+struct MergedLane {
+  const Lane* lane = nullptr;
+  Time at;
+  std::uint64_t seq = 0;
 };
 
 /// Discrete-event simulation driver.
@@ -104,6 +114,10 @@ class Simulator {
   void revoke_lane_entries(void* ctx, std::size_t count, LaneFire on_revoke);
 
   [[nodiscard]] LaneStats lane_stats() const noexcept;
+
+  /// The run loop's merge set, in slot order: every lane that holds
+  /// live entries, once each, under the key the merge compares.
+  [[nodiscard]] std::vector<MergedLane> merge_set() const;
 
   /// Run until the queue drains.
   void run();
@@ -222,9 +236,9 @@ class Simulator {
   // never negative (they are >= now() >= 0), so the concatenation
   // orders exactly like the pair, in one branch-free compare.
   using LaneKey = unsigned __int128;
-  // The key of an empty lane: later than every real key (no seq is
-  // all ones), so an empty lane never wins the merge.
-  static constexpr LaneKey kEmptyLaneKey = ~LaneKey{0};
+  // Later than every real key (no seq is all ones): the merge's
+  // starting minimum, which only an empty merge set leaves in place.
+  static constexpr LaneKey kNoLaneKey = ~LaneKey{0};
   [[nodiscard]] static LaneKey lane_key(std::int64_t at_ns,
                                         std::uint64_t seq) noexcept {
     return LaneKey{static_cast<std::uint64_t>(at_ns)} << 64 | seq;
@@ -249,14 +263,18 @@ class Simulator {
   bool dispatching_ = false;
   std::function<void()> hook_;
   // Every lane ever created, in use or idle; unique_ptr keeps each
-  // lane at a stable address. A lane keeps its index for life.
+  // lane at a stable address.
   std::vector<std::unique_ptr<Lane>> lanes_;
-  // lane_keys_[i] is lanes_[i]'s head key, or kEmptyLaneKey while it
-  // holds no live entry. The run loop merges the lanes by scanning
-  // this contiguous array: every link shares one lane per transmit or
-  // propagation duration, so it holds a handful of keys (4 in a
-  // 64-flow dumbbell, 8 with six transmission times and two delays).
-  std::vector<LaneKey> lane_keys_;
+  // The merge set: for slot i < merging_, merge_keys_[i] is the head
+  // key of merge_lanes_[i], a lane that holds live entries, and that
+  // lane's merge_slot_ is i. A lane joins when its live count leaves 0
+  // and leaves (the last member taking its slot) when it returns to 0,
+  // so the run loop's scan reads only lanes that can fire, not the
+  // idle and drained ones. Both arrays are as long as lanes_, so
+  // joining never allocates.
+  std::vector<LaneKey> merge_keys_;
+  std::vector<Lane*> merge_lanes_;
+  std::size_t merging_ = 0;
   // Sum of the lanes' live counts, so pending_events() — polled after
   // every event in governed trials — needs no scan.
   std::uint64_t lane_pending_ = 0;

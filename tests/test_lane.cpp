@@ -214,6 +214,40 @@ TEST(Lane, RevokeLaneEntriesTakesOnlyTheSourcesEntries) {
   EXPECT_EQ(other.args, (std::vector<std::uint64_t>{1, 3, 5, 11, 12, 14, 15}));
 }
 
+TEST(Lane, DrainedLaneLeftByADurationChangeLeavesTheMergeSet) {
+  Simulator sim;
+  Recorder rec{&sim, {}, {}};
+  Lane& old_tx = sim.acquire_lane(Time::micros(80), &record);
+  Lane& delay = sim.acquire_lane(Time::millis(1), &record);
+  old_tx.post(&rec, 0);
+  delay.post(&rec, 1);
+  EXPECT_EQ(sim.lane_stats().merging, 2u);
+  // A bandwidth change moves the source to a new transmit lane; the old
+  // one still holds an entry, so it is not re-purposed.
+  sim.release_lane(old_tx);
+  Lane& new_tx = sim.acquire_lane(Time::micros(40), &record);
+  EXPECT_NE(&new_tx, &old_tx);
+  new_tx.post(&rec, 2);
+  EXPECT_EQ(sim.lane_stats().merging, 3u);
+  // Both transmit entries fire: the old lane is allocated but idle, and
+  // only the delay lane, still holding an entry, is merged.
+  sim.run_until(Time::micros(100));
+  EXPECT_EQ(rec.args, (std::vector<std::uint64_t>{2, 0}));
+  EXPECT_EQ(old_tx.live(), 0u);
+  EXPECT_EQ(new_tx.live(), 0u);
+  const LaneStats stats = sim.lane_stats();
+  EXPECT_EQ(stats.allocated, 3u);
+  EXPECT_EQ(stats.in_use, 2u);  // new_tx (claimed) and delay (an entry)
+  EXPECT_EQ(stats.merging, 1u);
+  const std::vector<MergedLane> set = sim.merge_set();
+  ASSERT_EQ(set.size(), 1u);
+  EXPECT_EQ(set[0].lane, &delay);
+  EXPECT_EQ(set[0].at, Time::millis(1));
+  sim.run();
+  EXPECT_EQ(sim.lane_stats().merging, 0u);
+  EXPECT_TRUE(sim.merge_set().empty());
+}
+
 SimErrc error_code(const std::function<void()>& f) {
   try {
     f();
@@ -314,6 +348,7 @@ class LaneRig {
     } else {
       ref_ids_[label] = ref_.schedule(
           ref_now_ + durations_[k], [this, label] { fired(kRefSide, label); });
+      ref_lane_entries_[label] = RefLaneEntry{lanes_[k], ref_ids_[label]};
     }
     return label;
   }
@@ -333,6 +368,7 @@ class LaneRig {
   void revoke_on(Side side, std::uint64_t label) {
     if (side == kRefSide) {
       ref_.cancel(ref_ids_.at(label));
+      ref_lane_entries_.erase(label);
       return;
     }
     const Handle& h = handles_.at(label);
@@ -383,11 +419,52 @@ class LaneRig {
       return "pending_event_times differ";
     }
     if (sim_.trace_digest() != ref_digest_) return "trace digest differs";
-    return {};
+    return merge_mismatch();
   }
 
  private:
   static constexpr std::size_t kTimes = 16;
+
+  // Empty when the Simulator's merge set holds exactly the lanes with
+  // live() > 0, once each, under its head's key: the earliest (at, seq)
+  // the reference still holds for that lane.
+  [[nodiscard]] std::string merge_mismatch() const {
+    using Key = std::pair<std::int64_t, std::uint64_t>;
+    std::map<const Lane*, Key> heads;
+    for (const auto& [label, entry] : ref_lane_entries_) {
+      const Key key{entry.id.at_ns, entry.id.seq};
+      const auto [it, fresh] = heads.emplace(entry.lane, key);
+      if (!fresh) it->second = std::min(it->second, key);
+    }
+    for (const auto& [lane, seen] : durations_seen_) {
+      if ((lane->live() > 0) != (heads.count(lane) == 1)) {
+        return "live() " + std::to_string(lane->live()) +
+               " disagrees with the reference";
+      }
+    }
+    const std::vector<MergedLane> set = sim_.merge_set();
+    if (sim_.lane_stats().merging != set.size()) {
+      return "lane_stats().merging differs from the merge set's size";
+    }
+    if (set.size() != heads.size()) {
+      return "merge set holds " + std::to_string(set.size()) + " lanes, " +
+             std::to_string(heads.size()) + " have live entries";
+    }
+    for (const MergedLane& member : set) {
+      const auto it = heads.find(member.lane);
+      if (it == heads.end()) return "a lane is in the merge set twice";
+      if (Key{member.at.as_nanos(), member.seq} != it->second) {
+        return "a merge-set key is not its lane's head";
+      }
+      heads.erase(it);
+    }
+    return {};
+  }
+
+  struct RefLaneEntry {
+    const Lane* lane = nullptr;
+    test::ReferenceScheduler::Id id;
+  };
 
   struct Handle {
     bool on_lane = false;
@@ -402,6 +479,7 @@ class LaneRig {
   void fired(Side side, std::uint64_t label) {
     log_[side].push_back(label);
     if (side == kSimSide) sim_times_.push_back(sim_.now());
+    if (side == kRefSide) ref_lane_entries_.erase(label);
     const auto it = actions_.find(label);
     if (it != actions_.end()) it->second(*this, side);
   }
@@ -429,14 +507,16 @@ class LaneRig {
   std::map<std::uint64_t, Action> actions_;
   std::map<std::uint64_t, Handle> handles_;
   std::map<std::uint64_t, test::ReferenceScheduler::Id> ref_ids_;
+  // The reference's pending lane entries, by label.
+  std::map<std::uint64_t, RefLaneEntry> ref_lane_entries_;
 };
 
 // A random post/revoke/schedule/cancel/run script over a wide lane
 // table whose lanes keep changing duration, checked against the
 // reference after every op. Twelve lanes are claimed at any time, from
-// a pool of twenty durations, so the merge scans more lanes than any
-// workload has; re-pointing a claim leaves the old lane to drain, go
-// idle and be re-purposed mid-run with its slot in the key array.
+// a pool of twenty durations, so the merge set holds more lanes than
+// on any workload; re-pointing a claim leaves the old lane to drain, go
+// idle (leaving the merge set) and be re-purposed mid-run.
 std::string run_random_lane_script(std::uint64_t seed) {
   LaneRig rig;
   Rng rng(seed);
@@ -486,9 +566,10 @@ TEST(Lane, RandomScriptsMatchReferenceScheduler) {
 }
 
 // ====================================================================
-// The run loop's lane merge (DESIGN.md §14.3): every lane keeps its
-// head key in the Simulator, the run loop takes the earliest of those
-// and the engine head, and an empty lane holds the +infinity key.
+// The run loop's lane merge (DESIGN.md §14.3): every lane that holds
+// live entries keeps its head key in the Simulator's merge set, the run
+// loop takes the earliest of those and the engine head, and a lane
+// leaves the set when it empties.
 
 TEST(SimulatorLanes, ManyLanesPostedOutOfOrderFireSortedByAtSeq) {
   LaneRig rig;
@@ -714,17 +795,22 @@ TEST(SimulatorLanes, PostOntoNonEmptyLaneOnlyMovesPending) {
 
 TEST(SimulatorLanes, EmptiedLaneRefillsAheadOfEveryOtherHead) {
   LaneRig rig;
-  // Eleven lanes; the short one sits in the middle of the key array.
+  // Eleven lanes; the short one joins the merge set in its middle, so
+  // emptying it moves the last member into its slot.
   constexpr int kShort = 5;
   for (int k = 0; k < 11; ++k) {
     rig.add_lane(k == kShort ? Time::micros(100) : Time::millis(10 + k));
   }
+  std::uint64_t s1 = 0;  // 0.1 ms
   for (int k = 0; k < 11; ++k) {
-    if (k != kShort) rig.post(k);
+    const std::uint64_t label = rig.post(k);
+    if (k == kShort) s1 = label;
   }
-  const std::uint64_t s1 = rig.post(kShort);  // 0.1 ms
+  EXPECT_EQ(rig.sim().lane_stats().merging, 11u);
   rig.run_until(Time::millis(1));
   EXPECT_EQ(rig.fired(), (std::vector<std::uint64_t>{s1}));
+  EXPECT_EQ(rig.sim().lane_stats().merging, 10u);
+  EXPECT_EQ(rig.mismatch(), "");
   // Emptied by its fire, the lane refills with a key earlier than every
   // other head; emptied again by revokes, it refills once more.
   const std::uint64_t s2 = rig.post(kShort);  // 1.1 ms
@@ -738,7 +824,7 @@ TEST(SimulatorLanes, EmptiedLaneRefillsAheadOfEveryOtherHead) {
   rig.run_until(Time::millis(2));
   EXPECT_EQ(rig.fired().size(), 1u);
   const std::uint64_t s4 = rig.post(kShort);  // 2.1 ms
-  // Lanes appended behind it grow the key array.
+  // Lanes appended behind it grow the lane table and the merge set.
   for (int k = 0; k < 4; ++k) rig.post(rig.add_lane(Time::millis(30 + k)));
   EXPECT_EQ(rig.mismatch(), "");
   rig.run_until(Time::millis(3));

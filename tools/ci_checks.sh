@@ -13,12 +13,15 @@
 #      whose trials fail at a seed-derived rate (fail_rate), run as a
 #      --jobs 4 --resume sweep SIGKILLed mid-grid and resumed, must match
 #      the uninterrupted --jobs 1 output byte-for-byte; the
-#      sweep_rejects_* tests: malformed budget flags exit 2; spec_smoke: the
-#      specs/ library vs its committed golden digests plus spec-driven
-#      sweep determinism; and overload_smoke: a memory-bomb trial under
-#      --trial-max-bytes must quarantine as resource-exhausted with
-#      peak-usage fields while the canonical outputs stay byte-identical
-#      across --jobs 1, --jobs 4 and a killed+resumed run)
+#      sweep_rejects_* tests: malformed budget, seed, trial and job flags
+#      of slowcc_sweep exit 2; the spec_rejects_* tests: a malformed
+#      --scale or --seed of slowcc_spec exits 2 naming the flag;
+#      spec_smoke: the specs/ library vs its committed golden digests
+#      plus spec-driven sweep determinism; and overload_smoke: a
+#      memory-bomb trial under --trial-max-bytes must quarantine as
+#      resource-exhausted with peak-usage fields while the canonical
+#      outputs stay byte-identical across --jobs 1, --jobs 4 and a
+#      killed+resumed run)
 #   7. repro ledger: tools/repro_ledger.py validates the committed
 #      BENCH_repro.json (schema slowcc.repro.v1: wall time and events/s
 #      of each figure-table entry and of the whole table, as the median

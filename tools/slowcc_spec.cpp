@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "flag_parse.hpp"
 #include "sim/error.hpp"
 #include "sim/simulator.hpp"
 #include "spec/compiler.hpp"
@@ -195,6 +196,11 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto bad_value = [&](const char* expected) {
+      std::fprintf(stderr, "slowcc_spec: %s expects %s: '%s'\n",
+                   arg.c_str(), expected, argv[i]);
+      return 2;
+    };
     if (arg == "--help" || arg == "-h") {
       return usage(argv[0], 0);
     } else if (arg == "--check") {
@@ -208,9 +214,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--algorithm") {
       algorithm = value();
     } else if (arg == "--scale") {
-      scale = std::atof(value().c_str());
+      if (!tools::parse_non_negative(value(), &scale) || scale == 0.0) {
+        return bad_value("a finite number > 0");
+      }
     } else if (arg == "--seed") {
-      seed = std::strtoull(value().c_str(), nullptr, 10);
+      if (!tools::parse_count(value(), &seed)) {
+        return bad_value("a non-negative integer within 64 bits");
+      }
     } else {
       std::fprintf(stderr, "slowcc_spec: unknown option %s\n", arg.c_str());
       return usage(argv[0], 2);

@@ -39,10 +39,8 @@
 // byte-compares the serialized results — the determinism guarantee the
 // subsystem is built around.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <climits>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -59,9 +57,13 @@
 #include "exp/result_sink.hpp"
 #include "exp/serialize.hpp"
 #include "exp/sweep_spec.hpp"
+#include "flag_parse.hpp"
 #include "spec/spec_registry.hpp"
 
 using namespace slowcc;
+using tools::parse_byte_count;
+using tools::parse_count;
+using tools::parse_non_negative;
 
 namespace {
 
@@ -113,58 +115,6 @@ void list_experiments() {
     }
     std::printf("%-16s   params: %s\n", "", params.c_str());
   }
-}
-
-/// Parse the leading decimal digits of `text` into `*out`; `*rest`
-/// points past them. Returns false unless `text` starts with a digit
-/// (no sign, no blank) and the value fits in 64 bits.
-bool parse_digits(const std::string& text, std::uint64_t* out,
-                  const char** rest) {
-  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE) return false;
-  *out = value;
-  *rest = end;
-  return true;
-}
-
-/// Parse a plain non-negative integer ("100000").
-bool parse_count(const std::string& text, std::uint64_t* out) {
-  const char* rest = nullptr;
-  return parse_digits(text, out, &rest) && *rest == '\0';
-}
-
-/// Parse a byte count with an optional k/m/g suffix (powers of 1024):
-/// "64m" == 67108864. Returns false on a malformed count or one that
-/// overflows 64 bits.
-bool parse_byte_count(const std::string& text, std::uint64_t* out) {
-  std::uint64_t base = 0;
-  const char* end = nullptr;
-  if (!parse_digits(text, &base, &end)) return false;
-  int shift = 0;
-  if (*end == 'k' || *end == 'K') {
-    shift = 10;
-  } else if (*end == 'm' || *end == 'M') {
-    shift = 20;
-  } else if (*end == 'g' || *end == 'G') {
-    shift = 30;
-  }
-  if (shift != 0) ++end;
-  if (*end != '\0' || base > (UINT64_MAX >> shift)) return false;
-  *out = base << shift;
-  return true;
-}
-
-/// Parse a finite, non-negative number of seconds ("0.5").
-bool parse_seconds(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (*end != '\0' || !std::isfinite(value) || !(value >= 0.0)) return false;
-  *out = value;
-  return true;
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -356,7 +306,7 @@ int main(int argc, char** argv) {
           return bad_value("a non-negative integer");
         }
       } else if (arg == "--trial-wall-seconds") {
-        if (!parse_seconds(value(), &policy.max_trial_wall_seconds)) {
+        if (!parse_non_negative(value(), &policy.max_trial_wall_seconds)) {
           return bad_value("a finite number of seconds >= 0");
         }
       } else if (arg == "--trial-max-bytes") {
