@@ -2,44 +2,31 @@
 
 namespace slowcc::cc {
 
-Agent::Agent(sim::Simulator& sim, net::Node& local, net::NodeId peer_node,
-             net::PortId peer_port, net::FlowId flow)
+Endpoint::Endpoint(sim::Simulator& sim, net::Node& local)
     : sim_(sim),
       local_(local),
-      peer_node_(peer_node),
-      peer_port_(peer_port),
-      local_port_(local.allocate_port()),
-      flow_(flow) {
+      pool_(net::PacketPool::of(sim)),
+      local_port_(local.allocate_port()) {
   local_.attach(local_port_, *this);
 }
 
-Agent::~Agent() { local_.detach(local_port_); }
+Endpoint::~Endpoint() { local_.detach(local_port_); }
 
-net::Packet Agent::make_packet(net::PacketType type) const {
+net::PooledPacket Endpoint::make_packet(net::PacketType type,
+                                        net::NodeId dst_node,
+                                        net::PortId dst_port,
+                                        net::FlowId flow,
+                                        std::int64_t size_bytes) {
   net::Packet p;
   p.type = type;
   p.src_node = local_.id();
   p.src_port = local_port_;
-  p.dst_node = peer_node_;
-  p.dst_port = peer_port_;
-  p.flow = flow_;
-  p.size_bytes = packet_size_;
+  p.dst_node = dst_node;
+  p.dst_port = dst_port;
+  p.flow = flow;
+  p.size_bytes = size_bytes;
   p.sent_at = sim_.now();
-  p.uid = sim_.next_packet_uid();
-  return p;
+  return pool_.acquire(p);
 }
-
-void Agent::inject(net::Packet&& p) {
-  ++stats_.packets_sent;
-  stats_.bytes_sent += p.size_bytes;
-  local_.deliver(std::move(p));
-}
-
-SinkBase::SinkBase(sim::Simulator& sim, net::Node& local)
-    : sim_(sim), local_(local), local_port_(local.allocate_port()) {
-  local_.attach(local_port_, *this);
-}
-
-SinkBase::~SinkBase() { local_.detach(local_port_); }
 
 }  // namespace slowcc::cc

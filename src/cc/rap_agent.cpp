@@ -14,18 +14,9 @@ void RapSink::handle_packet(const net::Packet& p) {
   if (p.type != net::PacketType::kData) return;
   note_received(p);
 
-  net::Packet ack;
-  ack.type = net::PacketType::kRapAck;
-  ack.src_node = local_.id();
-  ack.src_port = local_port_;
-  ack.dst_node = p.src_node;
-  ack.dst_port = p.src_port;
-  ack.flow = p.flow;
-  ack.size_bytes = ack_size_;
+  auto [h, ack] = make_reply(net::PacketType::kRapAck, ack_size_);
   ack.seq = p.seq;
-  ack.sent_at = sim_.now();
-  ack.echo = p.sent_at;
-  local_.deliver(std::move(ack));
+  send(h);
 }
 
 RapAgent::RapAgent(sim::Simulator& sim, net::Node& local,
@@ -62,7 +53,7 @@ void RapAgent::schedule_next_send() {
 
 void RapAgent::on_send_timer() {
   if (!running_) return;
-  net::Packet p = make_packet(net::PacketType::kData);
+  auto [h, p] = make_packet(net::PacketType::kData);
   p.seq = next_seq_;
   p.rtt_estimate = srtt();
   unacked_.insert(next_seq_);
@@ -71,7 +62,7 @@ void RapAgent::on_send_timer() {
   // still unacked is certainly gone; forget it without further action
   // (the loss was already accounted when newer ACKs arrived).
   while (unacked_.size() > 4096) unacked_.erase(unacked_.begin());
-  inject(std::move(p));
+  inject(h);
   schedule_next_send();
 }
 

@@ -66,11 +66,11 @@ void TcpAgent::send_available() {
 }
 
 void TcpAgent::send_segment(std::int64_t seq, bool is_retransmit) {
-  net::Packet p = make_packet(net::PacketType::kData);
+  auto [h, p] = make_packet(net::PacketType::kData);
   p.seq = seq;
   p.rtt_estimate = srtt();
   if (is_retransmit) ++stats_.retransmits;
-  inject(std::move(p));
+  inject(h);
   if (!rto_timer_.pending()) restart_rto_timer();
 }
 

@@ -12,11 +12,6 @@ TcpSink::TcpSink(sim::Simulator& sim, net::Node& local)
 void TcpSink::handle_packet(const net::Packet& p) {
   if (p.type != net::PacketType::kData) return;
   note_received(p);
-
-  peer_node_ = p.src_node;
-  peer_port_ = p.src_port;
-  flow_ = p.flow;
-  last_stamp_ = p.sent_at;
   last_ecn_ = p.ecn_marked;
 
   bool in_order = false;
@@ -64,20 +59,11 @@ void TcpSink::send_ack() {
   ack_pending_ = false;
   delack_timer_.cancel();
 
-  net::Packet ack;
-  ack.type = net::PacketType::kAck;
-  ack.src_node = local_.id();
-  ack.src_port = local_port_;
-  ack.dst_node = peer_node_;
-  ack.dst_port = peer_port_;
-  ack.flow = flow_;
-  ack.size_bytes = ack_size_;
+  auto [h, ack] = make_reply(net::PacketType::kAck, ack_size_);
   ack.seq = next_expected_;
-  ack.sent_at = sim_.now();
-  ack.echo = last_stamp_;
   ack.ecn_marked = last_ecn_;
   ++acks_sent_;
-  local_.deliver(std::move(ack));
+  send(h);
 }
 
 }  // namespace slowcc::cc

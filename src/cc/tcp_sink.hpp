@@ -59,13 +59,7 @@ class TcpSink final : public SinkBase {
   bool ack_pending_ = false;   // one unacknowledged in-order segment held
   std::uint64_t acks_sent_ = 0;
 
-  // Identity of the peer, learned from data packets, used by the
-  // delayed-ACK timer path.
-  net::NodeId peer_node_ = net::kInvalidNode;
-  net::PortId peer_port_ = 0;
-  net::FlowId flow_ = 0;
-  sim::Time last_stamp_;
-  bool last_ecn_ = false;
+  bool last_ecn_ = false;  // ECN mark of the latest data packet
 };
 
 }  // namespace slowcc::cc

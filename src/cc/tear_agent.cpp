@@ -12,13 +12,8 @@ TearSink::TearSink(sim::Simulator& sim, net::Node& local, double ewma_weight)
 void TearSink::handle_packet(const net::Packet& p) {
   if (p.type != net::PacketType::kTearData) return;
   note_received(p);
-
-  sender_node_ = p.src_node;
-  sender_port_ = p.src_port;
-  flow_ = p.flow;
   pkt_size_ = p.size_bytes;
   sender_rtt_ = p.rtt_estimate;
-  last_packet_stamp_ = p.sent_at;
 
   const sim::Time rtt =
       sender_rtt_.is_zero() ? sim::Time::millis(100) : sender_rtt_;
@@ -63,19 +58,10 @@ void TearSink::send_feedback() {
     cwnd_avg_ = (1.0 - ewma_weight_) * cwnd_avg_ + ewma_weight_ * cwnd_;
   }
 
-  net::Packet fb;
-  fb.type = net::PacketType::kTearFeedback;
-  fb.src_node = local_.id();
-  fb.src_port = local_port_;
-  fb.dst_node = sender_node_;
-  fb.dst_port = sender_port_;
-  fb.flow = flow_;
-  fb.size_bytes = 40;
-  fb.sent_at = sim_.now();
-  fb.echo = last_packet_stamp_;
+  auto [h, fb] = make_reply(net::PacketType::kTearFeedback, kFeedbackSize);
   fb.feedback.receive_rate =
       cwnd_avg_ * static_cast<double>(pkt_size_) / rtt.as_seconds();
-  local_.deliver(std::move(fb));
+  send(h);
 
   feedback_timer_.schedule_in(rtt);
 }
@@ -109,10 +95,10 @@ void TearAgent::schedule_next_send() {
 
 void TearAgent::on_send_timer() {
   if (!running_) return;
-  net::Packet p = make_packet(net::PacketType::kTearData);
+  auto [h, p] = make_packet(net::PacketType::kTearData);
   p.seq = next_seq_++;
   p.rtt_estimate = srtt();
-  inject(std::move(p));
+  inject(h);
   schedule_next_send();
 }
 

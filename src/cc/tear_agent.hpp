@@ -32,13 +32,10 @@ class TearSink final : public SinkBase {
   sim::Timer feedback_timer_;
   double ewma_weight_;
 
+  static constexpr std::int64_t kFeedbackSize = 40;  // bytes
   bool saw_packet_ = false;
-  net::NodeId sender_node_ = net::kInvalidNode;
-  net::PortId sender_port_ = 0;
-  net::FlowId flow_ = 0;
   std::int64_t pkt_size_ = 1000;
   sim::Time sender_rtt_;
-  sim::Time last_packet_stamp_;
 
   // Receiver-side TCP emulation.
   std::int64_t expected_ = 0;

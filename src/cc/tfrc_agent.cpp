@@ -45,10 +45,10 @@ void TfrcAgent::schedule_next_send() {
 
 void TfrcAgent::on_send_timer() {
   if (!running_) return;
-  net::Packet p = make_packet(net::PacketType::kTfrcData);
+  auto [h, p] = make_packet(net::PacketType::kTfrcData);
   p.seq = next_seq_++;
   p.rtt_estimate = srtt();
-  inject(std::move(p));
+  inject(h);
   schedule_next_send();
 }
 

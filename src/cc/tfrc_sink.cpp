@@ -53,11 +53,6 @@ double TfrcSink::receive_rate_bytes_per_sec() const {
 void TfrcSink::handle_packet(const net::Packet& p) {
   if (p.type != net::PacketType::kTfrcData) return;
   note_received(p);
-
-  sender_node_ = p.src_node;
-  sender_port_ = p.src_port;
-  flow_ = p.flow;
-  last_packet_stamp_ = p.sent_at;
   sender_rtt_ = p.rtt_estimate;
   data_since_feedback_ = true;
 
@@ -90,16 +85,7 @@ void TfrcSink::on_feedback_timer() {
 }
 
 void TfrcSink::send_feedback() {
-  net::Packet fb;
-  fb.type = net::PacketType::kTfrcFeedback;
-  fb.src_node = local_.id();
-  fb.src_port = local_port_;
-  fb.dst_node = sender_node_;
-  fb.dst_port = sender_port_;
-  fb.flow = flow_;
-  fb.size_bytes = kFeedbackSize;
-  fb.sent_at = sim_.now();
-  fb.echo = last_packet_stamp_;
+  auto [h, fb] = make_reply(net::PacketType::kTfrcFeedback, kFeedbackSize);
   fb.feedback.loss_event_rate = history_.loss_event_rate();
   fb.feedback.receive_rate = receive_rate_bytes_per_sec();
   // "Loss reported" means a loss event began within the last RTT — not
@@ -110,7 +96,7 @@ void TfrcSink::send_feedback() {
   fb.feedback.loss_seen =
       history_.loss_events() > 0 &&
       sim_.now() - history_.last_event_start() <= rate_window();
-  local_.deliver(std::move(fb));
+  send(h);
 
   data_since_feedback_ = false;
   loss_since_feedback_ = false;

@@ -41,11 +41,6 @@ class TfrcSink final : public SinkBase {
   static constexpr std::int64_t kFeedbackSize = 40;  // bytes
 
   bool saw_packet_ = false;
-  net::NodeId sender_node_ = net::kInvalidNode;
-  net::PortId sender_port_ = 0;
-  net::FlowId flow_ = 0;
-
-  sim::Time last_packet_stamp_;   // sent_at of the latest data packet
   sim::Time sender_rtt_;          // sender's RTT estimate, from packets
   bool data_since_feedback_ = false;
   bool loss_since_feedback_ = false;

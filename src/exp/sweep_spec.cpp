@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -28,12 +29,14 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-double parse_double(std::string_view token) {
+// strtod also reads "nan" and "inf", which would reach a trial as a
+// timeline or parameter no scenario can run, so only finite values pass.
+double parse_double(std::string_view token, std::string_view key) {
   const std::string t(trim(token));
   char* end = nullptr;
   const double v = std::strtod(t.c_str(), &end);
-  if (t.empty() || end != t.c_str() + t.size()) {
-    bad("malformed number: '" + t + "'");
+  if (t.empty() || end != t.c_str() + t.size() || !std::isfinite(v)) {
+    bad(std::string(key) + " expects a finite number: '" + t + "'");
   }
   return v;
 }
@@ -54,7 +57,8 @@ std::uint64_t parse_u64(std::string_view token) {
 
 }  // namespace
 
-std::vector<double> parse_double_list(std::string_view text) {
+std::vector<double> parse_double_list(std::string_view text,
+                                      std::string_view key) {
   std::vector<double> out;
   std::size_t start = 0;
   while (start <= text.size()) {
@@ -62,11 +66,11 @@ std::vector<double> parse_double_list(std::string_view text) {
     const std::string_view token =
         text.substr(start, comma == std::string_view::npos ? std::string_view::npos
                                                            : comma - start);
-    if (!trim(token).empty()) out.push_back(parse_double(token));
+    if (!trim(token).empty()) out.push_back(parse_double(token, key));
     if (comma == std::string_view::npos) break;
     start = comma + 1;
   }
-  if (out.empty()) bad("empty value list");
+  if (out.empty()) bad(std::string(key) + ": empty value list");
   return out;
 }
 
@@ -124,7 +128,9 @@ std::vector<TrialDesc> SweepSpec::expand() const {
   if (experiment.empty()) bad("no experiment named");
   if (algorithms.empty()) bad("no algorithms listed");
   if (trials < 1) bad("trials must be >= 1");
-  if (duration_scale <= 0) bad("duration_scale must be > 0");
+  if (!std::isfinite(duration_scale) || duration_scale <= 0) {
+    bad("duration_scale must be finite and > 0");
+  }
   if (sweep_param.empty() != sweep_values.empty()) {
     bad("sweep parameter name and values must be set together");
   }
@@ -183,12 +189,12 @@ void SweepSpec::assign(std::string_view raw_key, std::string_view raw_value) {
   } else if (key == "algorithms") {
     algorithms = parse_token_list(value);
   } else if (key == "bandwidths_mbps") {
-    bandwidths_bps = parse_double_list(value);
+    bandwidths_bps = parse_double_list(value, key);
     for (double& b : bandwidths_bps) b *= 1e6;
   } else if (key == "bandwidths_bps") {
-    bandwidths_bps = parse_double_list(value);
+    bandwidths_bps = parse_double_list(value, key);
   } else if (key == "rtts_ms") {
-    rtts_ms = parse_double_list(value);
+    rtts_ms = parse_double_list(value, key);
   } else if (key == "trials") {
     const std::uint64_t n = parse_u64(value);
     if (n < 1 || n > static_cast<std::uint64_t>(INT_MAX)) {
@@ -199,15 +205,15 @@ void SweepSpec::assign(std::string_view raw_key, std::string_view raw_value) {
   } else if (key == "base_seed") {
     base_seed = parse_u64(value);
   } else if (key == "duration_scale") {
-    duration_scale = parse_double(value);
+    duration_scale = parse_double(value, key);
   } else if (key.rfind("sweep ", 0) == 0) {
     sweep_param = std::string(trim(std::string_view(key).substr(6)));
     if (sweep_param.empty()) bad("'sweep' needs a parameter name");
-    sweep_values = parse_double_list(value);
+    sweep_values = parse_double_list(value, sweep_param);
   } else if (key.rfind("set ", 0) == 0) {
     const std::string name(trim(std::string_view(key).substr(4)));
     if (name.empty()) bad("'set' needs a parameter name");
-    fixed[name] = parse_double(value);
+    fixed[name] = parse_double(value, name);
   } else {
     bad("unknown spec key: '" + key + "'");
   }

@@ -84,9 +84,11 @@ struct SweepSpec {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Parse a comma-separated list of doubles ("0.05, 0.2,0.8"). Throws
-/// `sim::SimError` (kBadConfig) on malformed input.
-[[nodiscard]] std::vector<double> parse_double_list(std::string_view text);
+/// Parse a comma-separated list of finite doubles ("0.05, 0.2,0.8").
+/// Throws `sim::SimError` (kBadConfig), naming `key`, on malformed or
+/// non-finite input.
+[[nodiscard]] std::vector<double> parse_double_list(std::string_view text,
+                                                    std::string_view key);
 
 /// Parse a comma-separated list of non-empty tokens, trimming blanks.
 [[nodiscard]] std::vector<std::string> parse_token_list(

@@ -168,9 +168,8 @@ void Link::depart(PacketHandle h) {
   if (verdict.extra_delay > sim::Time()) ++stats_.reordered;
   if (verdict.duplicate) {
     ++stats_.duplicates;
-    Packet copy = p;
     schedule_engine_delivery(
-        pool_.acquire(std::move(copy)),
+        pool_.acquire(p).handle,
         delay_ + verdict.extra_delay + verdict.duplicate_delay);
   }
   schedule_delivery(h, verdict.extra_delay);
@@ -308,8 +307,8 @@ void Link::set_down() {
   }
   for (PacketHandle h = queue_->dequeue_handle(); h.valid();
        h = queue_->dequeue_handle()) {
-    const Packet p = pool_.take(h);
-    drop_packet(p, DropReason::kLinkDown);
+    drop_packet(pool_.get(h), DropReason::kLinkDown);
+    pool_.release(h);
   }
   notify_state_change();
 }

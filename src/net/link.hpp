@@ -102,7 +102,8 @@ struct LinkStats {
 /// re-timed mid-flight, a wire-model extra delay, a duplicate — fall
 /// back to engine events. `tests/reference_link.hpp` is the by-value,
 /// one-engine-event-per-transition oracle the differential tests diff
-/// this class against; both mint the same (at, seq) event stream.
+/// this class against; both mint the same (at, seq) event stream, and
+/// the oracle acquires its packets into the pool only as it delivers.
 class Link {
  public:
   Link(sim::Simulator& sim, Node& from, Node& to, double bandwidth_bps,
@@ -115,10 +116,6 @@ class Link {
   /// and engine fallbacks alike) and returns their packets to the pool
   /// (links always die before the Simulator they reference).
   ~Link();
-
-  /// Offer a packet for transmission: acquires it into the pool, then
-  /// sends the handle.
-  void send(Packet&& p) { send(pool_.acquire(std::move(p))); }
 
   /// Offer a pooled packet for transmission. Ownership of `h` passes
   /// to the link; on drop the link releases it. Throws

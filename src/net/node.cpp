@@ -36,24 +36,6 @@ void Node::set_route(NodeId dst, Link& out) {
   routes_[idx] = &out;
 }
 
-void Node::deliver(Packet&& p) {
-  if (p.dst_node == id_) {
-    PacketHandler* handler = lookup(handlers_, p.dst_port);
-    if (handler == nullptr) {
-      ++undeliverable_;
-      return;
-    }
-    handler->handle_packet(p);
-    return;
-  }
-  Link* out = lookup(routes_, p.dst_node);
-  if (out == nullptr) {
-    ++undeliverable_;
-    return;
-  }
-  out->send(std::move(p));
-}
-
 void Node::deliver(PacketHandle h, PacketPool& pool) {
   Packet& p = pool.get(h);
   if (p.dst_node == id_) {

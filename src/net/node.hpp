@@ -14,9 +14,8 @@ class Link;
 /// Anything that terminates packets at a node: transport agents, sinks,
 /// traffic generators' receivers.
 ///
-/// Handlers receive the packet by const reference: for a pooled
-/// delivery it aliases the pool slot (released by the Node right after
-/// the call returns), for a by-value one the caller's value. Handlers
+/// Handlers receive the packet by const reference into its pool slot,
+/// which the Node releases right after the call returns. Handlers
 /// needing the packet beyond the call copy what they keep — in
 /// practice they read a few header fields, which is why the zero-copy
 /// terminal dispatch is free.
@@ -60,16 +59,13 @@ class Node {
   /// Throws SimError (kBadTopology) if `dst` is negative.
   void set_route(NodeId dst, Link& out);
 
-  /// Accept a packet arriving at this node: dispatch locally if it is
-  /// addressed here, otherwise forward along the route. Packets with no
-  /// local handler or no route are counted and discarded (this happens
-  /// legitimately when a short web flow has already torn down).
-  void deliver(Packet&& p);
-
-  /// Pooled variant: local packets dispatch by reference into the pool
-  /// slot and the handle is released; forwarded packets pass the handle
-  /// to the next link untouched. Undeliverable handles are released, so
-  /// the node never leaks pool slots. `pool` is the simulation's pool
+  /// Accept a pooled packet arriving at this node, from a link or from
+  /// a local endpoint: a packet addressed here dispatches by reference
+  /// into its pool slot and the handle is released; a transit packet
+  /// passes its handle to the next link untouched. Packets with no
+  /// local handler or no route are counted and released (this happens
+  /// legitimately when a short web flow has already torn down), so the
+  /// node never leaks pool slots. `pool` is the simulation's pool
   /// (PacketPool::of), which the node's links share. The handle is
   /// checked here, once per hop: a stale one throws
   /// SimError(kInvariantViolation).

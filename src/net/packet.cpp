@@ -29,10 +29,10 @@ const char* to_string(PacketType type) noexcept {
 std::string Packet::describe() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "%s flow=%d %d:%d->%d:%d seq=%lld size=%lldB uid=%llu",
+                "%s flow=%d %d:%d->%d:%d seq=%lld size=%lldB",
                 to_string(type), flow, src_node, src_port, dst_node, dst_port,
-                static_cast<long long>(seq), static_cast<long long>(size_bytes),
-                static_cast<unsigned long long>(uid));
+                static_cast<long long>(seq),
+                static_cast<long long>(size_bytes));
   return buf;
 }
 

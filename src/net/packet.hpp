@@ -74,10 +74,6 @@ struct Packet {
   // Receiver report payload (valid for kTfrcFeedback / kTearFeedback).
   FeedbackInfo feedback;
 
-  // Globally unique id assigned at send time; used by loss scripts and
-  // by debugging traces.
-  std::uint64_t uid = 0;
-
   [[nodiscard]] std::string describe() const;
 };
 

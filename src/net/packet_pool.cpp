@@ -86,27 +86,26 @@ void PacketPool::reserve(std::size_t slots) {
   while (capacity() < slots) add_chunk();
 }
 
-PacketHandle PacketPool::acquire(Packet&& p) {
+PooledPacket PacketPool::acquire(const Packet& p) {
   if (free_head_ == PacketHandle::kInvalidSlot) add_chunk();
   const std::uint32_t idx = free_head_;
   Slot& s = slot_at(idx);
   free_head_ = s.next_free;
   s.next_free = kLiveMark;
-  s.packet = std::move(p);
+  s.packet = p;
   ++live_;
   live_bytes_ += static_cast<std::uint64_t>(s.packet.size_bytes);
-  return PacketHandle{idx, s.gen};
-}
-
-Packet PacketPool::take(PacketHandle h) {
-  Slot& s = live_slot(h, "take");
-  free_slot(s, h.slot);
-  // A freed slot's storage stays put until the next acquire.
-  return std::move(s.packet);
+  return PooledPacket{PacketHandle{idx, s.gen}, s.packet};
 }
 
 void PacketPool::release(PacketHandle h) {
-  free_slot(live_slot(h, "release"), h.slot);
+  Slot& s = live_slot(h, "release");
+  // Back onto the free list, staling every handle to the slot.
+  ++s.gen;
+  s.next_free = free_head_;
+  free_head_ = h.slot;
+  --live_;
+  live_bytes_ -= static_cast<std::uint64_t>(s.packet.size_bytes);
 }
 
 }  // namespace slowcc::net

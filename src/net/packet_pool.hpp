@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -35,6 +34,13 @@ struct PacketHandle {
   constexpr bool operator==(const PacketHandle&) const noexcept = default;
 };
 
+/// A packet just acquired: its handle, and the slot to fill in through
+/// without a second checked lookup.
+struct PooledPacket {
+  PacketHandle handle;
+  Packet& packet;
+};
+
 /// Generation-counted free-list pool of Packets (the event queue's
 /// node-pool idiom applied to the packet path).
 ///
@@ -46,13 +52,13 @@ struct PacketHandle {
 ///
 /// Handle invariants:
 ///  * release() bumps the slot generation, so every outstanding handle
-///    to the old occupant goes stale; get()/take()/release() on a stale
-///    handle throw SimError(kInvariantViolation) — double-free and ABA
-///    bugs surface at the exact misuse site.
+///    to the old occupant goes stale; get()/release() on a stale handle
+///    throw SimError(kInvariantViolation) — double-free and ABA bugs
+///    surface at the exact misuse site.
 ///  * live() counts acquired-but-unreleased packets and live_bytes()
 ///    their summed size_bytes; at simulator teardown both must balance
 ///    to zero. A packet's size_bytes is fixed once it is pooled: the
-///    sum adds it at acquire and subtracts it at take/release.
+///    sum adds it at acquire and subtracts it at release.
 ///  * The pool of a Simulator (`of`) is the ResourceGovernor's packet
 ///    model: the governor reads live() and live_bytes() directly.
 class PacketPool {
@@ -68,9 +74,10 @@ class PacketPool {
   /// and the guard unregisters them.
   [[nodiscard]] static PacketPool& of(sim::Simulator& sim);
 
-  /// Move `p` into a pooled slot. Grows by one chunk when the free
-  /// list is empty.
-  [[nodiscard]] PacketHandle acquire(Packet&& p);
+  /// Copy `p` into a pooled slot, charging its size_bytes, which is
+  /// final from here on. Grows by one chunk when the free list is
+  /// empty. The only way a packet enters the pool.
+  [[nodiscard]] PooledPacket acquire(const Packet& p);
 
   /// Access the pooled packet. Throws SimError(kInvariantViolation)
   /// when `h` is stale (released, or its slot was recycled).
@@ -80,9 +87,6 @@ class PacketPool {
   [[nodiscard]] const Packet& get(PacketHandle h) const {
     return const_cast<PacketPool*>(this)->live_slot(h, "get").packet;
   }
-
-  /// Move the packet out and release the slot in one step.
-  [[nodiscard]] Packet take(PacketHandle h);
 
   /// Return the slot to the free list and bump its generation, staling
   /// every outstanding handle to it.
@@ -116,13 +120,15 @@ class PacketPool {
   static constexpr std::uint32_t kLiveMark = kMaxSlots;
 
   // The check word leads, right beside the header fields a hop reads
-  // after its handle check, so both usually share one cache line.
+  // after its handle check, so both usually share one cache line. The
+  // padding keeps the 128-byte slot the per-hop path was measured with.
   struct Slot {
     std::uint32_t gen = 1;  // bumped on release; stale handles mismatch
     std::uint32_t next_free = PacketHandle::kInvalidSlot;  // or kLiveMark
     Packet packet;
+    unsigned char pad[128 - 2 * sizeof(std::uint32_t) - sizeof(Packet)];
   };
-  static_assert(sizeof(Slot) == 128, "gen + next_free + 120-byte Packet");
+  static_assert(sizeof(Slot) == 128, "gen + next_free + Packet + padding");
 
   [[nodiscard]] Slot& slot_at(std::uint32_t idx) noexcept {
     return chunks_[idx >> kChunkShift][idx & (kChunkSlots - 1)];
@@ -130,7 +136,7 @@ class PacketPool {
   [[nodiscard]] const Slot& slot_at(std::uint32_t idx) const noexcept {
     return chunks_[idx >> kChunkShift][idx & (kChunkSlots - 1)];
   }
-  // Every get/take/release goes through here: capacity, live mark and
+  // Every get/release goes through here: capacity, live mark and
   // generation are all checked. Inline because it runs on every hop;
   // the throw stays out of line.
   [[nodiscard]] Slot& live_slot(PacketHandle h, const char* op) {
@@ -138,14 +144,6 @@ class PacketPool {
     Slot& s = slot_at(h.slot);
     if (s.gen != h.gen || s.next_free != kLiveMark) throw_stale(h, op);
     return s;
-  }
-  // Back onto the free list, staling every handle to the slot.
-  void free_slot(Slot& s, std::uint32_t idx) noexcept {
-    ++s.gen;
-    s.next_free = free_head_;
-    free_head_ = idx;
-    --live_;
-    live_bytes_ -= static_cast<std::uint64_t>(s.packet.size_bytes);
   }
   void add_chunk();
   [[noreturn]] void throw_stale(PacketHandle h, const char* op) const;

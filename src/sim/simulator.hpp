@@ -221,14 +221,6 @@ class Simulator {
     return governor_;
   }
 
-  /// Next unique packet id for this simulation. Lives on the Simulator
-  /// (not a global) so concurrent simulations on different threads
-  /// never share a counter and every trial's uid sequence is
-  /// deterministic in isolation.
-  [[nodiscard]] std::uint64_t next_packet_uid() noexcept {
-    return next_packet_uid_++;
-  }
-
  private:
   friend class Lane;
 
@@ -251,7 +243,6 @@ class Simulator {
   Time now_;
   std::uint64_t events_executed_ = 0;
   std::uint64_t trace_digest_ = kFnvOffsetBasis;
-  std::uint64_t next_packet_uid_ = 1;
   std::uint64_t event_budget_ = 0;  // 0 = unlimited
   std::uint64_t event_budget_base_ = 0;
   std::uint64_t hook_every_ = 0;

@@ -136,6 +136,12 @@ traffic::PatternKind pattern_kind(const std::string& shape) noexcept {
 
 SpecRunResult run_scenario(const ScenarioSpec& spec,
                            const SpecRunOptions& opt) {
+  // A zero scale collapses every timeline onto t = 0, and some specs
+  // never finish there.
+  if (!std::isfinite(opt.duration_scale) || opt.duration_scale <= 0) {
+    throw sim::SimError(sim::SimErrc::kBadConfig, "spec",
+                        "duration_scale must be finite and > 0");
+  }
   const Resolver R(spec, opt);
   const TopologySection& topo = spec.topology;
 

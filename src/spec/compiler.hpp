@@ -44,7 +44,8 @@ struct SpecRunResult {
 /// Compile and execute `spec` under `opt`. Throws
 /// sim::SimError(kBadSpec) on resolution failures (unknown $param,
 /// out-of-range resolved value, bad algorithm token), each carrying
-/// the spec's file:line.
+/// the spec's file:line, and sim::SimError(kBadConfig) when
+/// `opt.duration_scale` is not a finite number > 0.
 [[nodiscard]] SpecRunResult run_scenario(const ScenarioSpec& spec,
                                          const SpecRunOptions& opt);
 

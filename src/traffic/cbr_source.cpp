@@ -48,9 +48,9 @@ void CbrSource::schedule_next_send() {
 
 void CbrSource::on_send_timer() {
   if (!running_ || rate_bps_ <= 0.0) return;
-  net::Packet p = make_packet(net::PacketType::kCbr);
+  auto [h, p] = make_packet(net::PacketType::kCbr);
   p.seq = next_seq_++;
-  inject(std::move(p));
+  inject(h);
   schedule_next_send();
 }
 

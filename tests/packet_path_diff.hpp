@@ -119,6 +119,16 @@ inline std::unique_ptr<net::Queue> make_queue(sim::Simulator& sim,
 
 }  // namespace detail
 
+/// Offer `p` to a link under test: net::Link takes a pooled handle,
+/// the reference link a value.
+inline void offer(net::Link& link, sim::Simulator& sim, const net::Packet& p) {
+  link.send(net::PacketPool::of(sim).acquire(p).handle);
+}
+inline void offer(ReferenceLink& link, sim::Simulator& /*sim*/,
+                  const net::Packet& p) {
+  link.send(p);
+}
+
 /// Execute `script` on a link of type `LinkT` (net::Link or
 /// ReferenceLink) and render every observable into a log. The two link
 /// types agree iff their logs are equal.
@@ -150,7 +160,7 @@ std::string run_path_script(const PathScript& script,
           p.dst_port = 1;
           p.seq = next_seq++;
           p.size_bytes = op.arg;
-          link.send(std::move(p));
+          offer(link, sim, p);
           break;
         }
         case PathOp::Kind::kRun:

@@ -5,7 +5,6 @@
 // itself only takes and yields PacketHandles into its attached pool.
 
 #include <optional>
-#include <utility>
 
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
@@ -14,30 +13,32 @@
 
 namespace slowcc::test {
 
-/// Move `p` into the queue's pool and offer its handle. On success the
-/// queue owns the packet and nullopt is returned; on rejection the
-/// packet is moved back into `p`, intact, and the reason returned.
-/// Throws SimError(kBadConfig) when no pool is attached.
+/// Copy `p` into the queue's pool and offer its handle. On success the
+/// queue owns the pooled copy and nullopt is returned; on rejection the
+/// copy is released and the reason returned. Throws SimError(kBadConfig)
+/// when no pool is attached.
 [[nodiscard]] inline std::optional<net::DropReason> enqueue_value(
-    net::Queue& queue, net::Packet&& p) {
+    net::Queue& queue, const net::Packet& p) {
   net::PacketPool* pool = queue.pool();
   if (pool == nullptr) {
     throw sim::SimError(sim::SimErrc::kBadConfig, "enqueue_value",
                         "queue has no packet pool attached");
   }
-  const net::PacketHandle h = pool->acquire(std::move(p));
+  const net::PacketHandle h = pool->acquire(p).handle;
   auto reason = queue.enqueue(h);
-  if (reason.has_value()) p = pool->take(h);
+  if (reason.has_value()) pool->release(h);
   return reason;
 }
 
-/// Remove the head packet and move it out of the pool; nullopt when
-/// the queue is empty.
+/// Remove the head packet, copy it out of the pool and release its
+/// slot; nullopt when the queue is empty.
 [[nodiscard]] inline std::optional<net::Packet> dequeue_value(
     net::Queue& queue) {
   const net::PacketHandle h = queue.dequeue_handle();
   if (!h.valid()) return std::nullopt;
-  return queue.pool()->take(h);
+  const net::Packet p = queue.pool()->get(h);
+  queue.pool()->release(h);
+  return p;
 }
 
 }  // namespace slowcc::test

@@ -8,8 +8,11 @@
 // duplicate is its own engine event whose closure carries the packet.
 // It mints seqs at exactly the points net::Link posts a lane entry or
 // schedules an engine fallback, so the two execute one (at, seq) event
-// stream. Slow and obviously correct on purpose; only
-// tests/packet_path_diff.hpp and tests/test_packet_path_diff.cpp use it.
+// stream. Its entry is its own: packets arrive by value, and each
+// enters the simulation's pool only as it is delivered, through
+// Node::deliver's handle entry. Slow and obviously correct on purpose;
+// only tests/packet_path_diff.hpp and tests/test_packet_path_diff.cpp
+// use it.
 
 #include <cstdint>
 #include <map>
@@ -33,11 +36,12 @@ class ReferenceLink {
                 double bandwidth_bps, sim::Time propagation_delay,
                 std::unique_ptr<net::Queue> queue)
       : sim_(sim),
+        pool_(net::PacketPool::of(sim)),
         to_(to),
         bandwidth_(bandwidth_bps),
         delay_(propagation_delay),
         queue_(std::move(queue)) {
-    queue_->attach_pool(&net::PacketPool::of(sim_));
+    queue_->attach_pool(&pool_);
   }
 
   ReferenceLink(const ReferenceLink&) = delete;
@@ -50,11 +54,11 @@ class ReferenceLink {
     for (const auto& [key, id] : deliveries_) sim_.cancel(id);
   }
 
-  void send(net::Packet&& p) {
+  void send(const net::Packet& p) {
     ++stats_.arrivals;
     if (!up_) return drop(net::DropReason::kLinkDown);
     if (forced_drop_ && forced_drop_(p)) return drop(net::DropReason::kForced);
-    if (auto reason = enqueue_value(*queue_, std::move(p))) {
+    if (auto reason = enqueue_value(*queue_, p)) {
       return drop(*reason);
     }
     if (!transmitting()) start_transmission();
@@ -149,13 +153,14 @@ class ReferenceLink {
   void deliver_after(sim::Time after, net::Packet p) {
     const std::uint64_t key = next_delivery_++;
     deliveries_[key] =
-        sim_.schedule_in(after, [this, key, q = std::move(p)]() mutable {
+        sim_.schedule_in(after, [this, key, q = std::move(p)] {
           deliveries_.erase(key);
-          to_.deliver(std::move(q));
+          to_.deliver(pool_.acquire(q).handle, pool_);
         });
   }
 
   sim::Simulator& sim_;
+  net::PacketPool& pool_;
   net::Node& to_;
   double bandwidth_;
   sim::Time delay_;

@@ -123,8 +123,7 @@ Row run_membomb(const TrialDesc& d) {
       for (int i = 0; i < pkts_per_event; ++i) {
         net::Packet p;
         p.size_bytes = 1500;
-        p.uid = sim.next_packet_uid();
-        const net::PacketHandle h = pool.acquire(std::move(p));
+        const net::PacketHandle h = pool.acquire(p).handle;
         if (queue.enqueue(h).has_value()) pool.release(h);
       }
       // Two children per event: the live-event count grows too, so the

@@ -3,6 +3,7 @@
 // byte-identical results whether trials run on 1 worker or 8.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "exp/aggregator.hpp"
@@ -60,7 +61,19 @@ TEST(ExpSweepSpec, ExpandOrderAndCells) {
 TEST(ExpSweepSpec, RejectsMalformedInput) {
   EXPECT_THROW(exp::SweepSpec::parse_text("bogus_key = 1\n"), sim::SimError);
   EXPECT_THROW(exp::SweepSpec::parse_text("trials\n"), sim::SimError);
-  EXPECT_THROW((void)exp::parse_double_list("1,x,3"), sim::SimError);
+  EXPECT_THROW((void)exp::parse_double_list("1,x,3", "rtts_ms"),
+               sim::SimError);
+  // strtod reads nan and inf; no grid value may be either.
+  EXPECT_THROW((void)exp::parse_double_list("1,inf", "rtts_ms"),
+               sim::SimError);
+  EXPECT_THROW(exp::SweepSpec::parse_text("duration_scale = nan\n"),
+               sim::SimError);
+  EXPECT_THROW(exp::SweepSpec::parse_text("set k = -inf\n"), sim::SimError);
+  exp::SweepSpec unscaled;
+  unscaled.experiment = "stabilization";
+  unscaled.algorithms = {"tcp"};
+  unscaled.duration_scale = std::nan("");  // set directly, not parsed
+  EXPECT_THROW((void)unscaled.expand(), sim::SimError);
   exp::SweepSpec spec;
   spec.trials = 0;
   EXPECT_THROW((void)spec.expand(), sim::SimError);

@@ -108,8 +108,7 @@ TEST(InvariantAuditor, CleanLinkPasses) {
   net::Packet p;
   p.dst_node = 1;
   for (int i = 0; i < 5; ++i) {
-    net::Packet q = p;
-    rig.link.send(std::move(q));
+    rig.link.send(net::PacketPool::of(rig.sim).acquire(p).handle);
   }
   EXPECT_EQ(auditor.check_now(), 0u);  // mid-flight: queue + in_tx counted
   rig.sim.run();
@@ -127,8 +126,7 @@ TEST(InvariantAuditor, FlagsQueueBoundViolation) {
   net::Packet p;
   p.dst_node = 1;
   for (int i = 0; i < 6; ++i) {
-    net::Packet q = p;
-    rig.link.send(std::move(q));
+    rig.link.send(net::PacketPool::of(rig.sim).acquire(p).handle);
   }
   EXPECT_GE(auditor.check_now(), 1u);
   ASSERT_FALSE(auditor.violations().empty());
@@ -144,8 +142,7 @@ TEST(InvariantAuditor, ThrowsStructuredErrorWhenConfigured) {
   net::Packet p;
   p.dst_node = 1;
   for (int i = 0; i < 3; ++i) {
-    net::Packet q = p;
-    rig.link.send(std::move(q));
+    rig.link.send(net::PacketPool::of(rig.sim).acquire(p).handle);
   }
   try {
     auditor.check_now();

@@ -33,14 +33,15 @@ struct Rig {
     b.attach(1, sink);
   }
 
-  Packet packet(std::int64_t seq, std::int64_t size = 1000) {
+  // A packet for the sink, acquired into the simulation's pool.
+  PacketHandle packet(std::int64_t seq, std::int64_t size = 1000) {
     Packet p;
     p.src_node = 0;
     p.dst_node = 1;
     p.dst_port = 1;
     p.seq = seq;
     p.size_bytes = size;
-    return p;
+    return PacketPool::of(sim).acquire(p).handle;
   }
 };
 

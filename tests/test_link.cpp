@@ -35,14 +35,15 @@ struct Rig {
     b.attach(1, sink);
   }
 
-  Packet packet(std::int64_t seq, std::int64_t size = 1000) {
+  // A packet for the sink, acquired into the simulation's pool.
+  PacketHandle packet(std::int64_t seq, std::int64_t size = 1000) {
     Packet p;
     p.src_node = 0;
     p.dst_node = 1;
     p.dst_port = 1;
     p.seq = seq;
     p.size_bytes = size;
-    return p;
+    return PacketPool::of(sim).acquire(p).handle;
   }
 };
 
@@ -231,14 +232,14 @@ TEST(Link, LinksSharingALaneDieWithoutFiringIntoTheDeadOne) {
   Capture sink;
   sink.sim = &sim;
   b.attach(1, sink);
-  auto packet = [](std::int64_t seq) {
+  auto packet = [&sim](std::int64_t seq) {
     Packet p;
     p.src_node = 0;
     p.dst_node = 1;
     p.dst_port = 1;
     p.seq = seq;
     p.size_bytes = 1000;
-    return p;
+    return PacketPool::of(sim).acquire(p).handle;
   };
   Link keep(sim, a, b, 8e6, sim::Time::millis(10),
             std::make_unique<DropTailQueue>(8));
@@ -296,7 +297,7 @@ void expect_dead_link_cancels_wire_delivery(bool duplicate) {
   p.dst_node = 1;
   p.dst_port = 1;
   p.size_bytes = 1000;
-  link->send(std::move(p));
+  link->send(PacketPool::of(sim).acquire(p).handle);
   sim.run_until(sim::Time::millis(3));
   PacketPool& pool = PacketPool::of(sim);
   ASSERT_EQ(pool.live(), duplicate ? 2u : 1u);
@@ -323,9 +324,9 @@ TEST(Link, DestroyedLinkCancelsADuplicateOnTheWire) {
 TEST(Link, SendOfAStaleHandleThrows) {
   Rig rig;
   PacketPool& pool = PacketPool::of(rig.sim);
-  const PacketHandle stale = pool.acquire(rig.packet(1));
+  const PacketHandle stale = rig.packet(1);
   pool.release(stale);
-  const PacketHandle reused = pool.acquire(rig.packet(2));
+  const PacketHandle reused = rig.packet(2);
   ASSERT_EQ(reused.slot, stale.slot);
   const std::size_t live = pool.live();
   try {

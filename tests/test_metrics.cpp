@@ -40,7 +40,7 @@ struct MonitorRig {
       p.flow = flow;
       p.size_bytes = size;
       p.type = type;
-      link.send(std::move(p));
+      link.send(net::PacketPool::of(sim).acquire(p).handle);
     });
   }
 };

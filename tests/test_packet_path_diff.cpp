@@ -230,7 +230,7 @@ TEST(PacketPathDiff, ReferenceLinkDiesWithoutFiringIntoTheDeadOne) {
     p.dst_port = 1;
     p.seq = seq;
     p.size_bytes = 1000;
-    link->send(std::move(p));
+    link->send(p);
   }
   sim.run_until(sim::Time::millis(3) + sim::Time::micros(500));
   ASSERT_TRUE(link->transmitting());
@@ -279,7 +279,7 @@ std::string run_shared_lane_rig(const Fault& fault) {
           p.dst_port = 1;
           p.seq = round * 1000 + i * 100 + k;
           p.size_bytes = 1000;
-          links[static_cast<std::size_t>(i)]->send(std::move(p));
+          offer(*links[static_cast<std::size_t>(i)], sim, p);
         }
       }
     };

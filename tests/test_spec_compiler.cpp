@@ -5,6 +5,7 @@
 // rejection).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -170,6 +171,24 @@ TEST(SpecCompiler, DurationScaleScalesTimelineNotMagnitudes) {
   const SpecRunResult small = run_scenario(spec, tiny);
   EXPECT_LT(small.events, big.events);
   EXPECT_EQ(small.row.metrics.size(), big.row.metrics.size());
+}
+
+TEST(SpecCompiler, DurationScaleMustBeFiniteAndPositive) {
+  // At 0 every timeline collapses onto t = 0, where some specs never
+  // finish; the library refuses it rather than trusting each caller.
+  const ScenarioSpec spec = from_text(kScenario);
+  for (const double scale : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    SpecRunOptions opt = fast_opts();
+    opt.duration_scale = scale;
+    try {
+      (void)run_scenario(spec, opt);
+      ADD_FAILURE() << "duration_scale " << scale << " accepted";
+    } catch (const sim::SimError& e) {
+      EXPECT_EQ(e.code(), sim::SimErrc::kBadConfig) << scale;
+      EXPECT_NE(std::string(e.what()).find("duration_scale"),
+                std::string::npos);
+    }
+  }
 }
 
 // ---- registry binding ---------------------------------------------

@@ -33,15 +33,17 @@ TEST(Node, AllocatePortIsUnique) {
 }
 
 TEST(Node, UndeliverableCountsMissingHandlerAndRoute) {
+  PacketPool pool;
   Node n(0);
   Packet to_me;
   to_me.dst_node = 0;
   to_me.dst_port = 42;  // no handler
-  n.deliver(std::move(to_me));
+  n.deliver(pool.acquire(to_me).handle, pool);
   Packet transit;
   transit.dst_node = 9;  // no route
-  n.deliver(std::move(transit));
+  n.deliver(pool.acquire(transit).handle, pool);
   EXPECT_EQ(n.undeliverable_count(), 2u);
+  EXPECT_EQ(pool.live(), 0u);
 }
 
 TEST(Topology, RoutesAcrossMultiHopChain) {
@@ -62,7 +64,8 @@ TEST(Topology, RoutesAcrossMultiHopChain) {
   p.src_node = a.id();
   p.dst_node = b.id();
   p.dst_port = 1;
-  a.deliver(std::move(p));
+  PacketPool& pool = PacketPool::of(sim);
+  a.deliver(pool.acquire(p).handle, pool);
   sim.run();
   ASSERT_EQ(sink.received.size(), 1u);
 }
@@ -83,7 +86,8 @@ TEST(Topology, ReverseDirectionAlsoRouted) {
   p.src_node = b.id();
   p.dst_node = a.id();
   p.dst_port = 1;
-  b.deliver(std::move(p));
+  PacketPool& pool = PacketPool::of(sim);
+  b.deliver(pool.acquire(p).handle, pool);
   sim.run();
   EXPECT_EQ(at_a.received.size(), 1u);
 }
@@ -111,7 +115,8 @@ TEST(Topology, ShortestPathPreferredOverDetour) {
   p.src_node = a.id();
   p.dst_node = c.id();
   p.dst_port = 1;
-  a.deliver(std::move(p));
+  PacketPool& pool = PacketPool::of(sim);
+  a.deliver(pool.acquire(p).handle, pool);
   sim.run();
   ASSERT_EQ(sink.received.size(), 1u);
   EXPECT_EQ(direct_bc->stats().departures, 1u) << "short path used";
@@ -137,7 +142,8 @@ TEST(Topology, UnreachableNodesSimplyDropTraffic) {
   Packet p;
   p.src_node = a.id();
   p.dst_node = b.id();
-  a.deliver(std::move(p));
+  PacketPool& pool = PacketPool::of(sim);
+  a.deliver(pool.acquire(p).handle, pool);
   sim.run();
   EXPECT_EQ(a.undeliverable_count(), 1u);
 }
@@ -183,16 +189,12 @@ TEST(Node, DeliveryAfterDetachIsUndeliverable) {
   Capture h;
   n.attach(3, h);
   n.detach(3);
-  Packet by_value;
-  by_value.dst_node = 0;
-  by_value.dst_port = 3;
-  n.deliver(std::move(by_value));
-  Packet pooled;
-  pooled.dst_node = 0;
-  pooled.dst_port = 3;
-  n.deliver(pool.acquire(std::move(pooled)), pool);
+  Packet p;
+  p.dst_node = 0;
+  p.dst_port = 3;
+  n.deliver(pool.acquire(p).handle, pool);
   EXPECT_TRUE(h.received.empty());
-  EXPECT_EQ(n.undeliverable_count(), 2u);
+  EXPECT_EQ(n.undeliverable_count(), 1u);
   EXPECT_EQ(pool.live(), 0u);
 }
 
@@ -212,9 +214,9 @@ TEST(Node, DeliverOfAStaleHandleThrows) {
     Packet p;
     p.dst_node = dst;
     p.dst_port = 1;
-    const PacketHandle stale = pool.acquire(Packet(p));
+    const PacketHandle stale = pool.acquire(p).handle;
     pool.release(stale);
-    const PacketHandle reused = pool.acquire(std::move(p));
+    const PacketHandle reused = pool.acquire(p).handle;
     ASSERT_EQ(reused.slot, stale.slot);
     const std::size_t live = pool.live();
     try {
@@ -259,7 +261,7 @@ TEST(Node, UnroutedOrOutOfRangeDestinationsReleaseHandles) {
     p.src_node = a.id();
     p.dst_node = t.node;
     p.dst_port = t.port;
-    a.deliver(pool.acquire(std::move(p)), pool);
+    a.deliver(pool.acquire(p).handle, pool);
   }
   sim.run();
   EXPECT_TRUE(sink.received.empty());

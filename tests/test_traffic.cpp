@@ -172,8 +172,7 @@ TEST(CountedLossScript, InstalledFilterIgnoresAcks) {
   ack.src_node = 0;
   ack.dst_node = 1;
   for (int i = 0; i < 10; ++i) {
-    net::Packet copy = ack;
-    fwd->send(std::move(copy));
+    fwd->send(net::PacketPool::of(sim).acquire(ack).handle);
   }
   sim.run();
   EXPECT_EQ(fwd->stats().drops_forced, 0u) << "ACKs are never script-dropped";

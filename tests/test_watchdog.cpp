@@ -63,7 +63,7 @@ TEST(Watchdog, DumpIncludesWatchedLinkStats) {
   dog.watch_link(link, "bottleneck");
   net::Packet p;
   p.dst_node = 1;
-  link.send(std::move(p));
+  link.send(net::PacketPool::of(sim).acquire(p).handle);
   sim.run();
   const std::string dump = dog.diagnostic_dump();
   EXPECT_NE(dump.find("bottleneck"), std::string::npos);

@@ -14,7 +14,9 @@
 #      --jobs 4 --resume sweep SIGKILLed mid-grid and resumed, must match
 #      the uninterrupted --jobs 1 output byte-for-byte; the
 #      sweep_rejects_* tests: malformed budget, seed, trial and job flags
-#      of slowcc_sweep exit 2; the spec_rejects_* tests: a malformed
+#      of slowcc_sweep exit 2, and so does a non-finite grid value
+#      (sweep_rejects_duration_scale_nan, sweep_rejects_set_inf), naming
+#      its key; the spec_rejects_* tests: a malformed
 #      --scale or --seed of slowcc_spec exits 2 naming the flag;
 #      spec_smoke: the specs/ library vs its committed golden digests
 #      plus spec-driven sweep determinism; and overload_smoke: a
