@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <exception>
+#include <sstream>
 
 #include "scenario/convergence_experiment.hpp"
 #include "scenario/fairness_experiment.hpp"
@@ -90,6 +91,20 @@ Row run_stabilization(const TrialDesc& d) {
   return r;
 }
 
+/// The fairness CBR's shape, coded as a number so it can be swept:
+/// 0 square, 1 sawtooth, 2 reverse sawtooth.
+traffic::PatternKind pattern_param(const TrialDesc& d) {
+  const double code = d.param("pattern", 0.0);
+  if (code == 0.0) return traffic::PatternKind::kSquare;
+  if (code == 1.0) return traffic::PatternKind::kSawtooth;
+  if (code == 2.0) return traffic::PatternKind::kReverseSawtooth;
+  std::ostringstream detail;
+  detail << "pattern must be 0 (square), 1 (sawtooth) or 2 (reverse "
+            "sawtooth), got "
+         << code;
+  bad(detail.str());
+}
+
 Row run_fairness(const TrialDesc& d) {
   scenario::FairnessConfig cfg;
   const auto [a, b] = parse_flow_pair(d.algorithm);
@@ -100,6 +115,7 @@ Row run_fairness(const TrialDesc& d) {
   cfg.cbr_period = time_param(d, "cbr_period", 2.0);
   cfg.cbr_peak_fraction =
       d.param("cbr_peak_fraction", cfg.cbr_peak_fraction);
+  cfg.pattern = pattern_param(d);
   cfg.warmup = time_param(d, "warmup", 20.0);
   cfg.measure = time_param(d, "measure", 200.0);
   apply_net(cfg.net, d);
@@ -292,11 +308,12 @@ std::vector<Experiment>& registry_storage() {
        {"num_flows=20", "cbr_stop=150", "cbr_restart=180", "end=240"},
        run_stabilization},
       {"fairness",
-       "two flow groups under square-wave CBR; normalized throughput "
-       "per group (Figures 7-9); algorithm token is 'a+b'",
+       "two flow groups under on/off CBR (pattern 0 square, 1 sawtooth, "
+       "2 reverse sawtooth); normalized throughput per group (Figures "
+       "7-9); algorithm token is 'a+b'",
        {"group_a_mean", "group_b_mean", "utilization", "mean_available_bps"},
        {"flows_per_group=5", "cbr_period=2", "cbr_peak_fraction=0.667",
-        "warmup=20", "measure=200"},
+        "pattern=0", "warmup=20", "measure=200"},
        run_fairness},
       {"oscillation",
        "10 flows under oscillating available bandwidth; throughput "

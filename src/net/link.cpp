@@ -103,8 +103,6 @@ void Link::drop_packet(const Packet& p, DropReason reason) {
   for (auto* o : observers_) o->on_drop(p, reason);
 }
 
-void Link::send(PacketHandle h) { enter(h, pool_.get(h)); }
-
 void Link::enter(PacketHandle h, Packet& p) {
   ++stats_.arrivals;
   for (auto* o : observers_) o->on_arrival(p);
@@ -235,8 +233,6 @@ void Link::cancel_completion() {
     tx_ticket_.lane->revoke(tx_ticket_);
     tx_ticket_ = sim::LaneTicket{};
   }
-  sim_.cancel(tx_event_);
-  tx_event_ = sim::EventId{};
 }
 
 void Link::finish_transmission() {
@@ -247,8 +243,9 @@ void Link::finish_transmission() {
   depart(h);
 
   // A nested set_down() (from a drop/depart observer) may have drained
-  // the queue; a nested set_up()+send may even have restarted
-  // transmission. Only continue when the transmitter is genuinely free.
+  // the queue; a nested set_up() and a new arrival may even have
+  // restarted transmission. Only continue when the transmitter is
+  // genuinely free.
   if (up_ && !transmitting() && !queue_->empty()) start_transmission();
 }
 
@@ -267,11 +264,14 @@ void Link::set_bandwidth(double bandwidth_bps) {
     const double remaining_bits = remaining_s * bandwidth_;
     const sim::Time rem = sim::Time::seconds(remaining_bits / bandwidth_bps);
     tx_ends_ = sim_.now() + rem;
-    // The remainder is no lane's fixed duration, so it moves to the
-    // engine. Revoking mints nothing: the seq is drawn in the schedule
-    // below, as a cancel plus reschedule would draw it.
+    // The remainder goes into the lane of its own duration, held only
+    // for this post: the live entry keeps the lane in use until it
+    // fires. Revoking mints nothing; the post mints the seq where a
+    // cancel plus reschedule would.
     cancel_completion();
-    tx_event_ = sim_.schedule_in(rem, TransmitDone{this});
+    sim::Lane& lane = sim_.acquire_lane(rem, &Link::lane_transmitted);
+    tx_ticket_ = lane.post(this, 0);
+    sim_.release_lane(lane);
   }
   bandwidth_ = bandwidth_bps;
   // Transmission times memoized at the old rate no longer hold.

@@ -98,9 +98,14 @@ struct LinkStats {
 /// delivery into the lane for the propagation delay (sim::Lane: one
 /// FIFO per fixed duration, shared by every link of the simulation), so
 /// a whole topology's pipeline fires through a handful of armed chains.
-/// The rare cases a fixed duration cannot carry — a transmission
-/// re-timed mid-flight, a wire-model extra delay, a duplicate — fall
-/// back to engine events. `tests/reference_link.hpp` is the by-value,
+/// A transmission re-timed mid-flight posts its remainder into the lane
+/// of that duration, held for the one post. A wire-model extra delay or
+/// duplicate falls back to an engine event: as lane entries, each
+/// would hold a lane of its own in the run loop's merge set for a whole
+/// propagation delay.
+///
+/// Packets come onto a link one way: `Node::deliver` at its source node
+/// routes them in. `tests/reference_link.hpp` is the by-value,
 /// one-engine-event-per-transition oracle the differential tests diff
 /// this class against; both mint the same (at, seq) event stream, and
 /// the oracle acquires its packets into the pool only as it delivers.
@@ -116,11 +121,6 @@ class Link {
   /// and engine fallbacks alike) and returns their packets to the pool
   /// (links always die before the Simulator they reference).
   ~Link();
-
-  /// Offer a pooled packet for transmission. Ownership of `h` passes
-  /// to the link; on drop the link releases it. Throws
-  /// SimError(kInvariantViolation) on a stale handle.
-  void send(PacketHandle h);
 
   [[nodiscard]] double bandwidth_bps() const noexcept { return bandwidth_; }
   [[nodiscard]] sim::Time propagation_delay() const noexcept { return delay_; }
@@ -181,9 +181,10 @@ class Link {
  private:
   friend class Node;
 
-  // The hop entry: send(h) once `h` has been checked and `p` is the
-  // pooled packet behind it. Node::deliver forwards through here, so a
-  // forwarded packet is looked up once per hop, not again inside.
+  // The link's one entry: Node::deliver hands over `h` once it has
+  // checked it, with `p` the pooled packet behind it, so a packet is
+  // looked up once per hop. Ownership of `h` passes to the link; on
+  // drop the link releases it.
   void enter(PacketHandle h, Packet& p);
 
   // Engine delivery closure (a wire-model extra delay or a duplicate):
@@ -201,16 +202,6 @@ class Link {
     PacketHandle h;
   };
 
-  // Transmit-complete scheduled on the engine, after a mid-flight
-  // re-time took it out of its lane.
-  struct TransmitDone {
-    Link* link;
-    void operator()() const {
-      link->tx_event_ = sim::EventId{};
-      link->finish_transmission();
-    }
-  };
-
   // A transmission time and its lane, for one packet size at the
   // current bandwidth.
   struct TransmitMemo {
@@ -221,7 +212,7 @@ class Link {
 
   void start_transmission();
   void finish_transmission();  // depart, then start the next
-  // Drop the pending transmit-complete: its lane ticket or engine event.
+  // Revoke the pending transmit-complete's lane ticket.
   void cancel_completion();
   // Lane callbacks (ctx is the Link).
   static void lane_transmitted(void* ctx, std::uint64_t arg);
@@ -257,10 +248,8 @@ class Link {
 
   // Transmitter state, kept here (not in an event closure) so
   // bandwidth changes and link failures can re-time or drop it: the
-  // packet's handle and its completion, a ticket in a transmit lane or
-  // (after a mid-flight re-time) an engine event.
+  // packet's handle and its completion's ticket in a transmit lane.
   PacketHandle in_flight_h_;
-  sim::EventId tx_event_;
   sim::LaneTicket tx_ticket_;
   sim::Time tx_ends_;
 

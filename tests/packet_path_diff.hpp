@@ -119,10 +119,17 @@ inline std::unique_ptr<net::Queue> make_queue(sim::Simulator& sim,
 
 }  // namespace detail
 
-/// Offer `p` to a link under test: net::Link takes a pooled handle,
-/// the reference link a value.
+/// Route the rig's destination (node 1) onto a link under test at its
+/// source node, the one way onto a net::Link; the reference link takes
+/// its packets directly.
+inline void connect(net::Link& link) { link.from().set_route(1, link); }
+inline void connect(ReferenceLink& /*link*/) {}
+
+/// Offer `p` to a link under test: net::Link gets a pooled handle
+/// through its source node, the reference link a value.
 inline void offer(net::Link& link, sim::Simulator& sim, const net::Packet& p) {
-  link.send(net::PacketPool::of(sim).acquire(p).handle);
+  net::PacketPool& pool = net::PacketPool::of(sim);
+  link.from().deliver(pool.acquire(p).handle, pool);
 }
 inline void offer(ReferenceLink& link, sim::Simulator& /*sim*/,
                   const net::Packet& p) {
@@ -147,6 +154,7 @@ std::string run_path_script(const PathScript& script,
     SeqKeyedWire wire;
     LinkT link(sim, a, b, cfg.bandwidth_bps, cfg.delay,
                detail::make_queue(sim, cfg));
+    connect(link);
 
     bool filtered = false;
     bool wired = false;

@@ -132,6 +132,30 @@ TEST(ExpRegistry, BadTokensBecomeRowErrors) {
   EXPECT_FALSE(exp::run_trial(d).error.empty());
 }
 
+// fairness's `pattern` selects the CBR's shape: at one seed a sawtooth
+// yields a different row from the square wave, and a code that names
+// no shape fails the trial as a bad configuration.
+TEST(ExpRegistry, FairnessPatternShapesTheCbr) {
+  exp::TrialDesc d;
+  d.experiment = "fairness";
+  d.algorithm = "tcp:2+tfrc:6";
+  d.seed = 3;
+  d.duration_scale = 0.05;
+  d.params = {{"pattern", 0.0}};
+  const exp::Row square = exp::run_trial(d);
+  d.params = {{"pattern", 1.0}};
+  const exp::Row sawtooth = exp::run_trial(d);
+  ASSERT_TRUE(square.error.empty()) << square.error;
+  ASSERT_TRUE(sawtooth.error.empty()) << sawtooth.error;
+  EXPECT_NE(square.metrics, sawtooth.metrics);
+
+  d.params = {{"pattern", 3.0}};
+  const exp::Row bad = exp::run_trial(d);
+  EXPECT_FALSE(bad.outcome.ok);
+  EXPECT_EQ(bad.outcome.error_kind, sim::to_string(sim::SimErrc::kBadConfig));
+  EXPECT_NE(bad.error.find("pattern"), std::string::npos) << bad.error;
+}
+
 TEST(ExpRunner, JobsOneAndEightAreByteIdentical) {
   // The acceptance property of the whole subsystem: scheduling must not
   // leak into results. Run a real 2x2x2-trial grid both ways and

@@ -22,7 +22,16 @@ struct Rig {
   net::Link link;
 
   Rig() : link(sim, a, b, 8e6, sim::Time::millis(10),
-               std::make_unique<net::DropTailQueue>(16)) {}
+               std::make_unique<net::DropTailQueue>(16)) {
+    a.set_route(1, link);
+  }
+
+  // Offer a copy of `p` the way the network does: its source node
+  // routes it onto the link.
+  void send(const net::Packet& p) {
+    net::PacketPool& pool = net::PacketPool::of(sim);
+    a.deliver(pool.acquire(p).handle, pool);
+  }
 };
 
 TEST(FaultScript, CompoundHelpersExpandToPrimitives) {
@@ -108,7 +117,7 @@ TEST(InvariantAuditor, CleanLinkPasses) {
   net::Packet p;
   p.dst_node = 1;
   for (int i = 0; i < 5; ++i) {
-    rig.link.send(net::PacketPool::of(rig.sim).acquire(p).handle);
+    rig.send(p);
   }
   EXPECT_EQ(auditor.check_now(), 0u);  // mid-flight: queue + in_tx counted
   rig.sim.run();
@@ -126,7 +135,7 @@ TEST(InvariantAuditor, FlagsQueueBoundViolation) {
   net::Packet p;
   p.dst_node = 1;
   for (int i = 0; i < 6; ++i) {
-    rig.link.send(net::PacketPool::of(rig.sim).acquire(p).handle);
+    rig.send(p);
   }
   EXPECT_GE(auditor.check_now(), 1u);
   ASSERT_FALSE(auditor.violations().empty());
@@ -142,7 +151,7 @@ TEST(InvariantAuditor, ThrowsStructuredErrorWhenConfigured) {
   net::Packet p;
   p.dst_node = 1;
   for (int i = 0; i < 3; ++i) {
-    rig.link.send(net::PacketPool::of(rig.sim).acquire(p).handle);
+    rig.send(p);
   }
   try {
     auditor.check_now();

@@ -31,7 +31,12 @@ struct Rig {
       : link(sim, a, b, bw, delay, std::make_unique<DropTailQueue>(qlen)) {
     sink.sim = &sim;
     b.attach(1, sink);
+    a.set_route(1, link);
   }
+
+  // Offer a pooled packet the way the network does: its source node
+  // routes it onto the link.
+  void send(PacketHandle h) { a.deliver(h, PacketPool::of(sim)); }
 
   // A packet for the sink, acquired into the simulation's pool.
   PacketHandle packet(std::int64_t seq, std::int64_t size = 1000) {
@@ -58,7 +63,7 @@ TEST(DynamicLink, DownDropsInFlightAndQueuedWithLinkDownReason) {
   Rig rig;  // 1 ms serialization per packet
   RecordingObserver obs;
   rig.link.add_observer(&obs);
-  for (int i = 0; i < 4; ++i) rig.link.send(rig.packet(i));
+  for (int i = 0; i < 4; ++i) rig.send(rig.packet(i));
   // At 0.5 ms: packet 0 is mid-serialization, 1-3 queued.
   rig.sim.schedule_at(sim::Time::micros(500), [&] { rig.link.set_down(); });
   rig.sim.run();
@@ -76,7 +81,7 @@ TEST(DynamicLink, DownDropsInFlightAndQueuedWithLinkDownReason) {
 TEST(DynamicLink, ArrivalsWhileDownAreDropped) {
   Rig rig;
   rig.link.set_down();
-  rig.link.send(rig.packet(0));
+  rig.send(rig.packet(0));
   rig.sim.run();
   EXPECT_EQ(rig.link.stats().arrivals, 1u);
   EXPECT_EQ(rig.link.stats().drops_link_down, 1u);
@@ -85,7 +90,7 @@ TEST(DynamicLink, ArrivalsWhileDownAreDropped) {
 
 TEST(DynamicLink, PacketAlreadyPropagatingStillDelivers) {
   Rig rig;
-  rig.link.send(rig.packet(0));
+  rig.send(rig.packet(0));
   // Serialization ends at 1 ms; kill the link at 5 ms, mid-propagation.
   rig.sim.schedule_at(sim::Time::millis(5), [&] { rig.link.set_down(); });
   rig.sim.run();
@@ -99,7 +104,7 @@ TEST(DynamicLink, UpDownUpResumesTraffic) {
   rig.link.set_down();  // idempotent
   rig.link.set_up();
   rig.link.set_up();  // idempotent
-  rig.link.send(rig.packet(0));
+  rig.send(rig.packet(0));
   rig.sim.run();
   ASSERT_EQ(rig.sink.received.size(), 1u);
   EXPECT_TRUE(rig.link.is_up());
@@ -108,7 +113,7 @@ TEST(DynamicLink, UpDownUpResumesTraffic) {
 TEST(DynamicLink, BandwidthChangeRetimesInFlightPacket) {
   // 8 kb/s: a 1000 B packet takes exactly 1 s to serialize.
   Rig rig(8e3, sim::Time());
-  rig.link.send(rig.packet(0));
+  rig.send(rig.packet(0));
   // At 0.25 s, 2000 of 8000 bits are out; doubling the rate should
   // finish the remaining 6000 bits in 0.375 s => delivery at 0.625 s.
   rig.sim.schedule_at(sim::Time::seconds(0.25),
@@ -121,7 +126,7 @@ TEST(DynamicLink, BandwidthChangeRetimesInFlightPacket) {
 
 TEST(DynamicLink, BandwidthDecreaseStretchesInFlightPacket) {
   Rig rig(8e3, sim::Time());
-  rig.link.send(rig.packet(0));
+  rig.send(rig.packet(0));
   // At 0.5 s, 4000 bits remain; halving the rate takes 1 s more.
   rig.sim.schedule_at(sim::Time::seconds(0.5),
                       [&] { rig.link.set_bandwidth(4e3); });
@@ -132,8 +137,8 @@ TEST(DynamicLink, BandwidthDecreaseStretchesInFlightPacket) {
 
 TEST(DynamicLink, DelayChangeAppliesOnlyToLaterDepartures) {
   Rig rig;  // 1 ms serialization, 10 ms propagation
-  rig.link.send(rig.packet(0));
-  rig.link.send(rig.packet(1));
+  rig.send(rig.packet(0));
+  rig.send(rig.packet(1));
   // Packet 0 departs at 1 ms with the old delay even though the change
   // lands at 1.5 ms; packet 1 departs at 2 ms with the new delay.
   rig.sim.schedule_at(sim::Time::micros(1500), [&] {
@@ -187,12 +192,12 @@ TEST(DynamicLink, RemoveObserverStopsCallbacks) {
   Rig rig;
   RecordingObserver obs;
   rig.link.add_observer(&obs);
-  rig.link.send(rig.packet(0));
+  rig.send(rig.packet(0));
   rig.sim.run();
   EXPECT_EQ(obs.departs, 1);
   rig.link.remove_observer(&obs);
   rig.link.remove_observer(&obs);  // no-op when absent
-  rig.link.send(rig.packet(1));
+  rig.send(rig.packet(1));
   rig.sim.run();
   EXPECT_EQ(obs.departs, 1);
   // Re-registration after removal is legal.
@@ -215,8 +220,8 @@ TEST(DynamicLink, WireDropCountsAsImpairmentNotDeparture) {
   v.drop = true;
   wire.script.push_back(v);
   rig.link.set_wire_model(&wire);
-  rig.link.send(rig.packet(0));
-  rig.link.send(rig.packet(1));
+  rig.send(rig.packet(0));
+  rig.send(rig.packet(1));
   rig.sim.run();
   ASSERT_EQ(rig.sink.received.size(), 1u);
   EXPECT_EQ(rig.sink.received[0].second.seq, 1);
@@ -233,7 +238,7 @@ TEST(DynamicLink, WireDuplicationDeliversTwoCopies) {
   v.duplicate_delay = sim::Time::millis(1);
   wire.script.push_back(v);
   rig.link.set_wire_model(&wire);
-  rig.link.send(rig.packet(7));
+  rig.send(rig.packet(7));
   rig.sim.run();
   ASSERT_EQ(rig.sink.received.size(), 2u);
   EXPECT_EQ(rig.sink.received[0].second.seq, 7);
@@ -251,8 +256,8 @@ TEST(DynamicLink, WireExtraDelayReordersPackets) {
   v.extra_delay = sim::Time::millis(5);
   wire.script.push_back(v);
   rig.link.set_wire_model(&wire);
-  rig.link.send(rig.packet(0));
-  rig.link.send(rig.packet(1));
+  rig.send(rig.packet(0));
+  rig.send(rig.packet(1));
   rig.sim.run();
   ASSERT_EQ(rig.sink.received.size(), 2u);
   // Packet 0 was held 5 ms on the wire; packet 1 overtakes it.

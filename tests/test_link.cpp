@@ -33,7 +33,12 @@ struct Rig {
       : link(sim, a, b, bw, delay, std::make_unique<DropTailQueue>(qlen)) {
     sink.sim = &sim;
     b.attach(1, sink);
+    a.set_route(1, link);
   }
+
+  // Offer a pooled packet the way the network does: its source node
+  // routes it onto the link.
+  void send(PacketHandle h) { a.deliver(h, PacketPool::of(sim)); }
 
   // A packet for the sink, acquired into the simulation's pool.
   PacketHandle packet(std::int64_t seq, std::int64_t size = 1000) {
@@ -49,7 +54,7 @@ struct Rig {
 
 TEST(Link, DeliveryTimeIsSerializationPlusPropagation) {
   Rig rig;  // 8 Mb/s: 1000 B = 1 ms serialization; 10 ms propagation
-  rig.link.send(rig.packet(0));
+  rig.send(rig.packet(0));
   rig.sim.run();
   ASSERT_EQ(rig.sink.received.size(), 1u);
   EXPECT_EQ(rig.sink.received[0].first, sim::Time::millis(11));
@@ -57,9 +62,9 @@ TEST(Link, DeliveryTimeIsSerializationPlusPropagation) {
 
 TEST(Link, BackToBackPacketsSerializeSequentially) {
   Rig rig;
-  rig.link.send(rig.packet(0));
-  rig.link.send(rig.packet(1));
-  rig.link.send(rig.packet(2));
+  rig.send(rig.packet(0));
+  rig.send(rig.packet(1));
+  rig.send(rig.packet(2));
   rig.sim.run();
   ASSERT_EQ(rig.sink.received.size(), 3u);
   EXPECT_EQ(rig.sink.received[0].first, sim::Time::millis(11));
@@ -70,7 +75,7 @@ TEST(Link, BackToBackPacketsSerializeSequentially) {
 
 TEST(Link, SmallPacketsSerializeFaster) {
   Rig rig;
-  rig.link.send(rig.packet(0, 100));  // 0.1 ms at 8 Mb/s
+  rig.send(rig.packet(0, 100));  // 0.1 ms at 8 Mb/s
   rig.sim.run();
   EXPECT_EQ(rig.sink.received[0].first,
             sim::Time::micros(100) + sim::Time::millis(10));
@@ -78,7 +83,7 @@ TEST(Link, SmallPacketsSerializeFaster) {
 
 TEST(Link, QueueOverflowCountsDrops) {
   Rig rig(8e6, sim::Time::millis(10), 2);
-  for (int i = 0; i < 10; ++i) rig.link.send(rig.packet(i));
+  for (int i = 0; i < 10; ++i) rig.send(rig.packet(i));
   rig.sim.run();
   // 1 in flight immediately + 2 queued = 3 delivered, 7 dropped.
   EXPECT_EQ(rig.sink.received.size(), 3u);
@@ -91,7 +96,7 @@ TEST(Link, ForcedDropFilterShortCircuitsQueue) {
   Rig rig;
   rig.link.set_forced_drop_filter(
       [](const Packet& p) { return p.seq % 2 == 0; });
-  for (int i = 0; i < 6; ++i) rig.link.send(rig.packet(i));
+  for (int i = 0; i < 6; ++i) rig.send(rig.packet(i));
   rig.sim.run();
   EXPECT_EQ(rig.sink.received.size(), 3u);
   EXPECT_EQ(rig.link.stats().drops_forced, 3u);
@@ -109,7 +114,7 @@ TEST(Link, ObserversSeeAllThreeHooks) {
   Rig rig(8e6, sim::Time::millis(10), 2);
   CountingObserver obs;
   rig.link.add_observer(&obs);
-  for (int i = 0; i < 10; ++i) rig.link.send(rig.packet(i));
+  for (int i = 0; i < 10; ++i) rig.send(rig.packet(i));
   rig.sim.run();
   EXPECT_EQ(obs.arrivals, 10);
   EXPECT_EQ(obs.drops, 7);
@@ -118,8 +123,8 @@ TEST(Link, ObserversSeeAllThreeHooks) {
 
 TEST(Link, BytesDeliveredAccumulates) {
   Rig rig;
-  rig.link.send(rig.packet(0, 400));
-  rig.link.send(rig.packet(1, 600));
+  rig.send(rig.packet(0, 400));
+  rig.send(rig.packet(1, 600));
   rig.sim.run();
   EXPECT_EQ(rig.link.stats().bytes_delivered, 1000);
 }
@@ -139,10 +144,10 @@ TEST(Link, RejectsInvalidParameters) {
 
 TEST(Link, IdleThenBusyAgain) {
   Rig rig;
-  rig.link.send(rig.packet(0));
+  rig.send(rig.packet(0));
   rig.sim.run();
   rig.sim.schedule_at(rig.sim.now() + sim::Time::millis(5),
-                      [&] { rig.link.send(rig.packet(1)); });
+                      [&] { rig.send(rig.packet(1)); });
   rig.sim.run();
   ASSERT_EQ(rig.sink.received.size(), 2u);
   // Second packet: sent at 16 ms, arrives 16 + 1 + 10 = 27 ms.
@@ -159,7 +164,7 @@ TEST(Link, WireFifoGrowingPastSixteenAndWrappingDeliversInOrder) {
   constexpr int kPackets = 300;
   for (int i = 0; i < kPackets; ++i) {
     rig.sim.schedule_at(sim::Time::millis(i),
-                        [&rig, i] { rig.link.send(rig.packet(i)); });
+                        [&rig, i] { rig.send(rig.packet(i)); });
   }
   rig.sim.schedule_at(sim::Time::millis(50), [&rig] {
     rig.link.set_propagation_delay(sim::Time::millis(100));
@@ -204,7 +209,7 @@ TEST(Link, DelayJitterStepsLeaveABoundedLaneTable) {
   constexpr int kPackets = 1650;
   for (int i = 0; i < kPackets; ++i) {
     rig.sim.schedule_at(sim::Time::millis(i),
-                        [&rig, i] { rig.link.send(rig.packet(i)); });
+                        [&rig, i] { rig.send(rig.packet(i)); });
   }
   std::size_t most_in_use = 0;
   rig.sim.set_event_hook(1, [&] {
@@ -227,7 +232,8 @@ TEST(Link, LinksSharingALaneDieWithoutFiringIntoTheDeadOne) {
   // Two links with one bandwidth and one delay share both lanes; the
   // first dies with packets in its transmitter and on its wire.
   sim::Simulator sim;
-  Node a{0, "a"};
+  Node keep_from{0, "keep_from"};
+  Node dying_from{2, "dying_from"};
   Node b{1, "b"};
   Capture sink;
   sink.sim = &sim;
@@ -241,16 +247,19 @@ TEST(Link, LinksSharingALaneDieWithoutFiringIntoTheDeadOne) {
     p.size_bytes = 1000;
     return PacketPool::of(sim).acquire(p).handle;
   };
-  Link keep(sim, a, b, 8e6, sim::Time::millis(10),
+  Link keep(sim, keep_from, b, 8e6, sim::Time::millis(10),
             std::make_unique<DropTailQueue>(8));
-  auto dying = std::make_unique<Link>(sim, a, b, 8e6, sim::Time::millis(10),
+  auto dying = std::make_unique<Link>(sim, dying_from, b, 8e6,
+                                      sim::Time::millis(10),
                                       std::make_unique<DropTailQueue>(8));
+  keep_from.set_route(1, keep);
+  dying_from.set_route(1, *dying);
+  PacketPool& pool = PacketPool::of(sim);
   for (int i = 0; i < 4; ++i) {
-    keep.send(packet(i));
-    dying->send(packet(100 + i));
+    keep_from.deliver(packet(i), pool);
+    dying_from.deliver(packet(100 + i), pool);
   }
   sim.run_until(sim::Time::micros(2500));  // 2 on each wire, 1 in each tx
-  PacketPool& pool = PacketPool::of(sim);
   EXPECT_EQ(pool.live(), 8u);
   EXPECT_EQ(sim.lane_stats().most_live, 4u);
   dying.reset();
@@ -293,13 +302,14 @@ void expect_dead_link_cancels_wire_delivery(bool duplicate) {
   auto link = std::make_unique<Link>(sim, a, b, 8e6, sim::Time::millis(10),
                                      std::make_unique<DropTailQueue>(4));
   link->set_wire_model(&wire);
+  a.set_route(1, *link);
   Packet p;
   p.dst_node = 1;
   p.dst_port = 1;
   p.size_bytes = 1000;
-  link->send(PacketPool::of(sim).acquire(p).handle);
-  sim.run_until(sim::Time::millis(3));
   PacketPool& pool = PacketPool::of(sim);
+  a.deliver(pool.acquire(p).handle, pool);
+  sim.run_until(sim::Time::millis(3));
   ASSERT_EQ(pool.live(), duplicate ? 2u : 1u);
   link.reset();
   // Checked before running on: a delivery left pending would fire into
@@ -319,8 +329,9 @@ TEST(Link, DestroyedLinkCancelsADuplicateOnTheWire) {
   expect_dead_link_cancels_wire_delivery(true);
 }
 
-// A hop checks its handle once, where it enters the link; that one
-// check still refuses a handle whose slot was recycled under it.
+// A hop checks its handle once, where the source node takes it in;
+// that one check still refuses a handle whose slot was recycled under
+// it, before the link sees it.
 TEST(Link, SendOfAStaleHandleThrows) {
   Rig rig;
   PacketPool& pool = PacketPool::of(rig.sim);
@@ -330,7 +341,7 @@ TEST(Link, SendOfAStaleHandleThrows) {
   ASSERT_EQ(reused.slot, stale.slot);
   const std::size_t live = pool.live();
   try {
-    rig.link.send(stale);
+    rig.send(stale);
     ADD_FAILURE() << "a stale handle was sent";
   } catch (const sim::SimError& e) {
     EXPECT_EQ(e.code(), sim::SimErrc::kInvariantViolation);

@@ -40,7 +40,8 @@ struct MonitorRig {
       p.flow = flow;
       p.size_bytes = size;
       p.type = type;
-      link.send(net::PacketPool::of(sim).acquire(p).handle);
+      net::PacketPool& pool = net::PacketPool::of(sim);
+      a.deliver(pool.acquire(p).handle, pool);
     });
   }
 };

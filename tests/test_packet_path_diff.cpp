@@ -246,29 +246,31 @@ TEST(PacketPathDiff, ReferenceLinkDiesWithoutFiringIntoTheDeadOne) {
 // Shared lanes: links with one bandwidth and one delay post into the
 // same transmit and delivery lanes, so a fault on one link must take
 // its own entry out of the middle of a lane the others keep using.
-// Three links from a to b carry bursts; `fault` strikes mid-burst; the
-// log renders deliveries, the event stream, every link's counters and
-// the pending times, and three net::Links must agree on all of it with
-// three ReferenceLinks.
+// Three links, each from its own node to b, carry bursts; `fault`
+// strikes mid-burst; the log renders deliveries, the event stream,
+// every link's counters and the pending times, and three net::Links
+// must agree on all of it with three ReferenceLinks.
 
 template <typename LinkT, typename Fault>
 std::string run_shared_lane_rig(const Fault& fault) {
   std::ostringstream log;
   {
     sim::Simulator sim;
-    net::Node a{0, "a"};
     net::Node b{1, "b"};
     detail::CountingSink sink;
     sink.sim = &sim;
     sink.log = &log;
     b.attach(1, sink);
+    std::vector<std::unique_ptr<net::Node>> sources;
     std::vector<std::unique_ptr<LinkT>> owned;
     std::vector<LinkT*> links;
     for (int i = 0; i < 3; ++i) {
+      sources.push_back(std::make_unique<net::Node>(2 + i));
       owned.push_back(std::make_unique<LinkT>(
-          sim, a, b, 8e6, sim::Time::micros(2500),
+          sim, *sources.back(), b, 8e6, sim::Time::micros(2500),
           std::make_unique<net::DropTailQueue>(8)));
       links.push_back(owned.back().get());
+      connect(*links.back());
     }
     auto send_burst = [&](int round) {
       for (int i = 0; i < 3; ++i) {
@@ -323,8 +325,9 @@ void expect_links_agree_on_shared_lanes(const Fault& fault) {
 }
 
 // The middle link's in-flight packet leaves the transmit lane the other
-// two still share and finishes as an engine event; then the rate goes
-// back, which moves its next packets into the shared lane again.
+// two still share and finishes from the lane of its remainder's
+// duration, held for that one entry; then the rate goes back, which
+// moves its next packets into the shared lane again.
 TEST(PacketPathDiff, SetBandwidthOnASharedTransmitLane) {
   expect_links_agree_on_shared_lanes([](auto& links) {
     links[1]->set_bandwidth(2e6);

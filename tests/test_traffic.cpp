@@ -171,9 +171,8 @@ TEST(CountedLossScript, InstalledFilterIgnoresAcks) {
   ack.type = net::PacketType::kAck;
   ack.src_node = 0;
   ack.dst_node = 1;
-  for (int i = 0; i < 10; ++i) {
-    fwd->send(net::PacketPool::of(sim).acquire(ack).handle);
-  }
+  net::PacketPool& pool = net::PacketPool::of(sim);
+  for (int i = 0; i < 10; ++i) a.deliver(pool.acquire(ack).handle, pool);
   sim.run();
   EXPECT_EQ(fwd->stats().drops_forced, 0u) << "ACKs are never script-dropped";
 }

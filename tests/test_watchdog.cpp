@@ -61,9 +61,11 @@ TEST(Watchdog, DumpIncludesWatchedLinkStats) {
                  std::make_unique<net::DropTailQueue>(4));
   Watchdog dog(sim, {.max_events = 100});
   dog.watch_link(link, "bottleneck");
+  a.set_route(1, link);
   net::Packet p;
   p.dst_node = 1;
-  link.send(net::PacketPool::of(sim).acquire(p).handle);
+  net::PacketPool& pool = net::PacketPool::of(sim);
+  a.deliver(pool.acquire(p).handle, pool);
   sim.run();
   const std::string dump = dog.diagnostic_dump();
   EXPECT_NE(dump.find("bottleneck"), std::string::npos);

@@ -15,8 +15,11 @@
 #      the uninterrupted --jobs 1 output byte-for-byte; the
 #      sweep_rejects_* tests: malformed budget, seed, trial and job flags
 #      of slowcc_sweep exit 2, and so does a non-finite grid value
-#      (sweep_rejects_duration_scale_nan, sweep_rejects_set_inf), naming
-#      its key; the spec_rejects_* tests: a malformed
+#      (sweep_rejects_duration_scale_nan, sweep_rejects_set_inf) or a
+#      --set/--sweep name the experiment does not declare, a --set with
+#      no value or a non-numeric one (sweep_rejects_set_*,
+#      sweep_rejects_scenario_sweep_undeclared), naming its key; the
+#      spec_rejects_* tests: a malformed
 #      --scale or --seed of slowcc_spec exits 2 naming the flag;
 #      spec_smoke: the specs/ library vs its committed golden digests
 #      plus spec-driven sweep determinism; and overload_smoke: a

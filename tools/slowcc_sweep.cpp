@@ -282,8 +282,8 @@ int main(int argc, char** argv) {
         const std::string kv = value();
         const std::size_t eq = kv.find('=');
         if (eq == std::string::npos) {
-          std::fprintf(stderr, "slowcc_sweep: %s expects NAME=VALUES\n",
-                       arg.c_str());
+          std::fprintf(stderr, "slowcc_sweep: %s expects NAME=VALUES: '%s'\n",
+                       arg.c_str(), kv.c_str());
           return 2;
         }
         const std::string prefix = arg == "--sweep" ? "sweep " : "set ";
@@ -360,23 +360,6 @@ int main(int argc, char** argv) {
                      scenario->experiment.c_str());
         return 2;
       }
-      // Swept/fixed parameters must be declared in [params]; failing
-      // here beats failing inside every trial of the grid.
-      const auto known_param = [&](const std::string& name) {
-        if (scenario->spec->find_param(name) != nullptr) return true;
-        std::fprintf(stderr,
-                     "slowcc_sweep: scenario '%s' declares no [params] "
-                     "entry '%s'\n",
-                     scenario->experiment.c_str(), name.c_str());
-        return false;
-      };
-      if (!spec.sweep_param.empty() && !known_param(spec.sweep_param)) {
-        return 2;
-      }
-      for (const auto& [name, fixed_value] : spec.fixed) {
-        (void)fixed_value;
-        if (!known_param(name)) return 2;
-      }
       // The scenario's [limits] budgets are policy defaults: explicit
       // --trial-max-events / --trial-max-bytes flags win.
       if (policy.max_trial_events == 0 &&
@@ -390,11 +373,35 @@ int main(int argc, char** argv) {
             static_cast<std::uint64_t>(scenario->spec->limits.max_bytes);
       }
     }
-    if (exp::find_experiment(spec.experiment) == nullptr) {
+    const exp::Experiment* experiment = exp::find_experiment(spec.experiment);
+    if (experiment == nullptr) {
       std::fprintf(stderr,
                    "slowcc_sweep: unknown experiment '%s' (try --list)\n",
                    spec.experiment.c_str());
       return 2;
+    }
+    // Swept and fixed names must be parameters the experiment declares:
+    // an undeclared one would run every trial on the defaults under a
+    // cell label that names it.
+    std::vector<std::string> names;
+    if (!spec.sweep_param.empty()) names.push_back(spec.sweep_param);
+    for (const auto& [name, fixed_value] : spec.fixed) {
+      (void)fixed_value;
+      names.push_back(name);
+    }
+    for (const std::string& name : names) {
+      const bool declared = std::any_of(
+          experiment->params.begin(), experiment->params.end(),
+          [&name](const std::string& p) {
+            return p.compare(0, p.find('='), name) == 0;
+          });
+      if (!declared) {
+        std::fprintf(stderr,
+                     "slowcc_sweep: experiment '%s' has no parameter '%s' "
+                     "(try --list)\n",
+                     experiment->name.c_str(), name.c_str());
+        return 2;
+      }
     }
 
     const std::vector<exp::TrialDesc> all_trials = spec.expand();
