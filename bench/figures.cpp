@@ -12,15 +12,6 @@
 #include "sim/simulator.hpp"
 
 namespace slowcc::figures {
-namespace {
-
-// Per-Simulator event budget: a trial that runs away becomes a reported
-// failure row instead of a run that never finishes, at the same event
-// on every host. The largest trial of the full table executes
-// 13,097,017 events; this is about 15 times that.
-constexpr std::uint64_t kMaxTrialEvents = 200'000'000;
-
-}  // namespace
 
 const Entry* find(std::string_view name) {
   for (const Entry& e : table()) {
@@ -59,7 +50,9 @@ int run(const std::vector<const Entry*>& entries) {
                entries.size(), p.distinct_grids, p.trials.size());
   exp::ParallelRunner runner(exp::ParallelRunner::default_jobs());
   exp::RunnerPolicy policy;
-  policy.max_trial_events = kMaxTrialEvents;
+  // A trial that runs away becomes a reported failure row instead of a
+  // run that never finishes, at the same event on every host.
+  policy.max_trial_events = exp::kMaxTrialEvents;
   runner.set_policy(policy);
   const std::vector<exp::Row> rows = runner.run(p.trials);
 

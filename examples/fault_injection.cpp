@@ -1,14 +1,13 @@
 // Fault-injection walkthrough: a TCP and a TFRC flow share the
 // dumbbell while the bottleneck flaps, changes speed, and suffers
 // Gilbert-Elliott bursty wire loss — all audited by the
-// InvariantAuditor and fenced by a Watchdog. Demonstrates the
-// FaultScript, WireImpairment, InvariantAuditor, and Watchdog APIs.
+// InvariantAuditor and fenced by an event budget. Demonstrates the
+// FaultScript, WireImpairment and InvariantAuditor APIs.
 #include <cstdio>
 
 #include "fault/fault_script.hpp"
 #include "fault/impairment.hpp"
 #include "fault/invariant_auditor.hpp"
-#include "fault/watchdog.hpp"
 #include "scenario/dumbbell.hpp"
 
 using namespace slowcc;
@@ -53,7 +52,7 @@ int main() {
   fault::InvariantAuditor auditor(sim, {.period = sim::Time::millis(50)});
   auditor.watch_topology(net.topology());
   auditor.start();
-  fault::Watchdog dog(sim, {.max_events = 50'000'000});
+  sim.set_event_budget(50'000'000);
 
   net.start_flows();
   net.finalize();

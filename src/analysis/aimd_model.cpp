@@ -6,12 +6,6 @@
 
 namespace slowcc::analysis {
 
-double aimd_aggressiveness(double a) {
-  if (a <= 0.0) throw sim::SimError(sim::SimErrc::kBadConfig, "aggressiveness",
-                                    "a must be > 0");
-  return a;
-}
-
 double aimd_responsiveness_rtts(double b) {
   if (b <= 0.0 || b >= 1.0) {
     throw sim::SimError(sim::SimErrc::kBadConfig, "responsiveness",

@@ -5,11 +5,6 @@ namespace slowcc::analysis {
 /// Closed-form properties of AIMD(a, b) congestion control used
 /// throughout the paper's discussion.
 
-/// Aggressiveness (paper §4.2.3): maximum increase of the sending rate
-/// in one RTT absent congestion. For AIMD this is simply `a` (packets
-/// per RTT per RTT).
-[[nodiscard]] double aimd_aggressiveness(double a);
-
 /// Responsiveness (paper §3, after Floyd et al.): number of RTTs of
 /// persistent congestion (one loss per RTT) until the sending rate has
 /// halved. TCP (b = 1/2) has responsiveness 1.

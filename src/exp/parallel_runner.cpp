@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "exp/registry.hpp"
-#include "fault/trial_scope.hpp"
 #include "sim/error.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -37,6 +36,60 @@ Row failure_row(const TrialDesc& d, const char* what, std::string kind) {
   row.outcome.error_kind = std::move(kind);
   return row;
 }
+
+// Events between two wall-clock checks of a trial's Simulator.
+constexpr std::uint64_t kWallCheckEvery = 1024;
+
+/// Fail `sim`'s run with kDeadlineExceeded once `seconds` of wall time
+/// have passed since now, checked every kWallCheckEvery events. The
+/// check rides on the Simulator's one event-hook slot, which is free at
+/// construction; the Simulator owns the hook, so it dies with it.
+void arm_wall_clock(sim::Simulator& sim, double seconds) {
+  const auto start = std::chrono::steady_clock::now();
+  sim.set_event_hook(kWallCheckEvery, [start, seconds] {
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    if (elapsed.count() < seconds) return;
+    throw sim::SimError(sim::SimErrc::kDeadlineExceeded, "ParallelRunner",
+                        "wall-clock budget of " + std::to_string(seconds) +
+                            " s exhausted");
+  });
+}
+
+/// Arms a policy's budgets on every Simulator the calling thread builds
+/// while alive, and empties the thread's construct-observer slot on
+/// every exit path. Scenario drivers build their Simulators privately,
+/// so the observer is the runner's one seam into them.
+class ScopedPolicy {
+ public:
+  explicit ScopedPolicy(const RunnerPolicy& policy) {
+    if (policy.max_trial_events == 0 && policy.max_trial_bytes == 0 &&
+        policy.max_trial_wall_seconds <= 0.0) {
+      return;
+    }
+    sim::Simulator::set_thread_construct_observer([policy](
+                                                      sim::Simulator& sim) {
+      if (policy.max_trial_events != 0) {
+        sim.set_event_budget(policy.max_trial_events);
+      }
+      if (policy.max_trial_bytes != 0) {
+        sim.governor().set_budget(policy.max_trial_bytes);
+      }
+      if (policy.max_trial_wall_seconds > 0.0) {
+        arm_wall_clock(sim, policy.max_trial_wall_seconds);
+      }
+    });
+    armed_ = true;
+  }
+  ~ScopedPolicy() {
+    if (armed_) sim::Simulator::set_thread_construct_observer(nullptr);
+  }
+  ScopedPolicy(const ScopedPolicy&) = delete;
+  ScopedPolicy& operator=(const ScopedPolicy&) = delete;
+
+ private:
+  bool armed_ = false;
+};
 
 }  // namespace
 
@@ -70,9 +123,7 @@ Row ParallelRunner::run_quarantined(
 
   Row row;
   try {
-    const fault::ScopedTrialDeadline guard(
-        {policy_.max_trial_events, policy_.max_trial_wall_seconds,
-         policy_.max_trial_bytes});
+    const ScopedPolicy guard(policy_);
     row = fn(trial);
     stamp_identity(row, trial);
     row.outcome.ok = row.error.empty();

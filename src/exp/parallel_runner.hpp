@@ -17,9 +17,11 @@ struct RunnerPolicy {
   /// Per-Simulator event budget; exceeding it makes the trial a
   /// kDeadlineExceeded failure. Deterministic.
   std::uint64_t max_trial_events = 0;
-  /// Per-Simulator wall-clock budget (seconds) enforced by an attached
-  /// Watchdog. Nondeterministic by nature: size it so it only fires on
-  /// genuinely hung trials.
+  /// Per-Simulator wall-clock budget (seconds), checked every 1024
+  /// events; exceeding it makes the trial a kDeadlineExceeded failure.
+  /// Nondeterministic by nature, so no command-line tool sets it. Only
+  /// perfbench's paper_sweep still does; the field leaves with that
+  /// workload's re-pin (ROADMAP item 3b).
   double max_trial_wall_seconds = 0.0;
   /// Per-Simulator modeled-memory budget (bytes) enforced by the
   /// ResourceGovernor; exceeding it makes the trial a
@@ -27,6 +29,14 @@ struct RunnerPolicy {
   /// logical events/packets/bytes, never RSS).
   std::uint64_t max_trial_bytes = 0;
 };
+
+/// The event budget `slowcc_sweep` and the figure table give a trial
+/// unless told otherwise, so a hung trial ends at the same event on
+/// every host. The largest trial of the full figure table executes
+/// 13,097,017 events; the largest any registry experiment or spec runs
+/// at full duration and default parameters, 13,558,087 (stabilization
+/// under RAP(1/256)). Both are about 15 times below it.
+inline constexpr std::uint64_t kMaxTrialEvents = 200'000'000;
 
 /// Concurrent trial executor.
 ///
@@ -46,7 +56,9 @@ struct RunnerPolicy {
 /// structured failure row — error message and error_kind — never a
 /// propagated exception, so a sweep always yields exactly
 /// `trials.size()` rows plus a complete failure record. The policy
-/// adds per-trial budgets (events, wall clock, modeled memory).
+/// adds per-trial budgets (events, wall clock, modeled memory), armed
+/// on every Simulator the trial builds through the thread-local
+/// construct observer.
 class ParallelRunner {
  public:
   /// Progress observer, called after each completed trial with

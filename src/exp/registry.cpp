@@ -105,6 +105,16 @@ traffic::PatternKind pattern_param(const TrialDesc& d) {
   bad(detail.str());
 }
 
+/// A switch parameter: 0 or 1. Any other value fails the trial rather
+/// than run as one of them under a cell label that names it.
+bool switch_param(const TrialDesc& d, std::string_view name) {
+  const double value = d.param(name, 0.0);
+  if (value == 0.0 || value == 1.0) return value == 1.0;
+  std::ostringstream detail;
+  detail << name << " must be 0 or 1, got " << value;
+  bad(detail.str());
+}
+
 Row run_fairness(const TrialDesc& d) {
   scenario::FairnessConfig cfg;
   const auto [a, b] = parse_flow_pair(d.algorithm);
@@ -138,7 +148,7 @@ Row run_oscillation(const TrialDesc& d) {
       d.param("cbr_peak_fraction", cfg.cbr_peak_fraction);
   cfg.warmup = time_param(d, "warmup", 10.0);
   cfg.measure = time_param(d, "measure", 100.0);
-  cfg.mode = d.param("link_mode", 0.0) != 0.0
+  cfg.mode = switch_param(d, "link_mode")
                  ? scenario::OscillationMode::kLinkBandwidth
                  : scenario::OscillationMode::kCbrEmulation;
   apply_net(cfg.net, d);
@@ -171,7 +181,7 @@ Row run_convergence(const TrialDesc& d) {
 Row run_smoothness(const TrialDesc& d) {
   scenario::SmoothnessConfig cfg;
   cfg.spec = parse_flow_spec(d.algorithm);
-  cfg.pattern = d.param("bursty", 0.0) != 0.0
+  cfg.pattern = switch_param(d, "bursty")
                     ? scenario::LossPattern::kMoreBursty
                     : scenario::LossPattern::kMildlyBursty;
   cfg.warmup = time_param(d, "warmup", 10.0);

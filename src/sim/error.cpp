@@ -14,8 +14,6 @@ const char* to_string(SimErrc code) noexcept {
       return "bad-topology";
     case SimErrc::kInvariantViolation:
       return "invariant-violation";
-    case SimErrc::kBudgetExceeded:
-      return "budget-exceeded";
     case SimErrc::kDeadlineExceeded:
       return "deadline-exceeded";
     case SimErrc::kTrialAborted:

@@ -12,7 +12,7 @@ namespace slowcc::sim {
 /// Machine-readable classification of simulator failures.
 ///
 /// Every throw under `src/` carries one of these codes so harnesses
-/// (and the Watchdog / InvariantAuditor) can dispatch on failure class
+/// (and the InvariantAuditor) can dispatch on failure class
 /// instead of parsing message strings. The taxonomy is documented in
 /// README.md and enforced by the `error-taxonomy` rule of slowcc_lint
 /// (tools/lint/), which runs as the tier-1 `lint_smoke` ctest.
@@ -21,7 +21,6 @@ enum class SimErrc {
   kBadSchedule,         // scheduling in the past / negative delay
   kBadTopology,         // port already bound, build-after-finalize, ...
   kInvariantViolation,  // an InvariantAuditor check failed mid-run
-  kBudgetExceeded,      // Watchdog event-count or wall-clock budget hit
   kDeadlineExceeded,    // a per-trial deadline (event budget or wall
                         // clock) turned a hung simulation into an error
   kTrialAborted,        // a trial was cancelled or failed on purpose
@@ -44,11 +43,10 @@ enum class SimErrc {
 /// instead of a runtime "unknown" string; the paired to_string switch
 /// is kept exhaustive by -Wswitch.
 inline constexpr SimErrc kAllSimErrcs[] = {
-    SimErrc::kBadConfig,     SimErrc::kBadSchedule,
-    SimErrc::kBadTopology,   SimErrc::kInvariantViolation,
-    SimErrc::kBudgetExceeded, SimErrc::kDeadlineExceeded,
-    SimErrc::kTrialAborted,  SimErrc::kBadSpec,
-    SimErrc::kResourceExhausted,
+    SimErrc::kBadConfig,        SimErrc::kBadSchedule,
+    SimErrc::kBadTopology,      SimErrc::kInvariantViolation,
+    SimErrc::kDeadlineExceeded, SimErrc::kTrialAborted,
+    SimErrc::kBadSpec,          SimErrc::kResourceExhausted,
 };
 static_assert(sizeof(kAllSimErrcs) / sizeof(kAllSimErrcs[0]) ==
                   static_cast<std::size_t>(SimErrc::kCount_),

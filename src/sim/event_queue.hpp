@@ -137,8 +137,8 @@ class EventQueue {
   [[nodiscard]] std::uint64_t mint_seq() noexcept { return next_seq_++; }
 
   /// Timestamps of the earliest live events, ascending, at most
-  /// `max_entries` of them. O(n log n); meant for diagnostic dumps
-  /// (Watchdog), not hot paths.
+  /// `max_entries` of them. O(n log n); meant for diagnostics and
+  /// tests, not hot paths.
   [[nodiscard]] std::vector<Time> pending_times(std::size_t max_entries) const;
 
   /// When the pending event `id` will fire; nullopt for a fired,

@@ -128,8 +128,8 @@ class Simulator {
   /// earlier), so subsequent `run_until` calls continue seamlessly.
   void run_until(Time deadline);
 
-  /// Number of events executed so far by this Simulator (the fault
-  /// Watchdog's event budget, spec run reports and tests read it).
+  /// Number of events executed so far by this Simulator (spec run
+  /// reports and tests read it).
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return events_executed_;
   }
@@ -149,9 +149,8 @@ class Simulator {
   /// Hard per-simulation event budget: once `max_events` further events
   /// have executed, `run*` throws SimError (kDeadlineExceeded). The
   /// count starts at the call (re-arming resets it); 0 removes the
-  /// budget. Unlike a fault::Watchdog this needs no hook slot and is
-  /// exact to the event, so it is the deterministic half of a trial
-  /// deadline (the wall-clock half stays with the Watchdog).
+  /// budget. It needs no hook slot and is exact to the event, so it is
+  /// the deterministic trial deadline.
   void set_event_budget(std::uint64_t max_events) noexcept {
     event_budget_ = max_events;
     event_budget_base_ = events_executed_;
@@ -176,9 +175,10 @@ class Simulator {
 
   /// Install a hook invoked after every `every_events` executed events,
   /// regardless of whether simulated time advances — this is what lets
-  /// a `fault::Watchdog` catch livelocks that sim-time timers cannot
-  /// see. One hook slot exists; installing over an occupied slot
-  /// throws `SimError` (kBadConfig). `every_events` must be >= 1.
+  /// `exp::ParallelRunner`'s wall-clock check catch livelocks that
+  /// sim-time timers cannot see. One hook slot exists; installing over
+  /// an occupied slot throws `SimError` (kBadConfig). `every_events`
+  /// must be >= 1.
   void set_event_hook(std::uint64_t every_events,
                       std::function<void()> hook);
 
@@ -189,23 +189,19 @@ class Simulator {
     hook_ = nullptr;
   }
 
-  /// Whether the single event-hook slot is occupied.
-  [[nodiscard]] bool has_event_hook() const noexcept {
-    return hook_every_ != 0;
-  }
-
   /// Register an observer invoked (on this thread only) at the end of
   /// every Simulator constructor. This is how an orchestration layer
   /// imposes per-trial deadlines on simulations built deep inside
-  /// scenario drivers it never sees: the observer can set an event
-  /// budget and attach a fault::Watchdog to each new instance. One
+  /// scenario drivers it never sees: `exp::ParallelRunner`'s observer
+  /// sets each new instance's budgets and wall-clock check. One
   /// slot per thread; registering over an occupied slot throws
   /// SimError (kBadConfig). Passing nullptr clears the slot.
   static void set_thread_construct_observer(ConstructObserver observer);
 
   /// Keep `guard` alive for this Simulator's lifetime; guards are
   /// destroyed first in ~Simulator, while every other member is still
-  /// valid. Lets a construct observer hang a Watchdog off the instance.
+  /// valid. Lets a component tie its own teardown to the instance
+  /// (`net::PacketPool::of`).
   void attach_guard(std::shared_ptr<void> guard) {
     guards_.push_back(std::move(guard));
   }
@@ -214,7 +210,7 @@ class Simulator {
   /// present but disarmed by default; `run*` only polls it when a
   /// budget is armed, so ungoverned simulations pay one branch per
   /// event. `net::PacketPool::of` registers the pool's packet counters
-  /// here, and `fault::ScopedTrialDeadline` arms per-trial byte budgets
+  /// here, and `exp::ParallelRunner` arms per-trial byte budgets
   /// through its construct observer.
   [[nodiscard]] ResourceGovernor& governor() noexcept { return governor_; }
   [[nodiscard]] const ResourceGovernor& governor() const noexcept {
@@ -270,8 +266,8 @@ class Simulator {
   // every event in governed trials — needs no scan.
   std::uint64_t lane_pending_ = 0;
   ResourceGovernor governor_;
-  // Declared last: guards (e.g. a Watchdog holding our hook slot) are
-  // destroyed first, while the members they release are still alive.
+  // Declared last: guards (e.g. the packet pool's) are destroyed first,
+  // while the members they release are still alive.
   std::vector<std::shared_ptr<void>> guards_;
 };
 

@@ -122,10 +122,5 @@ TEST(AimdModel, SmoothnessIsOneMinusB) {
   EXPECT_DOUBLE_EQ(aimd_smoothness(1.0 / 8.0), 7.0 / 8.0);
 }
 
-TEST(AimdModel, AggressivenessIsA) {
-  EXPECT_DOUBLE_EQ(aimd_aggressiveness(0.31), 0.31);
-  EXPECT_THROW((void)aimd_aggressiveness(0.0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace slowcc::analysis

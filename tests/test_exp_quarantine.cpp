@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
@@ -20,6 +21,7 @@
 #include "exp/serialize.hpp"
 #include "exp/sweep_spec.hpp"
 #include "sim/error.hpp"
+#include "sim/simulator.hpp"
 
 namespace slowcc::exp {
 namespace {
@@ -135,6 +137,151 @@ TEST(Quarantine, HealthyTrialsPassUnderBenignDeadlines) {
   for (const Row& r : runner.run(spec.expand())) {
     EXPECT_TRUE(r.outcome.ok) << r.error;
   }
+}
+
+// The wall-clock watchdog: with RunnerPolicy::max_trial_wall_seconds > 0
+// the runner arms a wall check on the event hook of each Simulator a
+// trial builds. These tests build that Simulator themselves, so they see
+// how its run ends before the quarantine turns the error into a row.
+
+// An event that reschedules itself at the current time: simulated time
+// never advances, so only an event count or the wall clock can stop it.
+void livelock(sim::Simulator& sim) {
+  sim.schedule_at(sim.now(), [&sim] { livelock(sim); });
+}
+
+/// How a trial's Simulator run ended.
+struct RunEnd {
+  bool threw = false;
+  sim::SimErrc code = sim::SimErrc::kCount_;  // no error
+  std::string component;
+  std::string detail;
+  std::uint64_t events = 0;
+};
+
+/// One trial under `policy` whose fn builds a Simulator, lets `setup`
+/// schedule on it, runs it and records in `end` how the run ended. One
+/// job runs the trial on the calling thread.
+Row run_watched(const RunnerPolicy& policy,
+                const std::function<void(sim::Simulator&)>& setup,
+                RunEnd& end) {
+  SweepSpec spec = poison_spec();
+  spec.sweep_values = {0};
+  spec.trials = 1;
+  ParallelRunner runner(1);
+  runner.set_policy(policy);
+  const std::vector<Row> rows =
+      runner.run(spec.expand(), [&](const TrialDesc&) {
+        sim::Simulator sim;
+        setup(sim);
+        try {
+          sim.run();
+        } catch (const sim::SimError& e) {
+          end.threw = true;
+          end.code = e.code();
+          end.component = e.component();
+          end.detail = e.detail();
+          end.events = sim.events_executed();
+          throw;
+        }
+        end.events = sim.events_executed();
+        return Row{};
+      });
+  EXPECT_EQ(rows.size(), 1u);
+  return rows.empty() ? Row{} : rows[0];
+}
+
+TEST(Watchdog, HaltsOnWallClockBudget) {
+  RunnerPolicy policy;
+  policy.max_trial_wall_seconds = 0.02;
+  RunEnd end;
+  const Row row = run_watched(policy, livelock, end);
+  ASSERT_TRUE(end.threw);
+  EXPECT_NE(end.detail.find("wall-clock budget"), std::string::npos)
+      << end.detail;
+  // The clock is read on the hook's 1024-event cadence, and the run
+  // stops at the check that finds the budget spent.
+  EXPECT_GT(end.events, 0u);
+  EXPECT_EQ(end.events % 1024, 0u) << end.events;
+  EXPECT_FALSE(row.outcome.ok);
+}
+
+TEST(Watchdog, QuietWhenBudgetsAreRespected) {
+  RunnerPolicy policy;
+  policy.max_trial_events = 1'000'000;
+  policy.max_trial_wall_seconds = 60.0;
+  RunEnd end;
+  const Row row = run_watched(
+      policy,
+      [](sim::Simulator& sim) {
+        for (int i = 0; i < 5000; ++i) {
+          sim.schedule_at(sim::Time::millis(i), [] {});
+        }
+      },
+      end);
+  EXPECT_FALSE(end.threw) << end.detail;
+  EXPECT_EQ(end.events, 5000u);  // four wall checks ran and passed
+  EXPECT_TRUE(row.outcome.ok) << row.error;
+}
+
+TEST(Watchdog, RejectsUnboundedOrDoubleInstallation) {
+  ParallelRunner runner(1);
+  for (const double bad : {-1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    RunnerPolicy policy;
+    policy.max_trial_wall_seconds = bad;
+    EXPECT_THROW(runner.set_policy(policy), sim::SimError) << bad;
+  }
+  // Armed, the wall check holds the trial Simulator's one hook slot, so
+  // a second hook cannot steal it.
+  RunnerPolicy policy;
+  policy.max_trial_wall_seconds = 60.0;
+  RunEnd end;
+  run_watched(
+      policy,
+      [](sim::Simulator& sim) {
+        EXPECT_THROW(sim.set_event_hook(1, [] {}), sim::SimError);
+      },
+      end);
+  // Without a wall budget nothing takes the slot.
+  policy.max_trial_wall_seconds = 0.0;
+  policy.max_trial_events = 1'000;
+  run_watched(
+      policy,
+      [](sim::Simulator& sim) {
+        EXPECT_NO_THROW(sim.set_event_hook(1, [] {}));
+      },
+      end);
+}
+
+TEST(Watchdog, DestructorFreesHookSlot) {
+  RunnerPolicy policy;
+  policy.max_trial_wall_seconds = 0.02;
+  RunEnd end;
+  run_watched(policy, livelock, end);
+  ASSERT_TRUE(end.threw);
+  // The trial ended by a throw, and the runner still disarmed: a
+  // Simulator built next on this thread has a free hook slot.
+  sim::Simulator sim;
+  int hooks = 0;
+  EXPECT_NO_THROW(sim.set_event_hook(1, [&] { ++hooks; }));
+  sim.schedule_at(sim::Time::millis(1), [] {});
+  sim.run();
+  EXPECT_EQ(hooks, 1);
+}
+
+// The error code was a knob that the orchestration layer set to
+// kDeadlineExceeded. The wall check now throws that code itself, and
+// the row files it as deadline-exceeded, as it does the event budget.
+TEST(Watchdog, ErrorCodeIsConfigurable) {
+  RunnerPolicy policy;
+  policy.max_trial_wall_seconds = 0.02;
+  RunEnd end;
+  const Row row = run_watched(policy, livelock, end);
+  ASSERT_TRUE(end.threw);
+  EXPECT_EQ(end.code, sim::SimErrc::kDeadlineExceeded);
+  EXPECT_EQ(end.component, "ParallelRunner");
+  EXPECT_EQ(row.outcome.error_kind, "deadline-exceeded") << row.error;
 }
 
 // poison's fail_rate rolls from each trial's own seed, so the same

@@ -156,6 +156,35 @@ TEST(ExpRegistry, FairnessPatternShapesTheCbr) {
   EXPECT_NE(bad.error.find("pattern"), std::string::npos) << bad.error;
 }
 
+// smoothness's `bursty` and oscillation's `link_mode` are switches: 0
+// and 1 run, and any other value fails the trial as a bad configuration
+// naming the key, instead of running as 1 under a cell that names it.
+TEST(ExpRegistry, SwitchParamsAcceptOnlyZeroOrOne) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"smoothness", "bursty"}, {"oscillation", "link_mode"}};
+  for (const auto& [experiment, key] : cases) {
+    exp::TrialDesc d;
+    d.experiment = experiment;
+    d.algorithm = "tcp";
+    d.seed = 3;
+    d.duration_scale = 0.01;
+    for (const double ok : {0.0, 1.0}) {
+      d.params = {{key, ok}};
+      const exp::Row row = exp::run_trial(d);
+      EXPECT_TRUE(row.outcome.ok) << key << "=" << ok << ": " << row.error;
+    }
+    for (const double bad : {7.0, -3.0, 0.5}) {
+      d.params = {{key, bad}};
+      const exp::Row row = exp::run_trial(d);
+      EXPECT_FALSE(row.outcome.ok) << key << "=" << bad;
+      EXPECT_EQ(row.outcome.error_kind,
+                sim::to_string(sim::SimErrc::kBadConfig))
+          << key << "=" << bad;
+      EXPECT_NE(row.error.find(key), std::string::npos) << row.error;
+    }
+  }
+}
+
 TEST(ExpRunner, JobsOneAndEightAreByteIdentical) {
   // The acceptance property of the whole subsystem: scheduling must not
   // leak into results. Run a real 2x2x2-trial grid both ways and

@@ -49,9 +49,10 @@ void f() { auto t = std::chrono::steady_clock::now(); }
   EXPECT_EQ(count_rule(lint_one("src/exp/parallel_runner.cpp", clocky),
                        "no-wall-clock"),
             0);
+  // Nothing outside src/exp/ reads the wall clock, src/fault/ included.
   EXPECT_EQ(count_rule(lint_one("src/fault/watchdog.cpp", clocky),
                        "no-wall-clock"),
-            0);
+            1);
   // Member functions that happen to be called time() belong to someone
   // else's API; sim::Time construction is obviously fine too.
   const auto findings = lint_one("src/net/bar.cpp", R"cpp(
@@ -368,7 +369,7 @@ int f() {
 }
 
 TEST(LintRules, RegistryKnowsEveryRule) {
-  EXPECT_GE(slowcc::lint::all_rules().size(), 13u);
+  EXPECT_GE(slowcc::lint::all_rules().size(), 12u);
   EXPECT_TRUE(slowcc::lint::is_known_rule("no-wall-clock"));
   EXPECT_TRUE(slowcc::lint::is_known_rule("error-taxonomy"));
   EXPECT_TRUE(slowcc::lint::is_known_rule("no-std-function-hot-path"));
@@ -377,7 +378,6 @@ TEST(LintRules, RegistryKnowsEveryRule) {
   EXPECT_TRUE(slowcc::lint::is_known_rule("no-iteration-order-leak"));
   EXPECT_TRUE(slowcc::lint::is_known_rule("no-time-arith-overflow"));
   EXPECT_TRUE(slowcc::lint::is_known_rule("no-hot-path-alloc"));
-  EXPECT_TRUE(slowcc::lint::is_known_rule("governor-charge-release"));
   EXPECT_FALSE(slowcc::lint::is_known_rule("bad-suppression"));
   EXPECT_FALSE(slowcc::lint::is_known_rule(""));
 }
@@ -433,13 +433,6 @@ TEST(LintRules, EveryRuleHasAFiringFixture) {
       {"no-unguarded-shared-write",
        {"src/exp/sink.cpp",
         "void dump(const char* path) { std::ofstream out(path); }\n"}},
-      {"governor-charge-release",
-       {"src/net/leaky.cpp",
-        "class LeakyQueue {\n"
-        " public:\n"
-        "  void enqueue(int n) { gov_.charge(n); }\n"
-        "  int gov_;\n"
-        "};\n"}},
   };
   for (const auto& rule : slowcc::lint::all_rules()) {
     const auto entry = std::find_if(
@@ -909,70 +902,6 @@ class ScratchQueue {
   EXPECT_EQ(count_rule(lint_one("tools/fixture.cpp", queue),
                        "no-hot-path-alloc"),
             0);
-}
-
-// ====================================================================
-// Resource-pairing family: governor charge/release.
-// ====================================================================
-
-TEST(LintGovernorPairing, FlagsChargeWithoutRelease) {
-  const auto findings = lint_one("src/net/leaky.cpp", R"cpp(
-class LeakyQueue {
- public:
-  void enqueue(int n) { gov_.charge(n); }
- private:
-  int gov_;
-};
-)cpp");
-  ASSERT_EQ(count_rule(findings, "governor-charge-release"), 1);
-  EXPECT_EQ(findings[0].line, 4);
-  EXPECT_NE(findings[0].message.find("LeakyQueue"), std::string::npos);
-}
-
-TEST(LintGovernorPairing, BalancedClassesAreClean) {
-  const auto findings = lint_one("src/net/balanced.cpp", R"cpp(
-class FairQueue {
- public:
-  void enqueue(int n) { gov_.charge(n); }
-  void dequeue(int n) { gov_.release(n); }
- private:
-  int gov_;
-};
-)cpp");
-  EXPECT_EQ(count_rule(findings, "governor-charge-release"), 0);
-}
-
-TEST(LintGovernorPairing, PairsAcrossFilesOfTheSameClass) {
-  // Charge in one TU, release in another: the pairing is grouped by
-  // class across the whole batch, so this is balanced.
-  const std::vector<SourceFile> sources = {
-      {"src/net/split_in.cpp", R"cpp(
-void SplitQueue::enqueue(int n) { gov_.charge(n); }
-)cpp"},
-      {"src/net/split_out.cpp", R"cpp(
-void SplitQueue::drop(int n) { gov_.release(n); }
-)cpp"},
-  };
-  EXPECT_EQ(count_rule(slowcc::lint::run(sources), "governor-charge-release"),
-            0);
-  // Remove the releasing TU and the same charge is a leak.
-  EXPECT_EQ(count_rule(slowcc::lint::run({sources[0]}),
-                       "governor-charge-release"),
-            1);
-}
-
-TEST(LintGovernorPairing, ReleaseOnlyClassesAreFine) {
-  // A drain-side helper that only releases is legitimate (the charge
-  // lives elsewhere, possibly outside the lint batch).
-  const auto findings = lint_one("src/net/drain.cpp", R"cpp(
-class Drainer {
- public:
-  void sweep(int n) { gov_.release(n); }
- private:
-  int gov_;
-};
-)cpp");
-  EXPECT_EQ(count_rule(findings, "governor-charge-release"), 0);
 }
 
 // ====================================================================

@@ -402,8 +402,8 @@ TEST(PacketPathDiff, ManyFlowDumbbellAgreesAcrossPaths) {
   EXPECT_GE(run.most_lane_live, 64u) << "no lane was ever shared under load";
 }
 
-// The Watchdog's "next at" dump reads pending_event_times: it must list
-// the true earliest pending events, not only the head of each lane.
+// pending_event_times must list the true earliest pending events, not
+// only the head of each lane.
 TEST(PacketPathDiff, PendingEventTimesAgreeAcrossPaths) {
   sim::Simulator sim;
   scenario::DumbbellConfig cfg;

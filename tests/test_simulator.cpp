@@ -284,6 +284,29 @@ TEST(Simulator, EventBudgetThrowsDeadlineExceeded) {
   EXPECT_EQ(sim.events_executed(), 50u);
 }
 
+// An event that reschedules itself at the current time: simulated time
+// never advances, so no sim-time timer could ever interrupt it, but the
+// event budget counts events and stops it exactly.
+void livelock(Simulator& sim) {
+  sim.schedule_at(sim.now(), [&sim] { livelock(sim); });
+}
+
+TEST(Simulator, EventBudgetHaltsSameTimeLivelock) {
+  Simulator sim;
+  sim.set_event_budget(10'000);
+  livelock(sim);
+  try {
+    sim.run();
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.code(), SimErrc::kDeadlineExceeded);
+    EXPECT_NE(e.detail().find("event budget"), std::string::npos);
+    EXPECT_NE(e.detail().find("pending"), std::string::npos);
+  }
+  EXPECT_EQ(sim.events_executed(), 10'000u);
+  EXPECT_EQ(sim.now(), Time());
+}
+
 TEST(Simulator, EventBudgetCountsFromArming) {
   Simulator sim;
   for (int i = 0; i < 40; ++i) sim.schedule_at(Time::millis(i), [] {});

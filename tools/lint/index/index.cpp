@@ -144,7 +144,7 @@ void analyze_structure(const lex::LexedSource& lx, FileFacts* out) {
         if (prev_member && growth_method(tok.text)) {
           body->allocs.push_back({tok.line, tok.text});
         }
-        body->calls.push_back({tok.text, tok.line, prev_member});
+        body->calls.push_back(tok.text);
         if (tok.text == "acquire_lane") {
           // `&X::f` / `&f` in the argument list: the last ident of
           // each address-of chain is a callback the lane will fire.

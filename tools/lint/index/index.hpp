@@ -19,14 +19,6 @@
 
 namespace slowcc::lint {
 
-/// A call site inside a function body. `callee` is the simple (last)
-/// name; member calls (`obj.f()`, `p->f()`) are marked.
-struct CallSite {
-  std::string callee;
-  int line = 0;
-  bool member_call = false;
-};
-
 /// An allocation (or container-growth) site inside a function body.
 struct AllocSite {
   int line = 0;
@@ -40,7 +32,8 @@ struct FuncDef {
   std::string cls;
   std::string name;
   int line = 0;
-  std::vector<CallSite> calls;
+  /// Simple (last) names of the functions this body calls.
+  std::vector<std::string> calls;
   std::vector<AllocSite> allocs;
   /// Functions whose address this body passes to `acquire_lane`
   /// (`&Cls::f` or `&f`), by simple name: the lane fire callbacks.

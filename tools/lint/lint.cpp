@@ -149,8 +149,7 @@ FileFacts extract_facts(const SourceFile& source) {
 const std::vector<RuleInfo>& all_rules() {
   static const std::vector<RuleInfo> kRules = {
       {"no-wall-clock",
-       "bans wall/monotonic clock reads outside watchdog and exp deadline "
-       "code"},
+       "bans wall/monotonic clock reads outside src/exp/ deadline code"},
       {"no-raw-rand",
        "bans rand()/std::random_device/std engines; use seeded sim::Rng"},
       {"no-unordered-iteration",
@@ -183,9 +182,6 @@ const std::vector<RuleInfo>& all_rules() {
       {"no-unguarded-shared-write",
        "raw ofstream/fopen/::open writes in src/exp/ checkpoint dirs; "
        "use write_file_atomic / JsonlAppender"},
-      {"governor-charge-release",
-       "a class that charges a budget (charge) must release it on its "
-       "drain path (release)"},
   };
   return kRules;
 }

@@ -1,7 +1,7 @@
 #pragma once
 
 // slowcc-lint — a dependency-free static-analysis pass that enforces the
-// project's determinism, resource-pairing, and error-taxonomy
+// project's determinism, hot-path, and error-taxonomy
 // invariants (see DESIGN.md §8).
 //
 // Architecture (tools/lint/):
@@ -25,7 +25,6 @@
 //                          from Queue::enqueue / Link or Node deliver /
 //                          EventQueue::pop / Lane::fire_head and the
 //                          callbacks passed to acquire_lane)
-//            resource      governor-charge-release pairing
 //
 // Every rule gates: the CLI exits non-zero when any finding survives
 // suppression.

@@ -11,7 +11,6 @@
 //                         no-time-arith-overflow, iteration-site
 //                         extraction and order-leak classification
 //   rules_hotpath.cpp     no-hot-path-alloc (call-table reachability)
-//   rules_resource.cpp    governor-charge-release pairing
 //
 // Local checks append pre-suppression findings (and facts: unordered
 // symbols, iteration sites) to one file's FileFacts; global checks see
@@ -122,11 +121,6 @@ void classify_iterations(const std::vector<const FileFacts*>& facts,
 // -- hot-path family (rules_hotpath.cpp) -----------------------------
 void check_hot_path_alloc(const std::vector<const FileFacts*>& facts,
                           const ProgramIndex& index, std::vector<Finding>* out);
-
-// -- resource-pairing family (rules_resource.cpp) --------------------
-void check_governor_pairing(const std::vector<const FileFacts*>& facts,
-                            const ProgramIndex& index,
-                            std::vector<Finding>* out);
 
 }  // namespace detail
 

@@ -53,13 +53,6 @@ void add(FileFacts* out, const std::string& path, int line,
 
 namespace {
 
-bool wall_clock_exempt(std::string_view path) {
-  // The Watchdog is the one component whose whole job is reading the
-  // wall clock, and src/exp/ owns wall-deadline bookkeeping for sweeps.
-  return path.find("src/fault/watchdog") != std::string_view::npos ||
-         starts_with(path, "src/exp/");
-}
-
 /// Shared shape of no-wall-clock / no-raw-rand: a set of words that are
 /// findings on sight (at most one per line, first in `any_use` order —
 /// matching v1's scan order), plus a set that must be called unqualified
@@ -102,7 +95,9 @@ void check_banned_words(const std::string& path,
 
 void check_wall_clock(const std::string& path, const std::vector<Token>& toks,
                       const LineMap& lines, FileFacts* out) {
-  if (wall_clock_exempt(path)) return;
+  // src/exp/ owns the sweeps' wall bookkeeping: each trial's wall_ms
+  // meter and the runner's wall-clock budget.
+  if (starts_with(path, "src/exp/")) return;
   static const std::vector<std::string_view> kAnyUse = {
       "gettimeofday", "clock_gettime", "timespec_get",
       "system_clock", "steady_clock",  "high_resolution_clock",
@@ -113,7 +108,7 @@ void check_wall_clock(const std::string& path, const std::vector<Token>& toks,
       path, toks, lines, "no-wall-clock", kAnyUse, "nondeterministic clock",
       kCallOnly, "call to libc",
       "use sim::Time / Simulator::now(); wall clocks are only allowed in "
-      "src/fault/watchdog and src/exp/ wall-deadline code",
+      "src/exp/ wall-deadline code",
       out);
 }
 
@@ -361,7 +356,6 @@ void run_global(const std::vector<const FileFacts*>& facts,
                 const ProgramIndex& index, std::vector<Finding>* out) {
   detail::classify_iterations(facts, index, out);
   detail::check_hot_path_alloc(facts, index, out);
-  detail::check_governor_pairing(facts, index, out);
   detail::check_include_cycles(index, out);
 }
 

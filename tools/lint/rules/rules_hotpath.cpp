@@ -91,7 +91,7 @@ void check_hot_path_alloc(const std::vector<const FileFacts*>& facts,
         queue.push_back({ref.def, ref.file, item.root, item.depth + 1});
       }
     };
-    for (const CallSite& call : item.def->calls) follow(call.callee);
+    for (const std::string& callee : item.def->calls) follow(callee);
     if (item.def->name == "fire_head" && item.def->cls == "Lane") {
       for (const std::string& fire : lane_fires) follow(fire);
     }

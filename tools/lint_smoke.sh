@@ -2,8 +2,8 @@
 # Tier-1 gate for slowcc_lint (see tools/lint/): the real tree must lint
 # clean, and synthetic violations seeded into a scratch tree must fail
 # with the rule name and file:line in the output — one fixture per
-# rule family (determinism, resource-pairing, hot-path). Options the
-# CLI does not know are usage errors (exit 2).
+# rule family (determinism, hot-path). Options the CLI does not know
+# are usage errors (exit 2).
 #
 # Usage: tools/lint_smoke.sh /path/to/slowcc_lint /path/to/repo-root
 set -euo pipefail
@@ -65,7 +65,7 @@ fi
 grep -q "no-std-function-hot-path" <<<"$out" \
   || fail "hot-path std::function was not reported: $out"
 
-# 4. One synthetic violation per determinism/resource rule must exit 1
+# 4. One synthetic violation per determinism rule must exit 1
 # with the rule name in the output.
 family="$scratch/family"
 mkdir -p "$family/src/sim"
@@ -81,16 +81,6 @@ cat > "$family/src/sim/hash.cpp" <<'EOF'
 long next_deadline(long pad) { return INT64_MAX + pad; }
 EOF
 expect_finding "no-time-arith-overflow" --root "$family" src
-
-cat > "$family/src/sim/hash.cpp" <<'EOF'
-class LeakyQueue {
- public:
-  void enqueue(int n) { gov_.charge(n); }
- private:
-  int gov_;
-};
-EOF
-expect_finding "governor-charge-release" --root "$family" src
 
 cat > "$family/src/sim/hash.cpp" <<'EOF'
 #include <iostream>

@@ -16,7 +16,7 @@
 //       --sweep on_off_length=0.05,0.2,0.8 --trials 3 --out /tmp/fig14
 //   slowcc_sweep --spec sweep.spec --jobs 8 --selfcheck
 //   slowcc_sweep --spec sweep.spec --resume /tmp/ckpt
-//       --trial-wall-seconds 300 --trial-max-bytes 64m
+//       --trial-max-events 50000000 --trial-max-bytes 64m
 //   slowcc_sweep --spec specs/wifi_jitter_burst.toml --algorithms
 //       tcp,tfrc:6 --trials 3 --sweep burst_loss=0.2,0.5 --jobs 4
 //       --resume /tmp/wifi
@@ -63,7 +63,6 @@
 using namespace slowcc;
 using tools::parse_byte_count;
 using tools::parse_count;
-using tools::parse_non_negative;
 
 namespace {
 
@@ -88,9 +87,7 @@ int usage(const char* argv0, int code) {
       "  --duration-scale F           scale all experiment timelines\n"
       "  --jobs N                     worker threads (default: all cores)\n"
       "  --trial-max-events N         per-trial simulator event budget "
-      "(deterministic deadline)\n"
-      "  --trial-wall-seconds S       per-trial wall-clock backstop "
-      "(hang killer)\n"
+      "(deterministic deadline; default %llu, 0 = unlimited)\n"
       "  --trial-max-bytes B[k|m|g]   per-trial modeled-memory budget; a "
       "trial crossing it is quarantined as resource-exhausted\n"
       "  --resume DIR                 crash-safe checkpointed run in DIR; "
@@ -101,7 +98,7 @@ int usage(const char* argv0, int code) {
       "output\n"
       "  --quiet                      no progress on stderr\n"
       "exit codes: 0 ok, 1 trial failures, 2 usage/config error\n",
-      argv0);
+      argv0, static_cast<unsigned long long>(exp::kMaxTrialEvents));
   return code;
 }
 
@@ -160,8 +157,6 @@ class TempFileGuard {
 std::string policy_text(const exp::RunnerPolicy& p) {
   std::string out;
   out += "trial_max_events = " + std::to_string(p.max_trial_events) + "\n";
-  out += "trial_wall_seconds = " +
-         exp::json_number(p.max_trial_wall_seconds) + "\n";
   out += "trial_max_bytes = " + std::to_string(p.max_trial_bytes) + "\n";
   return out;
 }
@@ -196,6 +191,7 @@ void report_divergence(const std::string& a, const std::string& b) {
 int main(int argc, char** argv) {
   exp::SweepSpec spec;
   exp::RunnerPolicy policy;
+  bool max_events_set = false;
   bool spec_loaded = false;
   bool list_requested = false;
   bool algorithms_set = false;
@@ -305,10 +301,7 @@ int main(int argc, char** argv) {
         if (!parse_count(value(), &policy.max_trial_events)) {
           return bad_value("a non-negative integer");
         }
-      } else if (arg == "--trial-wall-seconds") {
-        if (!parse_non_negative(value(), &policy.max_trial_wall_seconds)) {
-          return bad_value("a finite number of seconds >= 0");
-        }
+        max_events_set = true;
       } else if (arg == "--trial-max-bytes") {
         if (!parse_byte_count(value(), &policy.max_trial_bytes)) {
           return bad_value("BYTES[k|m|g] within 64 bits");
@@ -372,6 +365,12 @@ int main(int argc, char** argv) {
         policy.max_trial_bytes =
             static_cast<std::uint64_t>(scenario->spec->limits.max_bytes);
       }
+    }
+    // Without a budget from the flag or the spec, a trial gets the
+    // shared backstop, so a hung one ends at the same event on every
+    // host. An explicit --trial-max-events 0 leaves it unlimited.
+    if (!max_events_set && policy.max_trial_events == 0) {
+      policy.max_trial_events = exp::kMaxTrialEvents;
     }
     const exp::Experiment* experiment = exp::find_experiment(spec.experiment);
     if (experiment == nullptr) {

@@ -33,7 +33,7 @@ common=(--experiment poison --algorithms tcp
         --set sleep_ms=20 --set events=16 --sweep boom=0,1
         --trials 16 --base-seed 42
         --set fail_rate=0.3
-        --trial-max-events 100000 --trial-wall-seconds 30
+        --trial-max-events 100000
         --duration-scale 1 --quiet)
 
 run_sweep() {
