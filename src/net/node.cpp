@@ -1,5 +1,7 @@
 #include "net/node.hpp"
 
+#include <algorithm>
+
 #include "sim/error.hpp"
 
 #include "net/link.hpp"
@@ -36,6 +38,27 @@ void Node::set_route(NodeId dst, Link& out) {
   routes_[idx] = &out;
 }
 
+void Node::set_default_route(Link& out, std::size_t n) {
+  if (routes_.size() <= n) {
+    routes_ = {};
+  } else {
+    std::fill_n(routes_.begin(), n, nullptr);
+  }
+  default_route_ = &out;
+  default_bound_ = n;
+}
+
+void Node::set_routes(std::span<Link* const> first_hop) {
+  default_route_ = nullptr;
+  default_bound_ = 0;
+  if (routes_.size() < first_hop.size()) {
+    routes_.resize(first_hop.size(), nullptr);
+  }
+  for (std::size_t dst = 0; dst < first_hop.size(); ++dst) {
+    if (first_hop[dst] != nullptr) routes_[dst] = first_hop[dst];
+  }
+}
+
 void Node::deliver(PacketHandle h, PacketPool& pool) {
   Packet& p = pool.get(h);
   if (p.dst_node == id_) {
@@ -50,7 +73,7 @@ void Node::deliver(PacketHandle h, PacketPool& pool) {
     pool.release(h);
     return;
   }
-  Link* out = lookup(routes_, p.dst_node);
+  Link* out = next_hop(p.dst_node);
   if (out == nullptr) {
     ++undeliverable_;
     pool.release(h);

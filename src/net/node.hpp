@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,10 +28,12 @@ class PacketHandler {
 
 /// A network node: hosts local handlers (keyed by port) and forwards
 /// transit packets via a static forwarding table (keyed by destination
-/// node). Both tables are flat vectors indexed by the id: ports come
-/// from `allocate_port` and node ids from `Topology`, so both are dense
-/// and small, and a hop costs two bounds-checked loads instead of two
-/// hash lookups.
+/// node) backed by an optional default route. Both tables are flat
+/// vectors indexed by the id: ports come from `allocate_port` and node
+/// ids from `Topology`, so both are dense and small, and a hop costs two
+/// bounds-checked loads instead of two hash lookups. A node with a
+/// single outgoing link (every dumbbell host) holds no forwarding table
+/// at all, only its default route.
 ///
 /// Routing is static and computed once by `Topology::compute_routes`;
 /// the paper's scenarios never change topology mid-run (bandwidth
@@ -56,8 +59,28 @@ class Node {
   void detach(PortId port) noexcept;
 
   /// Install/replace the outgoing link for packets destined to `dst`.
-  /// Throws SimError (kBadTopology) if `dst` is negative.
+  /// A table entry wins over the default route. Throws SimError
+  /// (kBadTopology) if `dst` is negative.
   void set_route(NodeId dst, Link& out);
+
+  /// Route every destination in [0, n) over `out`: the table entries
+  /// below `n` are dropped and `out` becomes the default route for that
+  /// range. Entries at `n` and above, and later `set_route` calls,
+  /// still win.
+  void set_default_route(Link& out, std::size_t n);
+
+  /// Install `first_hop[dst]` for every `dst` whose entry is non-null,
+  /// in one pass, and drop the default route. Other table entries stay.
+  void set_routes(std::span<Link* const> first_hop);
+
+  /// The link a packet for `dst` leaves on: the table entry, else the
+  /// default route when `dst` is in its range, else nullptr.
+  [[nodiscard]] Link* next_hop(NodeId dst) const noexcept {
+    if (Link* out = lookup(routes_, dst)) return out;
+    return dst >= 0 && static_cast<std::size_t>(dst) < default_bound_
+               ? default_route_
+               : nullptr;
+  }
 
   /// Accept a pooled packet arriving at this node, from a link or from
   /// a local endpoint: a packet addressed here dispatches by reference
@@ -73,6 +96,12 @@ class Node {
 
   /// Allocate a node-unique port (monotonically increasing).
   [[nodiscard]] PortId allocate_port() noexcept { return next_port_++; }
+
+  /// Entries in the forwarding table, 0 for a node that routes by its
+  /// default route alone.
+  [[nodiscard]] std::size_t route_table_size() const noexcept {
+    return routes_.size();
+  }
 
   [[nodiscard]] std::uint64_t undeliverable_count() const noexcept {
     return undeliverable_;
@@ -91,7 +120,9 @@ class Node {
   NodeId id_;
   std::string name_;
   std::vector<PacketHandler*> handlers_;  // by PortId; nullptr = unbound
-  std::vector<Link*> routes_;             // by NodeId; nullptr = no route
+  std::vector<Link*> routes_;             // by NodeId; nullptr = no entry
+  Link* default_route_ = nullptr;         // for ids in [0, default_bound_)
+  std::size_t default_bound_ = 0;
   PortId next_port_ = 1;
   std::uint64_t undeliverable_ = 0;
 };

@@ -1,6 +1,6 @@
 #include "net/topology.hpp"
 
-#include <queue>
+#include <algorithm>
 
 namespace slowcc::net {
 
@@ -33,40 +33,101 @@ std::pair<Link*, Link*> Topology::add_duplex(Node& a, Node& b,
   return {&fwd, &rev};
 }
 
+namespace {
+
+std::size_t node_index(const Node& node) {
+  return static_cast<std::size_t>(node.id());
+}
+
+// Links grouped by one end, in creation order within each group (a
+// counting sort, so it is stable): node u's group is
+// links[begin[u] .. begin[u + 1]).
+struct LinkGroups {
+  std::vector<std::size_t> begin;
+  std::vector<Link*> links;
+};
+
+template <typename End>
+LinkGroups group_links(std::size_t n,
+                       const std::vector<std::unique_ptr<Link>>& all,
+                       End end) {
+  LinkGroups g;
+  g.begin.assign(n + 1, 0);
+  for (const auto& l : all) ++g.begin[node_index(end(*l)) + 1];
+  for (std::size_t u = 0; u < n; ++u) g.begin[u + 1] += g.begin[u];
+  std::vector<std::size_t> next(g.begin.begin(), g.begin.end() - 1);
+  g.links.resize(all.size());
+  for (const auto& l : all) g.links[next[node_index(end(*l))]++] = l.get();
+  return g;
+}
+
+// Whether a BFS from node 0 over `g` reaches all `n` nodes; `far` names
+// the node at a link's other end.
+template <typename Far>
+bool reaches_all_from_zero(const LinkGroups& g, std::size_t n, Far far) {
+  std::vector<char> seen(n, 0);
+  std::vector<std::size_t> frontier{0};
+  seen[0] = 1;
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const std::size_t u = frontier[head];
+    for (std::size_t i = g.begin[u]; i < g.begin[u + 1]; ++i) {
+      const std::size_t v = node_index(far(*g.links[i]));
+      if (seen[v] == 0) {
+        seen[v] = 1;
+        frontier.push_back(v);
+      }
+    }
+  }
+  return frontier.size() == n;
+}
+
+}  // namespace
+
 void Topology::compute_routes() {
   const std::size_t n = nodes_.size();
+  if (n == 0) return;
+  const LinkGroups out =
+      group_links(n, links_, [](Link& l) -> Node& { return l.from(); });
 
-  // Adjacency: for each node, outgoing links.
-  std::vector<std::vector<Link*>> out(n);
-  for (auto& l : links_) {
-    out[static_cast<std::size_t>(l->from().id())].push_back(l.get());
-  }
+  // In a strongly connected graph a node with one outgoing link reaches
+  // every other node through it, so that link is its first hop to every
+  // destination and a default route says so without a table. Only
+  // branching nodes (and every node of a graph that is not strongly
+  // connected) need a BFS. A dumbbell has two branching nodes, so this
+  // is linear in its size.
+  const bool strongly_connected =
+      reaches_all_from_zero(out, n, [](Link& l) -> Node& { return l.to(); }) &&
+      reaches_all_from_zero(
+          group_links(n, links_, [](Link& l) -> Node& { return l.to(); }), n,
+          [](Link& l) -> Node& { return l.from(); });
 
-  // BFS from every destination over reversed edges would be the usual
-  // trick, but topologies here are tiny (tens of nodes); a forward BFS
-  // per source is simplest and sets next-hop links directly.
+  // Hop-count BFS per branching source, visiting each node's links in
+  // creation order, so ties between equal-length paths go to the
+  // earliest-created link. `first_hop` doubles as the visited mark (the
+  // source has none), and the frontier is one flat array; both are
+  // reused by every pass.
+  std::vector<Link*> first_hop(n);
+  std::vector<std::size_t> frontier;
+  frontier.reserve(n);
   for (std::size_t src = 0; src < n; ++src) {
-    std::vector<Link*> first_hop(n, nullptr);
-    std::vector<bool> visited(n, false);
-    std::queue<std::size_t> frontier;
-    visited[src] = true;
-    frontier.push(src);
-    while (!frontier.empty()) {
-      const std::size_t u = frontier.front();
-      frontier.pop();
-      for (Link* l : out[u]) {
-        const std::size_t v = static_cast<std::size_t>(l->to().id());
-        if (visited[v]) continue;
-        visited[v] = true;
-        first_hop[v] = (u == src) ? l : first_hop[u];
-        frontier.push(v);
+    Node& node = *nodes_[src];
+    if (strongly_connected && out.begin[src + 1] - out.begin[src] == 1) {
+      node.set_default_route(*out.links[out.begin[src]], n);
+      continue;
+    }
+    std::fill(first_hop.begin(), first_hop.end(), nullptr);
+    frontier.assign(1, src);
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const std::size_t u = frontier[head];
+      for (std::size_t i = out.begin[u]; i < out.begin[u + 1]; ++i) {
+        Link* l = out.links[i];
+        const std::size_t v = node_index(l->to());
+        if (v == src || first_hop[v] != nullptr) continue;
+        first_hop[v] = u == src ? l : first_hop[u];
+        frontier.push_back(v);
       }
     }
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      if (dst != src && first_hop[dst] != nullptr) {
-        nodes_[src]->set_route(static_cast<NodeId>(dst), *first_hop[dst]);
-      }
-    }
+    node.set_routes(first_hop);
   }
 }
 

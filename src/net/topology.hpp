@@ -14,7 +14,7 @@ namespace slowcc::net {
 /// Owner of a simulated network graph.
 ///
 /// Builds nodes and (unidirectional) links, then computes static
-/// shortest-path routes with BFS. All experiments in this library use
+/// hop-count shortest-path routes. All experiments in this library use
 /// dumbbell topologies, but the builder is general.
 class Topology {
  public:
@@ -38,16 +38,25 @@ class Topology {
                                      sim::Time propagation_delay,
                                      std::size_t queue_limit);
 
-  /// Populate every node's forwarding table with BFS shortest paths
-  /// (hop count metric). Must be called after the graph is final and
-  /// before traffic starts. Unreachable pairs simply get no route.
+  /// Route every node to every node it can reach, along a shortest path
+  /// by hop count; among equal-length paths the first hop is the
+  /// earliest-created link. Unreachable pairs get no route, and entries
+  /// for them set earlier stay. Must be called after the graph is final
+  /// and before traffic starts; it may be called again after the graph
+  /// grows.
+  ///
+  /// Linear in the graph for a strongly connected one where few nodes
+  /// branch (every dumbbell): a node with exactly one outgoing link gets
+  /// it as its default route (Node::set_default_route) for every
+  /// destination, and only nodes with two or more run a BFS and fill
+  /// their table. In a graph that is not strongly connected every node
+  /// runs a BFS.
   void compute_routes();
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
-  [[nodiscard]] Node& node(NodeId id) { return *nodes_.at(static_cast<std::size_t>(id)); }
 
   /// Links in creation order, so auditors can watch the whole graph.
   [[nodiscard]] std::size_t link_count() const noexcept {

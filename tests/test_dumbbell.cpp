@@ -46,6 +46,31 @@ TEST(Dumbbell, EveryAlgorithmKindMovesData) {
   }
 }
 
+TEST(Dumbbell, OnlyTheRoutersHoldForwardingTables) {
+  sim::Simulator sim;
+  DumbbellConfig cfg;
+  cfg.reverse_tcp_flows = 2;
+  Dumbbell net(sim, cfg);
+  for (int i = 0; i < 4; ++i) net.add_flow(FlowSpec::tcp());
+  net.add_reverse_traffic();
+  net.finalize();
+  net::Topology& topo = net.topology();
+  const auto n = topo.node_count();
+  ASSERT_EQ(n, 14u);  // two routers, two hosts per flow
+  for (std::size_t i = 0; i < topo.link_count(); ++i) {
+    const net::Node& from = topo.link(i).from();
+    const bool router =
+        &from == &net.left_router() || &from == &net.right_router();
+    EXPECT_EQ(from.route_table_size(), router ? n : 0u) << from.name();
+    // Every host reaches every other node through its one access link.
+    for (net::NodeId dst = 0; dst < static_cast<net::NodeId>(n); ++dst) {
+      if (!router && dst != from.id()) {
+        EXPECT_EQ(from.next_hop(dst), &topo.link(i)) << from.name();
+      }
+    }
+  }
+}
+
 TEST(Dumbbell, TearFlowMovesData) {
   sim::Simulator sim;
   DumbbellConfig cfg;

@@ -192,6 +192,7 @@ int main(int argc, char** argv) {
   exp::SweepSpec spec;
   exp::RunnerPolicy policy;
   bool max_events_set = false;
+  bool max_bytes_set = false;
   bool spec_loaded = false;
   bool list_requested = false;
   bool algorithms_set = false;
@@ -306,6 +307,7 @@ int main(int argc, char** argv) {
         if (!parse_byte_count(value(), &policy.max_trial_bytes)) {
           return bad_value("BYTES[k|m|g] within 64 bits");
         }
+        max_bytes_set = true;
       } else if (arg == "--resume") {
         resume_dir = value();
       } else if (arg == "--out") {
@@ -354,14 +356,12 @@ int main(int argc, char** argv) {
         return 2;
       }
       // The scenario's [limits] budgets are policy defaults: explicit
-      // --trial-max-events / --trial-max-bytes flags win.
-      if (policy.max_trial_events == 0 &&
-          scenario->spec->limits.max_events > 0) {
+      // --trial-max-events / --trial-max-bytes flags win, 0 included.
+      if (!max_events_set && scenario->spec->limits.max_events > 0) {
         policy.max_trial_events =
             static_cast<std::uint64_t>(scenario->spec->limits.max_events);
       }
-      if (policy.max_trial_bytes == 0 &&
-          scenario->spec->limits.max_bytes > 0) {
+      if (!max_bytes_set && scenario->spec->limits.max_bytes > 0) {
         policy.max_trial_bytes =
             static_cast<std::uint64_t>(scenario->spec->limits.max_bytes);
       }
