@@ -3,7 +3,7 @@
 #include <cerrno>
 #include <climits>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -99,19 +99,24 @@ double TrialDesc::param(std::string_view name, double fallback) const noexcept {
 }
 
 std::string TrialDesc::cell_key() const {
-  std::string key = experiment + "|" + algorithm;
-  char buf[64];
+  std::string key;
+  key.reserve(64);
+  key += experiment;
+  key += '|';
+  key += algorithm;
   if (bandwidth_bps > 0) {
-    std::snprintf(buf, sizeof buf, "|bw=%s",
-                  json_number(bandwidth_bps / 1e6).c_str());
-    key += buf;
+    key += "|bw=";
+    key += json_number(bandwidth_bps / 1e6);
   }
   if (rtt_ms > 0) {
-    std::snprintf(buf, sizeof buf, "|rtt=%s", json_number(rtt_ms).c_str());
-    key += buf;
+    key += "|rtt=";
+    key += json_number(rtt_ms);
   }
   for (const auto& [k, v] : params) {
-    key += "|" + k + "=" + json_number(v);
+    key += '|';
+    key += k;
+    key += '=';
+    key += json_number(v);
   }
   return key;
 }
@@ -146,33 +151,34 @@ std::vector<TrialDesc> SweepSpec::expand() const {
 
   std::vector<TrialDesc> out;
   out.reserve(trial_count());
-  std::uint64_t id = 0;
   for (const std::string& alg : algorithms) {
     for (const double bw : bands) {
       for (const double rtt : rtts) {
         for (const double sv : sweeps) {
+          TrialDesc cell;
+          cell.experiment = experiment;
+          cell.algorithm = alg;
+          cell.bandwidth_bps = bw;
+          cell.rtt_ms = rtt;
+          cell.params.reserve(fixed.size() + (sweep_param.empty() ? 0 : 1));
+          for (const auto& [k, v] : fixed) cell.params.emplace_back(k, v);
+          if (!sweep_param.empty()) cell.params.emplace_back(sweep_param, sv);
+          cell.duration_scale = duration_scale;
+          // Seed from the grid cell + replicate index, NOT from
+          // expansion order, so adding an axis value does not reseed
+          // unrelated cells... but cells must still never collide, so
+          // hash the cell key into the base first, once per cell.
+          std::uint64_t cell_hash = base_seed;
+          for (const char c : cell.cell_key()) {
+            cell_hash = derive_seed(cell_hash, static_cast<unsigned char>(c));
+          }
           for (int t = 0; t < trials; ++t) {
-            TrialDesc d;
-            d.trial_id = id;
-            d.experiment = experiment;
-            d.algorithm = alg;
-            d.bandwidth_bps = bw;
-            d.rtt_ms = rtt;
-            for (const auto& [k, v] : fixed) d.params.emplace_back(k, v);
-            if (!sweep_param.empty()) d.params.emplace_back(sweep_param, sv);
+            // The last replicate takes the cell itself.
+            TrialDesc& d = t + 1 < trials ? out.emplace_back(cell)
+                                          : out.emplace_back(std::move(cell));
+            d.trial_id = out.size() - 1;
             d.trial_index = t;
-            // Seed from the grid cell + replicate index, NOT from
-            // expansion order, so adding an axis value does not reseed
-            // unrelated cells... but cells must still never collide, so
-            // hash the cell key into the base first.
-            std::uint64_t cell_hash = base_seed;
-            for (const char c : d.cell_key()) {
-              cell_hash = derive_seed(cell_hash, static_cast<unsigned char>(c));
-            }
             d.seed = derive_seed(cell_hash, static_cast<std::uint64_t>(t));
-            d.duration_scale = duration_scale;
-            out.push_back(std::move(d));
-            ++id;
           }
         }
       }

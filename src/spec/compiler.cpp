@@ -69,7 +69,7 @@ class Resolver {
       }
       if (found == nullptr) {
         spec_error(spec_.source, n.line,
-                   "key '" + n.key + "': reference \"$" + n.ref +
+                   "key '" + std::string(n.key) + "': reference \"$" + n.ref +
                        "\" does not name a [params] entry");
       }
       v = *found;
@@ -90,6 +90,7 @@ class Resolver {
     return sim::Time::seconds((*this)(n, fallback_ms, range) / 1000.0);
   }
 
+  /// An integer field; its range check keeps it within int.
   [[nodiscard]] int integer(const Num& n, int fallback,
                             NumRange range) const {
     return static_cast<int>(

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <limits>
 
 #include "sim/error.hpp"
 
@@ -20,27 +21,31 @@ bool is_identifier(std::string_view s) noexcept {
   return true;
 }
 
-/// Tracks which keys of one table the validator consumed, so anything
-/// left over is reported as an unknown key with its own line.
+/// Marks the keys of one table the validator consumed (on the entries
+/// themselves), so anything left over is reported as an unknown key
+/// with its own line.
 class SectionReader {
  public:
   SectionReader(const TomlTable& table, const std::string& source)
-      : table_(table), source_(source), used_(table.entries.size(), false) {}
+      : table_(table), source_(source) {
+    for (const TomlKeyValue& kv : table_.entries) kv.consumed = false;
+  }
 
   [[nodiscard]] const TomlValue* take(std::string_view key) {
-    for (std::size_t i = 0; i < table_.entries.size(); ++i) {
-      if (table_.entries[i].key == key) {
-        used_[i] = true;
-        return &table_.entries[i].value;
+    for (const TomlKeyValue& kv : table_.entries) {
+      if (kv.key == key) {
+        kv.consumed = true;
+        return &kv.value;
       }
     }
     return nullptr;
   }
 
-  /// Numeric-or-$ref field. Absent => Num with set=false.
+  /// Numeric-or-$ref field. Absent => Num with set=false. `key` must be
+  /// a literal: the Num keeps a view of it.
   [[nodiscard]] Num num(std::string_view key) {
     Num n;
-    n.key = std::string(key);
+    n.key = key;
     const TomlValue* v = take(key);
     if (v == nullptr) return n;
     n.set = true;
@@ -54,18 +59,19 @@ class SectionReader {
       n.ref = v->text.substr(1);
       if (!is_identifier(n.ref)) {
         spec_error(source_, v->line,
-                   "key '" + n.key + "': malformed parameter reference \"$" +
-                       n.ref + "\"");
+                   "key '" + std::string(key) +
+                       "': malformed parameter reference \"$" + n.ref + "\"");
       }
       return n;
     }
     spec_error(source_, v->line,
-               "key '" + n.key +
+               "key '" + std::string(key) +
                    "' must be a number or a \"$param\" reference");
   }
 
-  [[nodiscard]] std::string string_or(std::string_view key,
-                                      std::string fallback) {
+  /// String field (a view of the document), or `fallback`.
+  [[nodiscard]] std::string_view string_or(std::string_view key,
+                                           std::string_view fallback) {
     const TomlValue* v = take(key);
     if (v == nullptr) return fallback;
     if (v->kind != TomlValue::Kind::kString) {
@@ -97,12 +103,12 @@ class SectionReader {
   }
 
   /// Error on any key the section did not consume.
-  void finish(const std::string& section) {
-    for (std::size_t i = 0; i < table_.entries.size(); ++i) {
-      if (!used_[i]) {
-        spec_error(source_, table_.entries[i].line,
-                   "unknown key '" + table_.entries[i].key + "' in [" +
-                       section + "]");
+  void finish(std::string_view section) {
+    for (const TomlKeyValue& kv : table_.entries) {
+      if (!kv.consumed) {
+        spec_error(source_, kv.line,
+                   "unknown key '" + std::string(kv.key) + "' in [" +
+                       std::string(section) + "]");
       }
     }
   }
@@ -110,7 +116,6 @@ class SectionReader {
  private:
   const TomlTable& table_;
   const std::string& source_;
-  std::vector<bool> used_;
 };
 
 void check_literal(const std::string& source, const Num& n, NumRange range) {
@@ -160,10 +165,11 @@ std::vector<ParamDecl> parse_params_section(const TomlDoc& doc) {
   std::vector<ParamDecl> out;
   const TomlTable* t = doc.find_table("params");
   if (t == nullptr) return out;
+  out.reserve(t->entries.size());
   for (const auto& kv : t->entries) {
     if (!kv.value.is_number()) {
       spec_error(doc.source, kv.line,
-                 "key '" + kv.key +
+                 "key '" + std::string(kv.key) +
                      "': [params] declares numeric defaults only");
     }
     if (kv.key == "algorithm") {
@@ -226,12 +232,12 @@ FlowGroup parse_flow_group(const TomlTable& t, const std::string& source) {
   g.start_s = r.num("start_s");
   g.start_spread_s = r.num("start_spread_s");
   g.stop_s = r.num("stop_s");
-  const std::string dir = r.string_or("direction", "forward");
+  const std::string_view dir = r.string_or("direction", "forward");
   if (dir != "forward" && dir != "reverse") {
     spec_error(source, t.line,
                "key 'direction': expected \"forward\" or \"reverse\", "
                "got \"" +
-                   dir + "\"");
+                   std::string(dir) + "\"");
   }
   g.forward = (dir == "forward");
   g.slow_start = r.bool_or("slow_start", true);
@@ -250,7 +256,7 @@ TrafficSection parse_traffic_section(const TomlTable& t,
   SectionReader r(t, source);
   TrafficSection s;
   s.line = t.line;
-  const std::string kind = r.string_or("kind", "");
+  const std::string_view kind = r.string_or("kind", "");
   if (kind == "cbr") {
     s.kind = TrafficSection::Kind::kCbr;
   } else if (kind == "onoff") {
@@ -263,7 +269,7 @@ TrafficSection parse_traffic_section(const TomlTable& t,
     spec_error(source, t.line,
                "key 'kind': expected cbr | onoff | flash_crowd | media, "
                "got \"" +
-                   kind + "\"");
+                   std::string(kind) + "\"");
   }
   s.start_s = r.num("start_s");
   s.stop_s = r.num("stop_s");
@@ -360,12 +366,12 @@ FaultSection parse_fault_section(const TomlTable& t,
   SectionReader r(t, source);
   FaultSection s;
   s.line = t.line;
-  const std::string kind = r.string_or("kind", "");
-  const std::string link = r.string_or("link", "bottleneck");
+  const std::string_view kind = r.string_or("kind", "");
+  const std::string_view link = r.string_or("link", "bottleneck");
   if (link != "bottleneck" && link != "reverse") {
     spec_error(source, t.line,
                "key 'link': expected \"bottleneck\" or \"reverse\", got \"" +
-                   link + "\"");
+                   std::string(link) + "\"");
   }
   s.reverse_link = (link == "reverse");
   s.at_s = r.num("at_s");
@@ -459,7 +465,7 @@ FaultSection parse_fault_section(const TomlTable& t,
                "key 'kind': expected blackout | flap | "
                "bandwidth_oscillation | delay_jitter | delay_step | "
                "retry_stall | impairment, got \"" +
-                   kind + "\"");
+                   std::string(kind) + "\"");
   }
   r.finish("faults");
   return s;
@@ -499,7 +505,7 @@ void check_ref(const ScenarioSpec& spec, const Num& n) {
   if (!n.set || !n.is_ref()) return;
   if (spec.find_param(n.ref) == nullptr) {
     spec_error(spec.source, n.line,
-               "key '" + n.key + "': reference \"$" + n.ref +
+               "key '" + std::string(n.key) + "': reference \"$" + n.ref +
                    "\" does not name a [params] entry");
   }
 }
@@ -567,9 +573,10 @@ void check_num_range(const std::string& source, const Num& n, double v,
                      NumRange range) {
   const auto fail = [&](const std::string& want) {
     spec_error(source, n.line,
-               "key '" + n.key + "': value " + std::to_string(v) + " " +
-                   want);
+               "key '" + std::string(n.key) + "': value " +
+                   std::to_string(v) + " " + want);
   };
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
   if (!std::isfinite(v)) fail("must be finite");
   switch (range) {
     case NumRange::kAny:
@@ -587,11 +594,13 @@ void check_num_range(const std::string& source, const Num& n, double v,
       if (v <= 0.0 || v != std::floor(v)) {
         fail("must be a positive integer");
       }
+      if (v > kMaxInt) fail("must be <= " + std::to_string(kMaxInt));
       break;
     case NumRange::kNonNegativeInt:
       if (v < 0.0 || v != std::floor(v)) {
         fail("must be a non-negative integer");
       }
+      if (v > kMaxInt) fail("must be <= " + std::to_string(kMaxInt));
       break;
   }
 }
@@ -624,7 +633,7 @@ ScenarioSpec parse_scenario_spec(const TomlDoc& doc) {
     if (!known_plain && !known_array) {
       spec_error(doc.source, t.line,
                  std::string("unknown section ") +
-                     (t.is_array ? "[[" : "[") + t.name +
+                     (t.is_array ? "[[" : "[") + std::string(t.name) +
                      (t.is_array ? "]]" : "]"));
     }
   }
@@ -634,15 +643,20 @@ ScenarioSpec parse_scenario_spec(const TomlDoc& doc) {
   spec.scenario = parse_scenario_section(doc);
   spec.params = parse_params_section(doc);
   spec.topology = parse_topology_section(doc);
-  for (const TomlTable* t : doc.find_array_tables("flows")) {
-    spec.flows.push_back(parse_flow_group(*t, doc.source));
-  }
-  for (const TomlTable* t : doc.find_array_tables("traffic")) {
-    spec.traffic.push_back(parse_traffic_section(*t, doc.source));
-  }
-  for (const TomlTable* t : doc.find_array_tables("faults")) {
-    spec.faults.push_back(parse_fault_section(*t, doc.source));
-  }
+  // Every [[flows]], then every [[traffic]], then every [[faults]], each
+  // in file order.
+  const auto each_array = [&doc](std::string_view name, auto& out,
+                                 auto parse) {
+    std::size_t n = 0;
+    for (const TomlTable& t : doc.tables) n += t.is_array && t.name == name;
+    out.reserve(n);
+    for (const TomlTable& t : doc.tables) {
+      if (t.is_array && t.name == name) out.push_back(parse(t, doc.source));
+    }
+  };
+  each_array("flows", spec.flows, parse_flow_group);
+  each_array("traffic", spec.traffic, parse_traffic_section);
+  each_array("faults", spec.faults, parse_fault_section);
   spec.metrics = parse_metrics_section(doc);
   spec.limits = parse_limits_section(doc);
 

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "spec/toml.hpp"
@@ -27,7 +28,7 @@ namespace slowcc::spec {
 struct Num {
   double value = 0.0;
   std::string ref;   // non-empty => "$ref" into [params]
-  std::string key;   // key name, for range-error messages
+  std::string_view key;  // key name (a literal), for range-error messages
   int line = 0;
   bool set = false;  // false => field absent, use the default
 
@@ -199,6 +200,8 @@ struct ScenarioSpec {
 /// Range constraint on a resolved numeric field. The validator applies
 /// these to literals at parse time; the compiler re-applies them after
 /// `$param` resolution so a swept value cannot smuggle in -1 flows.
+/// The integer ranges stop at INT_MAX, the widest count the compiler
+/// builds.
 enum class NumRange {
   kAny,
   kPositive,

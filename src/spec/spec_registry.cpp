@@ -1,6 +1,6 @@
 #include "spec/spec_registry.hpp"
 
-#include <sstream>
+#include <cstdio>
 #include <utility>
 
 #include "sim/error.hpp"
@@ -10,6 +10,7 @@ namespace slowcc::spec {
 
 std::vector<std::string> spec_metric_names(const ScenarioSpec& spec) {
   std::vector<std::string> out;
+  out.reserve(11);  // every family at once
   if (spec.metrics.throughput) {
     out.emplace_back("aggregate_goodput_bps");
     out.emplace_back("aggregate_fraction");
@@ -46,10 +47,12 @@ exp::Experiment make_spec_experiment(
                       ? "scenario spec (" + spec->source + ")"
                       : spec->scenario.description;
   e.metrics = spec_metric_names(*spec);
+  e.params.reserve(spec->params.size());
   for (const ParamDecl& p : spec->params) {
-    std::ostringstream def;
-    def << p.name << "=" << p.default_value;
-    e.params.push_back(def.str());
+    // "%g" is what an ostream prints for a double by default.
+    char value[32];
+    std::snprintf(value, sizeof value, "%g", p.default_value);
+    e.params.push_back(p.name + "=" + value);
   }
   // The [limits] budgets are applied by the CLI as policy defaults,
   // not here, so one thread-level deadline guard stays in charge of

@@ -138,6 +138,36 @@ TEST(SpecCompiler, OutOfRangeSweptValueIsRejectedAtCompileTime) {
   }
 }
 
+// Integer fields become ints in the compiled scenario, so a resolved
+// value past INT_MAX is rejected at the key's line, whether it comes
+// from the [params] default or from an override.
+TEST(SpecCompiler, ResolvedIntegerPastIntIsRejectedAtItsLine) {
+  const ScenarioSpec spec = from_text(
+      "[scenario]\nname = \"big\"\nmeasure_s = 1\n"  // lines 1-3
+      "[params]\nflows = 3000000000\nreverse = 1\n"    // lines 4-6
+      "[topology]\nreverse_tcp_flows = \"$reverse\"\n"  // lines 7-8
+      "[[flows]]\ncount = \"$flows\"\n",                // lines 9-10
+      "big.toml");
+  const auto error_of = [&spec](const SpecRunOptions& opt) -> std::string {
+    try {
+      (void)run_scenario(spec, opt);
+    } catch (const sim::SimError& e) {
+      EXPECT_EQ(e.code(), sim::SimErrc::kBadSpec);
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of(fast_opts()),
+            "[bad-spec] spec: big.toml:10: key 'count': value "
+            "3000000000.000000 must be <= 2147483647");
+  SpecRunOptions opt = fast_opts();
+  opt.params.emplace_back("flows", 1.0);
+  opt.params.emplace_back("reverse", 2147483648.0);
+  EXPECT_EQ(error_of(opt),
+            "[bad-spec] spec: big.toml:8: key 'reverse_tcp_flows': value "
+            "2147483648.000000 must be <= 2147483647");
+}
+
 TEST(SpecCompiler, AlgorithmHoleIsFilledPerRun) {
   const ScenarioSpec spec = from_text(kScenario);
   EXPECT_TRUE(spec.uses_algorithm_hole());

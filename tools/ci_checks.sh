@@ -28,11 +28,13 @@
 #      outputs stay byte-identical across --jobs 1, --jobs 4 and a
 #      killed+resumed run)
 #   7. repro ledger: tools/repro_ledger.py validates the committed
-#      BENCH_repro.json (schema slowcc.repro.v1: wall time and events/s
-#      of each figure-table entry and of the whole table, as the median
-#      and spread of 3 Release runs) and checks that its entries are
-#      exactly `slowcc_figures --list`, so a figure-table change that
-#      leaves the ledger stale fails here. No timing is judged.
+#      BENCH_repro.json (schema slowcc.repro.v2: wall time and events/s
+#      of each figure-table entry, of the whole table and of each spec
+#      swept over tcp,tfrc:6 x 3 seeds, as the median and spread of 3
+#      Release runs) and checks that its entries are exactly
+#      `slowcc_figures --list` and the specs/*.toml stems, so a
+#      figure-table or spec-library change that leaves the ledger stale
+#      fails here. No timing is judged.
 #   8. pins: perfbench/run.py runs each benchmark workload for 1 s at
 #      seed 1 and must report "correct": true, i.e. the pinned digests
 #      in perfbench/pins.txt hold and the event stream is unchanged
@@ -70,10 +72,11 @@ step "ctest (-j$jobs)"
 ctest --test-dir "$build_dir" --output-on-failure -j"$jobs"
 
 if [[ "${SLOWCC_SKIP_BENCH:-0}" != "1" ]]; then
-  step "repro ledger (BENCH_repro.json against slowcc_figures --list)"
+  step "repro ledger (BENCH_repro.json against slowcc_figures --list and specs/)"
   python3 "$repo_root/tools/repro_ledger.py" \
     --validate "$repo_root/BENCH_repro.json" \
-    --figures "$build_dir/bench/slowcc_figures"
+    --figures "$build_dir/bench/slowcc_figures" \
+    --specs "$repo_root/specs"
   step "pins (perfbench workloads at seed 1 match perfbench/pins.txt)"
   for workload in many_flows slow_dynamics paper_sweep; do
     result="$(cd "$repo_root" && python3 perfbench/run.py \

@@ -1,21 +1,27 @@
 #!/usr/bin/env python3
-"""The repro ledger: what the full paper reproduction costs, end to end.
+"""The repro ledger: what the paper reproduction and the spec library cost.
 
-Write mode times `slowcc_figures` from the outside: RUNS runs over every
-entry, then RUNS runs of each entry alone. It writes the wall time and
-events/s of each as {median, min, max}, with the run's simulated event
-count (the last stderr line of `slowcc_figures`), to a JSON file of
-schema slowcc.repro.v1. The event stream is deterministic, so an entry
-whose event count differs between its runs is a bug and fails the write.
+Write mode times two suites from the outside. The figures suite is RUNS
+runs of `slowcc_figures` over every entry, then RUNS runs of each entry
+alone. The specs suite is RUNS runs of each scenario spec through
+`slowcc_sweep --spec DIR --experiment NAME` over SPEC_ALGORITHMS with
+SPEC_TRIALS seeds. Each run's wall time and events/s are written as
+{median, min, max}, with its simulated event count (the last stderr
+line of `slowcc_figures`, or the sum over `slowcc_sweep`'s manifest), to
+a JSON file of schema slowcc.repro.v2. The event stream is
+deterministic, so an entry whose event count differs between its runs
+is a bug and fails the write.
 
     tools/repro_ledger.py --figures build-release/bench/slowcc_figures \\
+        --sweep build-release/tools/slowcc_sweep --specs specs \\
         --out BENCH_repro.json
 
-Validate mode checks a ledger's schema and numbers, and with --figures
-that its entry names are `slowcc_figures --list`, in order:
+Validate mode checks a ledger's schema and numbers, with --figures that
+its figure entries are `slowcc_figures --list`, in order, and with
+--specs that its spec entries are the library's `*.toml` stems, sorted:
 
     tools/repro_ledger.py --validate BENCH_repro.json \\
-        [--figures build/bench/slowcc_figures]
+        [--figures build/bench/slowcc_figures] [--specs specs]
 
 Exit status: 0 on success, 1 on a failed run or an invalid ledger,
 2 on a usage error.
@@ -30,10 +36,13 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
-SCHEMA = "slowcc.repro.v1"
+SCHEMA = "slowcc.repro.v2"
 RUNS = 3
+SPEC_ALGORITHMS = ["tcp", "tfrc:6"]
+SPEC_TRIALS = 3
 EVENTS_LINE = re.compile(r"^slowcc_figures: (\d+) events simulated$", re.M)
 
 
@@ -47,9 +56,15 @@ def list_entries(figures):
     return out.split()
 
 
-def build_type(figures):
-    """CMAKE_BUILD_TYPE of the build tree holding <build>/bench/BIN."""
-    cache = os.path.join(os.path.dirname(os.path.abspath(figures)), "..",
+def spec_names(specs):
+    """The scenario names of a spec directory: its *.toml stems, sorted."""
+    return sorted(f[:-len(".toml")] for f in os.listdir(specs)
+                  if f.endswith(".toml"))
+
+
+def build_type(binary):
+    """CMAKE_BUILD_TYPE of the build tree holding <build>/<dir>/BIN."""
+    cache = os.path.join(os.path.dirname(os.path.abspath(binary)), "..",
                          "CMakeCache.txt")
     try:
         with open(cache, encoding="utf-8") as f:
@@ -75,6 +90,24 @@ def timed_run(figures, names):
     return round(wall, 6), int(m[0])
 
 
+def timed_spec_run(sweep, specs, name, scratch):
+    """One slowcc_sweep process over one spec: (wall seconds, events)."""
+    prefix = os.path.join(scratch, name)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sweep, "--spec", specs, "--experiment", name, "--algorithms",
+         ",".join(SPEC_ALGORITHMS), "--trials", str(SPEC_TRIALS), "--quiet",
+         "--out", prefix],
+        text=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise LedgerError(f"slowcc_sweep {name} exited {proc.returncode}:"
+                          f"\n{proc.stderr}")
+    with open(prefix + ".manifest.jsonl", encoding="utf-8") as f:
+        events = sum(json.loads(line)["events"] for line in f if line.strip())
+    return round(wall, 6), events
+
+
 def spread(values):
     return {"median": statistics.median(values), "min": min(values),
             "max": max(values)}
@@ -92,18 +125,26 @@ def record(label, runs):
             "events": n}
 
 
-def write(figures, out):
-    kind = build_type(figures)
-    if kind != "Release":
-        raise LedgerError(f"{figures} is not from a Release build "
-                          f"(CMAKE_BUILD_TYPE {kind}); write the ledger "
-                          "from one")
+def write(figures, sweep, specs, out):
+    for binary in (figures, sweep):
+        kind = build_type(binary)
+        if kind != "Release":
+            raise LedgerError(f"{binary} is not from a Release build "
+                              f"(CMAKE_BUILD_TYPE {kind}); write the ledger "
+                              "from one")
     names = list_entries(figures)
     total = [timed_run(figures, []) for _ in range(RUNS)]
     alone = {name: [] for name in names}
     for _ in range(RUNS):
         for name in names:
             alone[name].append(timed_run(figures, [name]))
+    scenarios = spec_names(specs)
+    spec_runs = {name: [] for name in scenarios}
+    with tempfile.TemporaryDirectory() as scratch:
+        for _ in range(RUNS):
+            for name in scenarios:
+                spec_runs[name].append(
+                    timed_spec_run(sweep, specs, name, scratch))
     ledger = {
         "schema": SCHEMA,
         "runs": RUNS,
@@ -111,13 +152,20 @@ def write(figures, out):
         "host": {"cpus": os.cpu_count(), "machine": platform.machine()},
         "entries": {name: record(name, alone[name]) for name in names},
         "total": record("total", total),
+        "specs": {
+            "algorithms": SPEC_ALGORITHMS,
+            "trials": SPEC_TRIALS,
+            "entries": {name: record(name, spec_runs[name])
+                        for name in scenarios},
+        },
     }
     with open(out, "w", encoding="utf-8") as f:
         json.dump(ledger, f, indent=2)
         f.write("\n")
     t = ledger["total"]
     print(f"repro_ledger: wrote {out}: {len(names)} entries, total "
-          f"{t['wall_s']['median']:.2f} s, {t['events']} events")
+          f"{t['wall_s']['median']:.2f} s, {t['events']} events; "
+          f"{len(scenarios)} specs")
 
 
 def check_record(label, rec):
@@ -147,7 +195,7 @@ def check_record(label, rec):
                           "events / wall_s.median")
 
 
-def validate(path, figures):
+def validate(path, figures, specs):
     try:
         with open(path, encoding="utf-8") as f:
             ledger = json.load(f)
@@ -170,24 +218,48 @@ def validate(path, figures):
             extra = [n for n in entries if n not in want]
             raise LedgerError("entries differ from slowcc_figures --list: "
                               f"missing {missing}, extra {extra}")
-    print(f"repro_ledger: {path} OK ({len(entries)} entries + total)")
+    suite = ledger.get("specs")
+    if not isinstance(suite, dict) or \
+            sorted(suite) != ["algorithms", "entries", "trials"]:
+        raise LedgerError("specs: want keys algorithms, entries, trials")
+    if suite["algorithms"] != SPEC_ALGORITHMS or \
+            suite["trials"] != SPEC_TRIALS:
+        raise LedgerError(f"specs: want algorithms {SPEC_ALGORITHMS} and "
+                          f"trials {SPEC_TRIALS}")
+    spec_entries = suite["entries"]
+    if not isinstance(spec_entries, dict) or not spec_entries:
+        raise LedgerError("specs: no entries")
+    for name, rec in spec_entries.items():
+        check_record(f"specs.{name}", rec)
+    if specs is not None:
+        want = spec_names(specs)
+        if list(spec_entries) != want:
+            missing = [n for n in want if n not in spec_entries]
+            extra = [n for n in spec_entries if n not in want]
+            raise LedgerError(f"specs entries differ from {specs}/*.toml: "
+                              f"missing {missing}, extra {extra}")
+    print(f"repro_ledger: {path} OK ({len(entries)} entries + total, "
+          f"{len(spec_entries)} specs)")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--figures", help="the slowcc_figures binary")
+    ap.add_argument("--sweep", help="the slowcc_sweep binary (write mode)")
+    ap.add_argument("--specs", help="the scenario spec directory")
     ap.add_argument("--out", help="ledger to write (write mode)")
     ap.add_argument("--validate", metavar="FILE", help="ledger to check")
     args = ap.parse_args()
     if (args.validate is None) == (args.out is None):
         ap.error("give exactly one of --out and --validate")
-    if args.out is not None and args.figures is None:
-        ap.error("--out needs --figures")
+    if args.out is not None and None in (args.figures, args.sweep,
+                                         args.specs):
+        ap.error("--out needs --figures, --sweep and --specs")
     try:
         if args.validate is not None:
-            validate(args.validate, args.figures)
+            validate(args.validate, args.figures, args.specs)
         else:
-            write(args.figures, args.out)
+            write(args.figures, args.sweep, args.specs, args.out)
     except (LedgerError, subprocess.CalledProcessError, OSError) as e:
         print(f"repro_ledger: {e}", file=sys.stderr)
         return 1

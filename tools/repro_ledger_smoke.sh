@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke-test the repro ledger: the committed BENCH_repro.json validates
-# against `slowcc_figures --list`, and copies of it with an entry
-# missing, with a min above its median, or with a wrong schema are
-# rejected. No timing is judged.
+# against `slowcc_figures --list` and the spec library, and copies of it
+# with a figure or spec entry missing, with a min above its median, or
+# with a wrong schema are rejected. No timing is judged.
 #
 # Usage: tools/repro_ledger_smoke.sh <slowcc_figures-bin> <repo-root>
 set -euo pipefail
@@ -20,7 +20,8 @@ fail() {
   exit 1
 }
 
-python3 "$ledger_tool" --validate "$ledger" --figures "$figures" ||
+python3 "$ledger_tool" --validate "$ledger" --figures "$figures" \
+    --specs "$root/specs" ||
   fail "the committed $ledger does not validate"
 
 # Each mutation edits a copy of the committed ledger.
@@ -32,6 +33,8 @@ ledger = json.load(open(src))
 first = next(iter(ledger["entries"]))
 if how == "missing":
     del ledger["entries"][first]
+elif how == "spec_missing":
+    del ledger["specs"]["entries"][next(iter(ledger["specs"]["entries"]))]
 elif how == "min_above_median":
     wall = ledger["entries"][first]["wall_s"]
     wall["min"] = wall["median"] * 2
@@ -41,10 +44,10 @@ json.dump(ledger, open(dst, "w"))
 EOF
 }
 
-for how in missing min_above_median schema; do
+for how in missing spec_missing min_above_median schema; do
   mutate "$how" "$how"
   if python3 "$ledger_tool" --validate "$out_dir/$how.json" \
-      --figures "$figures" > /dev/null 2>&1; then
+      --figures "$figures" --specs "$root/specs" > /dev/null 2>&1; then
     fail "a ledger with the '$how' mutation validated"
   fi
 done
